@@ -3,11 +3,17 @@
 Turns branch embeddings into edge-propensity matrices, then repeatedly perturbs
 the extreme entries: the best non-edge is added and the worst existing edge
 removed, per sign. Negative candidates pass through the edge-utility filter
-evaluated on the current working graph: additions need a keep verdict, removals
-a discard verdict (high-utility negatives are retained, noise negatives go). A
-regulator steers the running ratio of positive to negative perturbations toward
+evaluated on the current working graph, and `LogEntry.performed` is the one
+place its verdict decides: additions need a keep verdict, removals a discard
+verdict (high-utility negatives are retained, noise negatives go). A regulator
+steers the running ratio of positive to negative perturbations toward
 theta_target and stops once the perturbed-edge share reaches delta_target.
+
 Finally the two perturbed adjacencies are fused back into one signed graph.
+`fuse` is the general rule, with a tie-break for pairs present in both. Within
+`augment` no pair ever is: additions of both signs draw from the one pool of
+original non-edges, and removals only take original edges of their own sign,
+so the working sets stay disjoint and fusion is their union.
 """
 
 from __future__ import annotations
@@ -121,11 +127,9 @@ class PerturbationLog:
 
 @dataclass
 class AugmentedGraph:
-    """Fused result plus the pre-fusion adjacencies and the full action log."""
+    """Fused result plus the full action log."""
 
     graph: SignedGraph
-    apos_aug: sp.csr_matrix
-    aneg_aug: sp.csr_matrix
     log: PerturbationLog
     thresholds_unmet: bool = False
 
@@ -220,21 +224,6 @@ class AugmentationState:
         return _ratio_ok(p2, m2, theta) or (
             _ratio_error(p2, m2, theta) < _ratio_error(p, m, theta) - _RATIO_TOL)
 
-    def apos_matrix(self) -> sp.csr_matrix:
-        return self._matrix(self.pos_adj, 1)
-
-    def aneg_matrix(self) -> sp.csr_matrix:
-        return self._matrix(self.neg_adj, -1)
-
-    def _matrix(self, adj, value) -> sp.csr_matrix:
-        rows, cols = [], []
-        for u in range(self.n):
-            for v in adj[u]:
-                rows.append(u)
-                cols.append(v)
-        data = np.full(len(rows), value, dtype=np.int64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-
 
 def _argbest(matrix, mask, maximize):
     if not mask.any():
@@ -245,67 +234,48 @@ def _argbest(matrix, mask, maximize):
     return divmod(flat, matrix.shape[1])
 
 
+# (sign, action) slots of one round, in the order they are tried
+_SLOTS = ((1, ADD), (1, REMOVE), (-1, ADD), (-1, REMOVE))
+
+
 def perturb_step(state: AugmentationState) -> AugmentationState:
-    """One perturbation round: up to four actions (add/remove per sign).
+    """One perturbation round: up to four actions, one per (sign, action) slot
+    in the order +add, +remove, -add, -remove.
 
     Positive actions are ungated. Negative candidates pass through the utility
-    filter on the current working graph: an addition happens only when the
-    filter keeps the edge, a removal only when the filter discards it (noise
-    negatives go, load-bearing ones are retained). Gated-away candidates are
-    still logged and marked spent. Ties in the argmax/argmin break toward the
-    lexicographically smallest pair. Sets last_round_actions = 0 when nothing
-    could be done, which is the stop signal to the driver.
+    filter on the current working graph, and the logged entry's `performed`
+    decides whether the change is applied: an addition only when the filter
+    keeps the edge, a removal only when it discards it (noise negatives go,
+    load-bearing ones are retained). Gated-away candidates are still logged and
+    marked spent. Ties in the argmax/argmin break toward the lexicographically
+    smallest pair. Sets last_round_actions = 0 when nothing could be done,
+    which is the stop signal to the driver.
     """
     cfg = state.cfg
-    mp, mn = state.probs.mpos, state.probs.mneg
     actions = 0
-
-    if state._steer_allows(1):
-        pick = _argbest(mp, state.addable, maximize=True)
-        if pick is not None:
-            u, v = pick
-            state._mark_spent(u, v)
-            state.pos_adj[u].add(v)
-            state.pos_adj[v].add(u)
-            state.log.append(LogEntry(ADD, 1, u, v, float(mp[u, v]), NOT_GATED))
-            actions += 1
-
-    if state._steer_allows(1):
-        pick = _argbest(mp, state.pos_removable, maximize=False)
-        if pick is not None:
-            u, v = pick
-            state._mark_spent(u, v)
-            state.pos_adj[u].discard(v)
-            state.pos_adj[v].discard(u)
-            state.log.append(LogEntry(REMOVE, 1, u, v, float(mp[u, v]), NOT_GATED))
-            actions += 1
-
-    if state._steer_allows(-1):
-        pick = _argbest(mn, state.addable, maximize=True)
-        if pick is not None:
-            u, v = pick
-            state._mark_spent(u, v)
+    for sign, action in _SLOTS:
+        if not state._steer_allows(sign):
+            continue
+        probs = state.probs.mpos if sign > 0 else state.probs.mneg
+        removable = state.pos_removable if sign > 0 else state.neg_removable
+        pick = _argbest(probs, state.addable if action == ADD else removable,
+                        maximize=action == ADD)
+        if pick is None:
+            continue
+        u, v = pick
+        state._mark_spent(u, v)
+        verdict = NOT_GATED
+        if sign < 0:
             util = pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
             verdict = filter_edge(util, cfg.mu)
-            if verdict == KEEP:
-                state.neg_adj[u].add(v)
-                state.neg_adj[v].add(u)
-            state.log.append(LogEntry(ADD, -1, u, v, float(mn[u, v]), verdict))
-            actions += 1
-
-    if state._steer_allows(-1):
-        pick = _argbest(mn, state.neg_removable, maximize=False)
-        if pick is not None:
-            u, v = pick
-            state._mark_spent(u, v)
-            util = pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
-            verdict = filter_edge(util, cfg.mu)
-            if verdict == DISCARD:  # only noise negatives actually get removed
-                state.neg_adj[u].discard(v)
-                state.neg_adj[v].discard(u)
-            state.log.append(LogEntry(REMOVE, -1, u, v, float(mn[u, v]), verdict))
-            actions += 1
-
+        entry = LogEntry(action, sign, u, v, float(probs[u, v]), verdict)
+        if entry.performed:
+            adj = state.pos_adj if sign > 0 else state.neg_adj
+            change = set.add if action == ADD else set.discard
+            change(adj[u], v)
+            change(adj[v], u)
+        state.log.append(entry)
+        actions += 1
     state.last_round_actions = actions
     return state
 
@@ -364,8 +334,8 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
         if state.last_round_actions == 0:
             unmet = True
             break
-    apos = state.apos_matrix()
-    aneg = state.aneg_matrix()
-    fused = fuse(apos, aneg, probs)
-    return AugmentedGraph(graph=fused, apos_aug=apos, aneg_aug=aneg,
-                          log=state.log, thresholds_unmet=unmet)
+    # the working sets are disjoint (module docstring), so fusion is their union
+    edges = sorted((u, v, sign) for sign, adj in ((1, state.pos_adj), (-1, state.neg_adj))
+                   for u in range(g.n) for v in adj[u] if u < v)
+    return AugmentedGraph(graph=SignedGraph(g.n, edges), log=state.log,
+                          thresholds_unmet=unmet)

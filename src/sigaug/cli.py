@@ -23,6 +23,10 @@ EXIT_COMPONENT = 3
 EXIT_USAGE = 64
 
 
+class InputError(ValueError):
+    """Malformed input file content; reported with the bad-input exit code."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -48,6 +52,17 @@ _COMMON = {
     "quiet": (bool, False),
 }
 
+# training keys of train, evaluate and sweep; defaults are TrainConfig's
+_TRAIN = {
+    "epochs": (int, 100),
+    "learning_rate": (_ratio, 0.01),
+    "lambda": (_ratio, 5.0),
+    "weight_decay": (_ratio, 1e-4),
+    "dim": (int, 64),
+    "feature_dim": (int, 64),
+    "layers": (int, 2),
+}
+
 _KEYS = {
     "stats": {
         "dataset": (str, ""),
@@ -64,13 +79,7 @@ _KEYS = {
     "train": {
         "dataset": (str, ""),
         "format": (str, "signed"),
-        "epochs": (int, 100),
-        "learning_rate": (_ratio, 0.01),
-        "lambda": (_ratio, 5.0),
-        "weight_decay": (_ratio, 1e-4),
-        "dim": (int, 64),
-        "feature_dim": (int, 64),
-        "layers": (int, 2),
+        **_TRAIN,
         **_COMMON,
     },
     "augment": {
@@ -94,13 +103,7 @@ _KEYS = {
         "delta": (_ratio, 0.6),
         "eta": (int, 4),
         "test_fraction": (_ratio, 0.2),
-        "epochs": (int, 100),
-        "learning_rate": (_ratio, 0.01),
-        "lambda": (_ratio, 5.0),
-        "weight_decay": (_ratio, 1e-4),
-        "dim": (int, 64),
-        "feature_dim": (int, 64),
-        "layers": (int, 2),
+        **_TRAIN,
         **_COMMON,
     },
     "sweep": {
@@ -114,13 +117,7 @@ _KEYS = {
         "max_cells": (int, 200),
         "eta": (int, 4),
         "test_fraction": (_ratio, 0.2),
-        "epochs": (int, 100),
-        "learning_rate": (_ratio, 0.01),
-        "lambda": (_ratio, 5.0),
-        "weight_decay": (_ratio, 1e-4),
-        "dim": (int, 64),
-        "feature_dim": (int, 64),
-        "layers": (int, 2),
+        **_TRAIN,
         **_COMMON,
     },
 }
@@ -285,7 +282,13 @@ def cmd_augment(cfg: CliConfig) -> int:
     emb_path = cfg.get("embeddings")
     if not emb_path:
         raise FileNotFoundError("no --embeddings given")
-    pair = sgnn.load_embeddings(emb_path)
+    try:
+        pair = sgnn.load_embeddings(emb_path)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if pair.zpos.shape[0] != g.n:
+        raise InputError(f"{emb_path}: {pair.zpos.shape[0]} embedding rows, "
+                         f"the graph has {g.n} nodes")
     epr = EPRConfig(theta_target=cfg.get("theta"), delta_target=cfg.get("delta"),
                     mu=cfg.get("mu"), eta=cfg.get("eta"))
     result = run_augment(g, pair, epr)
@@ -302,18 +305,18 @@ def cmd_augment(cfg: CliConfig) -> int:
 
 def _experiment_config(cfg: CliConfig) -> evaluate.ExperimentConfig:
     values = dict(cfg.values)
+    # sweep has no mu/theta/delta keys (it sets them per grid cell)
+    targets = {k: values[k] for k in ("mu", "theta", "delta") if k in values}
     return evaluate.ExperimentConfig(
         dataset=cfg.get("dataset"),
         input_format=cfg.get("format"),
         augmentation=cfg.get("augmentation"),
-        mu=values.get("mu", 0.7),
-        theta=values.get("theta", 1.0 / 9.0),
-        delta=values.get("delta", 0.6),
         eta=cfg.get("eta"),
         runs=cfg.get("runs"),
         base_seed=cfg.get("seed"),
         test_fraction=cfg.get("test_fraction"),
         train=_train_config(cfg),
+        **targets,
     )
 
 
@@ -365,7 +368,8 @@ def main(argv=None) -> int:
         print(format_config(cfg), file=sys.stderr)
     try:
         return _DISPATCH[sub](cfg)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, graph.ParseError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, graph.ParseError,
+            InputError) as exc:
         print(f"sigaug: input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:

@@ -8,7 +8,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .augment import EPRConfig, augment
 from .balance import MU_MAX
@@ -33,7 +32,6 @@ class ExperimentConfig:
 
     dataset: str
     input_format: str = "signed"
-    backbone: str = "sgcn_like"
     augmentation: str = "none"
     mu: float = 0.7
     theta: float = 1.0 / 9.0
@@ -45,8 +43,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.backbone != "sgcn_like":
-            raise ValueError(f"unknown backbone {self.backbone!r}")
         if self.augmentation not in ("none", "sigaug"):
             raise ValueError(f"unknown augmentation {self.augmentation!r}")
         if not 0.0 <= self.mu <= MU_MAX:
@@ -138,7 +134,9 @@ def auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
-    ranks = rankdata(scores)
+    # tie-averaged ranks: a run of equal scores shares the mean of its positions
+    _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

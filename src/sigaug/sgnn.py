@@ -45,7 +45,6 @@ class TrainConfig:
     feature_dim: int = 64
     layers: int = 2
     class_weights: Optional[dict] = None
-    feature_mode: str = "random_fixed"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -62,8 +61,6 @@ class TrainConfig:
             raise ValueError("feature_dim must be >= 1")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.feature_mode != "random_fixed":
-            raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
         if self.class_weights is not None:
             if any(w <= 0 for w in self.class_weights.values()):
                 raise ValueError("class weights must be positive")
@@ -260,7 +257,9 @@ def _backward(tensors: _GraphTensors, params: ModelParams, cache, d_hp, d_hn):
 
 
 def _class_weights(samples, override: Optional[dict]) -> dict:
-    if override is not None:
+    """Per-class loss weights: `override` when given, else total / (k * count)
+    over the k classes present in `samples`, so every class weighs the same."""
+    if override:
         return dict(override)
     counts: dict[str, int] = {}
     for _, _, c in samples:
@@ -439,15 +438,12 @@ def train(g: SignedGraph, cfg: TrainConfig, features: Optional[np.ndarray] = Non
     edge_samples = [(u, v, "+" if s > 0 else "-") for u, v, s in sup.edges()]
     pool = _null_pool(sup)
     m = sup.num_edges
-    counts = {"+": sup.num_pos, "-": sup.num_neg}
-    if pool is None or pool:
-        counts["?"] = m
-    total = sum(counts.values())
-    weights = cfg.class_weights or {c: total / (len(counts) * cnt) for c, cnt in counts.items()}
     lr = cfg.learning_rate
     trace = []
     for epoch in range(cfg.epochs):
         samples = edge_samples + _draw_nulls(sup, pool, m, rng)
+        if epoch == 0:  # every epoch draws the same number of samples per class
+            weights = _class_weights(samples, cfg.class_weights)
         value, dwp, dwn, dtheta = _grad_step(tensors, params, x, samples, weights, cfg,
                                              warn_missing=epoch == 0)
         trace.append(value)
@@ -498,10 +494,7 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5,
     def value_at(vec):
         p = _params_from_flat(params, vec)
         pair, _ = _forward_cached(tensors, p, x)
-        Z = np.hstack([pair.zpos, pair.zneg])
-        ce, hinge, _, _ = _loss_grads(Z, samples, p.theta, cfg.lam, weights)
-        reg = cfg.weight_decay * sum(float((a * a).sum()) for a in p.arrays())
-        return ce + hinge + reg
+        return loss(concat(pair), samples, p, cfg)
 
     picks = rng.choice(flat.size, size=min(max(num_coords, 50), flat.size), replace=False)
     worst = 0.0
@@ -557,8 +550,13 @@ def load_embeddings(path) -> EmbeddingPair:
             fields = line.split()
             if not fields:
                 continue
-            if int(fields[0]) != len(rows):
-                raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered")
+            try:
+                node = int(fields[0])
+            except ValueError:
+                node = None
+            if node != len(rows):
+                raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
+                                 f"integers, got {fields[0]!r}")
             rows.append([float(v) for v in fields[1:]])
     Z = np.array(rows, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] % 2:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.augment import (ADD, CONTINUE, DIAG_SENTINEL, NOT_GATED, STOP,
                             AugmentationState, LogEntry, PerturbationLog)
 from sigaug.balance import DISCARD, KEEP
 
+from augment_reference import reference_augment
 from conftest import random_signed_graph
 
 
@@ -282,3 +285,36 @@ class TestAugment:
         pair = sg.EmbeddingPair(np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             sg.augment(sg.SignedGraph(0), pair, sg.EPRConfig(1.0, 0.5, 0.7))
+
+
+class TestMatchesReference:
+    """`augment` against the four-block reference loop and its `fuse` result."""
+
+    @staticmethod
+    def assert_same(g, pair, cfg):
+        out = sg.augment(g, pair, cfg)
+        ref_graph, ref_log, ref_unmet = reference_augment(g, pair, cfg)
+        assert out.log.to_lines() == ref_log.to_lines()
+        assert out.graph == ref_graph
+        assert out.thresholds_unmet == ref_unmet
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 14),
+           density=st.floats(0.1, 0.6), neg=st.floats(0.1, 0.6),
+           decimals=st.sampled_from([None, 0, 1]), eta=st.integers(3, 6),
+           theta=st.sampled_from([1 / 9, 0.5, 1.0, 4.0]), delta=st.floats(0.05, 1.0),
+           mu=st.floats(0.0, 0.9))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, seed, n, density, neg, decimals, eta, theta, delta, mu):
+        rng = np.random.default_rng(seed)
+        g = random_signed_graph(rng, n, density, neg)
+        assume(g.num_edges > 0)
+        zpos, zneg = rng.normal(size=(2, n, 4))
+        if decimals is not None:  # rounded embeddings give tied scores
+            zpos, zneg = np.round(zpos, decimals), np.round(zneg, decimals)
+        cfg = sg.EPRConfig(theta_target=theta, delta_target=delta, mu=mu, eta=eta)
+        self.assert_same(g, sg.EmbeddingPair(zpos, zneg), cfg)
+
+    def test_congress_trained_embeddings(self, congress_graph):
+        pair = trained_pair(congress_graph, epochs=5)
+        self.assert_same(congress_graph, pair,
+                         sg.EPRConfig(theta_target=1 / 9, delta_target=0.6, mu=0.7))

@@ -1,10 +1,11 @@
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import sigaug as sg
-from sigaug.cli import (EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_USAGE,
+from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         format_config, parse_config_text, resolve_config)
 
 
@@ -124,6 +125,22 @@ class TestTrainAugmentCmds:
         assert log_lines and len(log_lines[0].split()) == 7
 
 
+    @pytest.mark.parametrize("emb_text", [
+        "0 0.1 0.2\nx 0.3 0.4\n2 0.5 0.6\n3 0.7 0.8\n",  # non-integer node id
+        "0 0.1 0.2\n2 0.3 0.4\n3 0.5 0.6\n4 0.7 0.8\n",  # ids not dense
+        "0 0.1 0.2\n1 0.3 0.4\n2 0.5 0.6\n",               # 3 rows, 4 nodes
+    ], ids=["non_integer_id", "non_dense_ids", "row_count"])
+    def test_malformed_embeddings_exit_code(self, tmp_path, emb_text):
+        data = tmp_path / "c4.txt"
+        data.write_text(C4_FILE)
+        emb = tmp_path / "bad.emb"
+        emb.write_text(emb_text)
+        proc = run_cli("augment", "--dataset", str(data), "--embeddings", str(emb),
+                       "--output", str(tmp_path / "out.txt"), "--quiet")
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "input error" in proc.stderr
+
+
 class TestEvaluateCmd:
     def test_deterministic_reports(self, tmp_path, congress_path):
         args = ["evaluate", "--dataset", str(congress_path), "--augmentation", "none",
@@ -199,3 +216,16 @@ class TestConfigResolution:
         conf.write_text("not a key value line")
         proc = run_cli("stats", "--dataset", str(congress_path), "--config", str(conf))
         assert proc.returncode == EXIT_IO
+
+
+def test_cli_defaults_match_library_defaults():
+    train = {f.name: f.default for f in fields(sg.TrainConfig)}
+    field_of = {"epochs": "epochs", "learning_rate": "learning_rate", "lambda": "lam",
+                "weight_decay": "weight_decay", "dim": "embed_dim",
+                "feature_dim": "feature_dim", "layers": "layers"}
+    assert {k: d for k, (_t, d) in _TRAIN.items()} == {k: train[f] for k, f in field_of.items()}
+    experiment = {f.name: f.default for f in fields(sg.ExperimentConfig)}
+    for sub, keys in (("evaluate", ("eta", "runs", "test_fraction", "mu", "theta", "delta")),
+                      ("sweep", ("eta", "runs", "test_fraction"))):
+        for key in keys:
+            assert _KEYS[sub][key][1] == experiment[key], (sub, key)

@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.evaluate import (ExperimentConfig, MetricReport, NEG_LABEL, POS_LABEL,
@@ -43,6 +47,27 @@ class TestAuc:
             labels[1] = "neg"
         base = sg.auc(scores, labels)
         assert sg.auc(np.exp(3 * scores), labels) == pytest.approx(base, abs=1e-12)
+
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_count_with_ties(self, rows):
+        scores = [s / 4.0 for s, _ in rows]
+        labels = [POS_LABEL if p else NEG_LABEL for _, p in rows]
+        assume(POS_LABEL in labels and NEG_LABEL in labels)
+        pos = [s for s, lab in zip(scores, labels) if lab == POS_LABEL]
+        neg = [s for s, lab in zip(scores, labels) if lab == NEG_LABEL]
+        wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
+        assert sg.auc(scores, labels) == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a cold `import sigaug`, which every CLI call pays
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, sigaug; print('scipy.stats' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestClassificationMetrics:
