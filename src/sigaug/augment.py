@@ -2,18 +2,21 @@
 
 Turns branch embeddings into edge-propensity matrices, then repeatedly perturbs
 the extreme entries: the best non-edge is added and the worst existing edge
-removed, per sign. Negative candidates pass through the edge-utility filter
-evaluated on the current working graph, and `LogEntry.performed` is the one
-place its verdict decides: additions need a keep verdict, removals a discard
-verdict (high-utility negatives are retained, noise negatives go). A regulator
-steers the running ratio of positive to negative perturbations toward
-theta_target and stops once the perturbed-edge share reaches delta_target.
+removed, per sign. The matrices are fixed for the run and a spent pair never
+returns, so each (sign, action) slot's picks are its candidates sorted once:
+the four candidate pools are ranked up front and walked. Negative candidates
+pass through the edge-utility filter evaluated on the current working graph,
+and `LogEntry.performed` is the one place its verdict decides: additions need
+a keep verdict, removals a discard verdict (high-utility negatives are
+retained, noise negatives go). A regulator steers the running ratio of
+positive to negative perturbations toward theta_target and stops once the
+perturbed-edge share reaches delta_target.
 
 Finally the two perturbed adjacencies are fused back into one signed graph.
 `fuse` is the general rule, with a tie-break for pairs present in both. Within
-`augment` no pair ever is: additions of both signs draw from the one pool of
-original non-edges, and removals only take original edges of their own sign,
-so the working sets stay disjoint and fusion is their union.
+`augment` no pair ever is: additions of both signs take original non-edges,
+never the same pair twice, and removals only take original edges of their own
+sign, so the working sets stay disjoint and fusion is their union.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .balance import DISCARD, KEEP, MU_MAX, filter_edge, pair_utility
+from .balance import DISCARD, ETA_MAX, ETA_MIN, KEEP, MU_MAX, filter_edge, pair_utility
 from .graph import SignedGraph
 from .sgnn import EmbeddingPair
 
@@ -37,7 +40,7 @@ ADD = "add"
 REMOVE = "remove"
 NOT_GATED = "n/a"
 
-# finite stand-in that never wins an argmax over cosine-derived scores
+# finite stand-in on the diagonal, which is never a candidate pair
 DIAG_SENTINEL = -1e30
 
 _RECIPROCAL_GUARD = 1e-8
@@ -68,8 +71,8 @@ class EPRConfig:
             raise ValueError("delta_target must be in [0, 1]")
         if not 0.0 <= self.mu <= MU_MAX:
             raise ValueError(f"mu must be in [0, {MU_MAX}]")
-        if not 3 <= self.eta <= 6:
-            raise ValueError("eta must be in [3, 6]")
+        if not ETA_MIN <= self.eta <= ETA_MAX:
+            raise ValueError(f"eta must be in [{ETA_MIN}, {ETA_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,6 @@ class PerturbationLog:
     def total_kept(self) -> int:
         return self.pos_kept + self.neg_kept
 
-    def pairs(self) -> set:
-        return {(e.u, e.v) for e in self.entries}
-
     def to_lines(self) -> list[str]:
         return [f"{i} {e.action} {e.sign} {e.u} {e.v} {e.probability!r} {e.euf_verdict}"
                 for i, e in enumerate(self.entries)]
@@ -140,8 +140,8 @@ def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
     Rows are L2-normalized first. The reciprocal keeps its sign; magnitudes
     below 1e-8 are clamped to +-1e-8 before dividing so mneg stays finite.
     Zero-norm rows yield zero similarity (with a warning) and fall under the
-    same guard. Diagonals are set to a large negative sentinel so they never
-    win an argmax.
+    same guard. Diagonals are set to a large negative sentinel: a node paired
+    with itself is never a candidate.
     """
 
     def normalize(z):
@@ -188,7 +188,18 @@ def epr_check(log: PerturbationLog, cfg: EPRConfig, original_edge_count: int) ->
 
 
 class AugmentationState:
-    """Mutable working state of one augmentation run (single-owner)."""
+    """Mutable working state of one augmentation run (single-owner).
+
+    The candidates of each (sign, action) slot form one pool, ranked once here:
+    add pools hold every upper-triangle pair, highest value first; remove pools
+    hold the original edges of their sign, lowest value first. The sort is
+    stable over row-major pairs, so ties fall in the order an argmax/argmin
+    scan would break them. This equals rescanning the remaining candidates
+    before every action because the values never change during a run and a
+    pair that leaves a pool never comes back. `taken` holds the original edges
+    plus every pair already picked; add pools skip those pairs. Remove pools
+    never need to: no other slot can take an original edge.
+    """
 
     def __init__(self, g: SignedGraph, probs: ProbabilityMatrices, cfg: EPRConfig):
         n = g.n
@@ -201,19 +212,24 @@ class AugmentationState:
         self.pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
         self.neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
         self.log = PerturbationLog()
-        self.last_round_actions = 0
-        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-        self.addable = upper.copy()
-        self.pos_removable = np.zeros((n, n), dtype=bool)
-        self.neg_removable = np.zeros((n, n), dtype=bool)
-        for u, v, s in g.edges():
-            self.addable[u, v] = False
-            (self.pos_removable if s > 0 else self.neg_removable)[u, v] = True
+        # pairs as row-major flat keys u * n + v, u < v; g.edges() is in that order
+        self.taken = {u * n + v for u, v, _ in g.edges()}
+        upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+        self.pools = {}
+        # one expression per pool: each sort's n^2/2 scratch is freed before the next
+        for sign, values in ((1, probs.mpos), (-1, probs.mneg)):
+            edges = np.array([u * n + v for u, v, s in g.edges() if s == sign], dtype=np.intp)
+            self.pools[sign, ADD] = iter(upper[np.argsort(-values.take(upper), kind="stable")])
+            self.pools[sign, REMOVE] = iter(edges[np.argsort(values.take(edges), kind="stable")])
 
-    def _mark_spent(self, u, v):
-        self.addable[u, v] = False
-        self.pos_removable[u, v] = False
-        self.neg_removable[u, v] = False
+    def _pick(self, sign: int, action: str):
+        """The slot's best pair not yet taken, or None once its pool is empty."""
+        for key in self.pools[sign, action]:
+            key = int(key)
+            if action == REMOVE or key not in self.taken:
+                self.taken.add(key)
+                return divmod(key, self.n)
+        return None
 
     def _steer_allows(self, sign: int) -> bool:
         """Skip an action when it would drift the running sign ratio past the
@@ -225,31 +241,23 @@ class AugmentationState:
             _ratio_error(p2, m2, theta) < _ratio_error(p, m, theta) - _RATIO_TOL)
 
 
-def _argbest(matrix, mask, maximize):
-    if not mask.any():
-        return None
-    fill = -np.inf if maximize else np.inf
-    vals = np.where(mask, matrix, fill)
-    flat = int(vals.argmax() if maximize else vals.argmin())
-    return divmod(flat, matrix.shape[1])
-
-
 # (sign, action) slots of one round, in the order they are tried
 _SLOTS = ((1, ADD), (1, REMOVE), (-1, ADD), (-1, REMOVE))
 
 
-def perturb_step(state: AugmentationState) -> AugmentationState:
+def perturb_step(state: AugmentationState) -> int:
     """One perturbation round: up to four actions, one per (sign, action) slot
-    in the order +add, +remove, -add, -remove.
+    in the order +add, +remove, -add, -remove. Returns the number of actions
+    logged; 0 means every slot's pool is empty or steered away, which is the
+    stop signal to the driver.
 
-    Positive actions are ungated. Negative candidates pass through the utility
-    filter on the current working graph, and the logged entry's `performed`
-    decides whether the change is applied: an addition only when the filter
-    keeps the edge, a removal only when it discards it (noise negatives go,
-    load-bearing ones are retained). Gated-away candidates are still logged and
-    marked spent. Ties in the argmax/argmin break toward the lexicographically
-    smallest pair. Sets last_round_actions = 0 when nothing could be done,
-    which is the stop signal to the driver.
+    Each slot takes the next pair of its pool, ranked once: the pair a fresh
+    argmax/argmin scan would pick (AugmentationState says why). Positive
+    actions are ungated. Negative candidates pass through the utility filter
+    on the current working graph, and the logged entry's `performed` decides
+    whether the change is applied: an addition only when the filter keeps the
+    edge, a removal only when it discards it (noise negatives go, load-bearing
+    ones are retained). Gated-away candidates are still logged and spent.
     """
     cfg = state.cfg
     actions = 0
@@ -257,13 +265,10 @@ def perturb_step(state: AugmentationState) -> AugmentationState:
         if not state._steer_allows(sign):
             continue
         probs = state.probs.mpos if sign > 0 else state.probs.mneg
-        removable = state.pos_removable if sign > 0 else state.neg_removable
-        pick = _argbest(probs, state.addable if action == ADD else removable,
-                        maximize=action == ADD)
+        pick = state._pick(sign, action)
         if pick is None:
             continue
         u, v = pick
-        state._mark_spent(u, v)
         verdict = NOT_GATED
         if sign < 0:
             util = pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
@@ -276,8 +281,7 @@ def perturb_step(state: AugmentationState) -> AugmentationState:
             change(adj[v], u)
         state.log.append(entry)
         actions += 1
-    state.last_round_actions = actions
-    return state
+    return actions
 
 
 def fuse(apos_aug, aneg_aug, probs: ProbabilityMatrices) -> SignedGraph:
@@ -330,8 +334,7 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
     state = AugmentationState(g, probs, cfg)
     unmet = False
     while epr_check(state.log, cfg, state.original_edge_count) == CONTINUE:
-        perturb_step(state)
-        if state.last_round_actions == 0:
+        if perturb_step(state) == 0:
             unmet = True
             break
     # the working sets are disjoint (module docstring), so fusion is their union

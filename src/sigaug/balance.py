@@ -27,9 +27,6 @@ MU_MAX = 0.9
 ETA_MIN = 3
 ETA_MAX = 6
 
-# below this dimension the product recursion runs on dense int64 arrays
-_DENSE_CUTOFF = 512
-
 # hard cap for the exhaustive enumeration oracle
 _ORACLE_MAX_NODES = 14
 
@@ -110,22 +107,16 @@ def count_cycles(apos, aneg, eta: int = 4) -> CycleCountSet:
     cu(3) = Apos^2 + Aneg^2. Each further step appends one edge: a positive
     edge preserves walk sign, a negative edge flips it, so
     cb(n) = cb(n-1)*Apos + cu(n-1)*Aneg and cu(n) = cb(n-1)*Aneg + cu(n-1)*Apos.
-    Diagonals are retained but carry no meaning for edge scoring.
+    The products stay sparse csr at every size. Diagonals are retained but
+    carry no meaning for edge scoring.
     """
-    apos, aneg = _check_adjacency_inputs(apos, aneg, eta)
-    n = apos.shape[0]
-    dense = n < _DENSE_CUTOFF
-    ap = apos.toarray() if dense else apos
-    an = aneg.toarray() if dense else aneg
+    ap, an = _check_adjacency_inputs(apos, aneg, eta)
     cb = {3: ap @ an + an @ ap}
     cu = {3: ap @ ap + an @ an}
     for k in range(4, eta + 1):
         cb[k] = cb[k - 1] @ ap + cu[k - 1] @ an
         cu[k] = cb[k - 1] @ an + cu[k - 1] @ ap
-    to_csr = (lambda m: sp.csr_matrix(m)) if dense else (lambda m: m.tocsr())
-    cb = {k: to_csr(v) for k, v in cb.items()}
-    cu = {k: to_csr(v) for k, v in cu.items()}
-    c = {k: (cb[k] + cu[k]).tocsr() for k in cb}
+    c = {k: cb[k] + cu[k] for k in cb}
     return CycleCountSet(eta=eta, cb=cb, cu=cu, c=c)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from .augment import EPRConfig, augment
-from .balance import MU_MAX
+from .balance import ETA_MAX, ETA_MIN, MU_MAX
 from .graph import SignedGraph, build_graph, load_edge_list, split_edges
 from .sgnn import TrainConfig, concat, train
 
@@ -51,6 +51,8 @@ class ExperimentConfig:
             raise ValueError("theta must be positive")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
+        if not ETA_MIN <= self.eta <= ETA_MAX:
+            raise ValueError(f"eta must be in [{ETA_MIN}, {ETA_MAX}]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:

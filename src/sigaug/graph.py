@@ -105,13 +105,6 @@ class SignedGraph:
         key = (u, v) if u < v else (v, u)
         return SignedGraph(self.n, (e for e in self._edges if (e[0], e[1]) != key))
 
-    def with_edge(self, u: int, v: int, s: int) -> "SignedGraph":
-        """A copy with edge {u, v} of sign s added (error if present)."""
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        key = (u, v) if u < v else (v, u)
-        return SignedGraph(self.n, self._edges + ((key[0], key[1], s),))
-
     def __eq__(self, other):
         if not isinstance(other, SignedGraph):
             return NotImplemented

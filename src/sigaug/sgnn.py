@@ -557,7 +557,13 @@ def load_embeddings(path) -> EmbeddingPair:
             if node != len(rows):
                 raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
                                  f"integers, got {fields[0]!r}")
-            rows.append([float(v) for v in fields[1:]])
+            try:
+                rows.append([float(v) for v in fields[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: {len(rows[-1])} values, "
+                                 f"the first row has {len(rows[0])}")
     Z = np.array(rows, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] % 2:
         raise ValueError(f"{path}: expected an even embedding dimension, got shape {Z.shape}")

@@ -177,6 +177,35 @@ class TestPerturbStep:
         assert (entry.u, entry.v, entry.euf_verdict) == (0, 1, DISCARD)
         assert not state.neg_adj[0] and state.log.neg_kept == 0
 
+    def test_returns_actions_logged_then_zero(self):
+        def rounds(g, theta):
+            n = g.n
+            mpos = np.arange(n * n, dtype=float).reshape(n, n)
+            mpos = mpos + mpos.T
+            mneg = mpos[::-1] + mpos[::-1].T
+            np.fill_diagonal(mpos, DIAG_SENTINEL)
+            np.fill_diagonal(mneg, DIAG_SENTINEL)
+            state = AugmentationState(g, sg.ProbabilityMatrices(mpos, mneg),
+                                      sg.EPRConfig(theta_target=theta, delta_target=1.0,
+                                                   mu=0.7))
+            counts = []
+            for _ in range(3):
+                before = len(state.log)
+                counts.append(sg.perturb_step(state))
+                assert counts[-1] == len(state.log) - before
+            return counts, state
+
+        # every pool empty: the one negative edge is logged (a cycle-free keep)
+        counts, _ = rounds(sg.SignedGraph(2, [(0, 1, -1)]), theta=1.0)
+        assert counts == [1, 0, 0]
+        # pools left, all steered away: positive removals remain, but one more
+        # would push the ratio past 1/9 and no negative candidate is left
+        k4 = sg.SignedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1),
+                                (1, 2, -1), (1, 3, 1), (2, 3, 1)])
+        counts, state = rounds(k4, theta=1 / 9)
+        assert counts == [2, 0, 0]
+        assert sum(map(len, state.pos_adj)) == 2 * 4
+
     def test_spent_pairs_never_reselected(self):
         g = signed_graph_with_both(5)
         pair = trained_pair(g, epochs=5)

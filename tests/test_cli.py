@@ -125,12 +125,14 @@ class TestTrainAugmentCmds:
         assert log_lines and len(log_lines[0].split()) == 7
 
 
-    @pytest.mark.parametrize("emb_text", [
-        "0 0.1 0.2\nx 0.3 0.4\n2 0.5 0.6\n3 0.7 0.8\n",  # non-integer node id
-        "0 0.1 0.2\n2 0.3 0.4\n3 0.5 0.6\n4 0.7 0.8\n",  # ids not dense
-        "0 0.1 0.2\n1 0.3 0.4\n2 0.5 0.6\n",               # 3 rows, 4 nodes
-    ], ids=["non_integer_id", "non_dense_ids", "row_count"])
-    def test_malformed_embeddings_exit_code(self, tmp_path, emb_text):
+    @pytest.mark.parametrize("emb_text,where", [
+        ("0 0.1 0.2\nx 0.3 0.4\n2 0.5 0.6\n3 0.7 0.8\n", "bad.emb:2:"),  # non-integer node id
+        ("0 0.1 0.2\n2 0.3 0.4\n3 0.5 0.6\n4 0.7 0.8\n", "bad.emb:2:"),  # ids not dense
+        ("0 0.1 0.2\n1 0.3 0.4\n2 0.5 0.6\n", "bad.emb:"),                # 3 rows, 4 nodes
+        ("0 0.1 0.2\n1 0.3 0.4\n2 0.5 zz\n3 0.7 0.8\n", "bad.emb:3:"),   # non-numeric value
+        ("0 0.1 0.2\n1 0.3\n2 0.5 0.6\n3 0.7 0.8\n", "bad.emb:2:"),      # short row
+    ], ids=["non_integer_id", "non_dense_ids", "row_count", "non_numeric", "width"])
+    def test_malformed_embeddings_exit_code(self, tmp_path, emb_text, where):
         data = tmp_path / "c4.txt"
         data.write_text(C4_FILE)
         emb = tmp_path / "bad.emb"
@@ -138,7 +140,7 @@ class TestTrainAugmentCmds:
         proc = run_cli("augment", "--dataset", str(data), "--embeddings", str(emb),
                        "--output", str(tmp_path / "out.txt"), "--quiet")
         assert proc.returncode == EXIT_IO, proc.stderr
-        assert "input error" in proc.stderr
+        assert "input error" in proc.stderr and where in proc.stderr
 
 
 class TestEvaluateCmd:

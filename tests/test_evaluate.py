@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sigaug as sg
+from sigaug.balance import ETA_MAX, ETA_MIN
 from sigaug.evaluate import (ExperimentConfig, MetricReport, NEG_LABEL, POS_LABEL,
                              run_experiment, sweep)
 from sigaug.sgnn import TrainConfig
@@ -189,6 +190,12 @@ class TestRunExperiment:
             ExperimentConfig(dataset="x", runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="x", mu=0.95)
+        # eta is refused when the config is built, before any training, even
+        # where no augmentation would use it
+        for eta in (ETA_MIN - 1, ETA_MAX + 1):
+            with pytest.raises(ValueError, match="eta must be in"):
+                ExperimentConfig(dataset="x", augmentation="none", eta=eta)
+        assert ExperimentConfig(dataset="x", eta=ETA_MAX).eta == ETA_MAX
 
 
 class TestSweep:
