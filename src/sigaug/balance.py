@@ -71,6 +71,18 @@ class UtilityScores:
         return sum(1 for s in self.scores.values() if s is None)
 
 
+def check_eta(eta) -> None:
+    """Refuse a walk-length cap that is not an integer in [ETA_MIN, ETA_MAX]."""
+    if not isinstance(eta, int) or not ETA_MIN <= eta <= ETA_MAX:
+        raise ValueError(f"eta must be an integer in [{ETA_MIN}, {ETA_MAX}], got {eta}")
+
+
+def check_mu(mu) -> None:
+    """Refuse a utility threshold outside [0, MU_MAX]."""
+    if not 0.0 <= mu <= MU_MAX:
+        raise ValueError(f"mu must be in [0, {MU_MAX}], got {mu}")
+
+
 def path_sign(signs: Sequence[int]) -> int:
     """Cumulative product of edge signs along a path: +1 iff negatives are even."""
     if len(signs) == 0:
@@ -88,8 +100,7 @@ def _check_adjacency_inputs(apos, aneg, eta):
     aneg = sp.csr_matrix(aneg, dtype=np.int64)
     if apos.shape != aneg.shape or apos.shape[0] != apos.shape[1]:
         raise ValueError(f"adjacency shapes differ or are not square: {apos.shape} vs {aneg.shape}")
-    if not isinstance(eta, int) or not ETA_MIN <= eta <= ETA_MAX:
-        raise ValueError(f"eta must be an integer in [{ETA_MIN}, {ETA_MAX}], got {eta}")
+    check_eta(eta)
     for name, m in (("positive", apos), ("negative", aneg)):
         if (m != m.T).nnz != 0:
             raise ValueError(f"{name} adjacency is not symmetric")
@@ -128,8 +139,7 @@ def oracle_count_cycles(g: SignedGraph, eta: int = 4) -> CycleCountSet:
     """
     if g.n > _ORACLE_MAX_NODES:
         raise ValueError(f"enumeration oracle refuses n={g.n} > {_ORACLE_MAX_NODES}")
-    if not isinstance(eta, int) or not ETA_MIN <= eta <= ETA_MAX:
-        raise ValueError(f"eta must be an integer in [{ETA_MIN}, {ETA_MAX}], got {eta}")
+    check_eta(eta)
     n = g.n
     adj = [sorted([(w, 1) for w in g.pos_neighbors(u)] + [(w, -1) for w in g.neg_neighbors(u)])
            for u in range(n)]
@@ -172,8 +182,7 @@ def edge_utility(counts: CycleCountSet, u: int, v: int) -> Optional[float]:
 
 def filter_edge(utility: Optional[float], mu: float) -> str:
     """Keep iff utility is undefined (cycle-free) or >= mu."""
-    if not 0.0 <= mu <= MU_MAX:
-        raise ValueError(f"mu must be in [0, {MU_MAX}], got {mu}")
+    check_mu(mu)
     if utility is None:
         return KEEP
     return KEEP if utility >= mu else DISCARD
@@ -188,8 +197,7 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
     candidate edge against the current working graph without rebuilding the
     full count matrices. The candidate edge itself is not assumed present.
     """
-    if not isinstance(eta, int) or not ETA_MIN <= eta <= ETA_MAX:
-        raise ValueError(f"eta must be an integer in [{ETA_MIN}, {ETA_MAX}], got {eta}")
+    check_eta(eta)
     odd: dict[int, int] = {}
     even: dict[int, int] = {}
     for w in pos_adj[u]:
@@ -222,8 +230,7 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
 def compute_utilities(g: SignedGraph, eta: int = 4, mu: float = 0.7,
                       pairs=None) -> UtilityScores:
     """Score edges of g (default: all negative edges) by balanced-cycle share."""
-    if not 0.0 <= mu <= MU_MAX:
-        raise ValueError(f"mu must be in [0, {MU_MAX}], got {mu}")
+    check_mu(mu)
     counts = count_cycles(*split_adjacency(g), eta)
     if pairs is None:
         pairs = [(u, v) for u, v, s in g.edges() if s < 0]

@@ -3,13 +3,15 @@
 Subcommands: stats, balance, train, augment, evaluate, sweep. Flags override
 values from an optional flat `key = value` config file, which override built-in
 defaults; every run echoes the fully resolved configuration (parseable back in
-the same format). Exit codes: 0 success, 2 unreadable/invalid input files,
-3 component failure, 64 usage errors.
+the same format). Exit codes: 0 success (also when the reader of standard
+output closes it early), 2 unreadable/invalid input files or a configuration
+value out of range, 3 component failure, 64 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -24,7 +26,8 @@ EXIT_USAGE = 64
 
 
 class InputError(ValueError):
-    """Malformed input file content; reported with the bad-input exit code."""
+    """Malformed input file content or a rejected configuration value;
+    reported with the bad-input exit code."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,12 +217,22 @@ def _emit(text: str, output: str):
         print(text)
 
 
+def _checked(build, *args, **kwargs):
+    """Build a config object or run a value check; a rejected value is bad input.
+
+    Subcommands check their configuration values this way before loading data."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _load_graph(cfg: CliConfig):
     path = cfg.get("dataset")
     if not path:
         raise FileNotFoundError("no --dataset given")
     with open(path, "rb") as fh:
-        records = graph.load_edge_list(fh, cfg.get("format"))
+        records = _checked(graph.load_edge_list, fh, cfg.get("format"))
     return records, graph.build_graph(records)
 
 
@@ -237,6 +250,8 @@ def cmd_stats(cfg: CliConfig) -> int:
 
 
 def cmd_balance(cfg: CliConfig) -> int:
+    _checked(balance.check_eta, cfg.get("eta"))
+    _checked(balance.check_mu, cfg.get("mu"))
     _records, g = _load_graph(cfg)
     scores = balance.compute_utilities(g, eta=cfg.get("eta"), mu=cfg.get("mu"))
     lines = []
@@ -266,8 +281,9 @@ def _train_config(cfg: CliConfig) -> sgnn.TrainConfig:
 
 
 def cmd_train(cfg: CliConfig) -> int:
+    train_cfg = _checked(_train_config, cfg)
     _records, g = _load_graph(cfg)
-    result = sgnn.train(g, _train_config(cfg))
+    result = sgnn.train(g, train_cfg)
     output = cfg.get("output") or "model"
     sgnn.save_embeddings(result.embeddings, output + ".emb")
     sgnn.save_params(result.params, output + ".params")
@@ -278,6 +294,8 @@ def cmd_train(cfg: CliConfig) -> int:
 
 
 def cmd_augment(cfg: CliConfig) -> int:
+    epr = _checked(EPRConfig, theta_target=cfg.get("theta"), delta_target=cfg.get("delta"),
+                   mu=cfg.get("mu"), eta=cfg.get("eta"))
     _records, g = _load_graph(cfg)
     emb_path = cfg.get("embeddings")
     if not emb_path:
@@ -289,8 +307,6 @@ def cmd_augment(cfg: CliConfig) -> int:
     if pair.zpos.shape[0] != g.n:
         raise InputError(f"{emb_path}: {pair.zpos.shape[0]} embedding rows, "
                          f"the graph has {g.n} nodes")
-    epr = EPRConfig(theta_target=cfg.get("theta"), delta_target=cfg.get("delta"),
-                    mu=cfg.get("mu"), eta=cfg.get("eta"))
     result = run_augment(g, pair, epr)
     edge_lines = [f"{u} {v} {s}" for u, v, s in result.graph.edges()]
     _emit("\n".join(edge_lines), cfg.get("output"))
@@ -321,7 +337,7 @@ def _experiment_config(cfg: CliConfig) -> evaluate.ExperimentConfig:
 
 
 def cmd_evaluate(cfg: CliConfig) -> int:
-    report = evaluate.run_experiment(_experiment_config(cfg))
+    report = evaluate.run_experiment(_checked(_experiment_config, cfg))
     _emit("\n".join(report.to_machine_lines()), cfg.get("output"))
     if not cfg.get("quiet"):
         print(report.to_table(), file=sys.stderr)
@@ -329,9 +345,10 @@ def cmd_evaluate(cfg: CliConfig) -> int:
 
 
 def cmd_sweep(cfg: CliConfig) -> int:
-    exp = _experiment_config(cfg)
+    exp = _checked(_experiment_config, cfg)
     grid = {"mu": list(cfg.get("mu_grid")), "theta": list(cfg.get("theta_grid")),
             "delta": list(cfg.get("delta_grid"))}
+    _checked(evaluate.sweep_cells, exp, grid, max_cells=cfg.get("max_cells"))
     rows = evaluate.sweep(exp, grid, max_cells=cfg.get("max_cells"))
     lines = ["mu,theta,delta,mean_auc,std"]
     lines += [f"{mu!r},{th!r},{de!r},{mean!r},{std!r}" for mu, th, de, mean, std in rows]
@@ -367,7 +384,14 @@ def main(argv=None) -> int:
         print(f"# sigaug {sub} resolved configuration", file=sys.stderr)
         print(format_config(cfg), file=sys.stderr)
     try:
-        return _DISPATCH[sub](cfg)
+        code = _DISPATCH[sub](cfg)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`sigaug balance ... | head`): not a failure;
+        # send what is still buffered to devnull so shutdown does not fail on it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (FileNotFoundError, IsADirectoryError, PermissionError, graph.ParseError,
             InputError) as exc:
         print(f"sigaug: input error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from .augment import EPRConfig, augment
 from .balance import ETA_MAX, ETA_MIN, MU_MAX
-from .graph import SignedGraph, build_graph, load_edge_list, split_edges
+from .graph import FORMATS, SignedGraph, build_graph, load_edge_list, split_edges
 from .sgnn import TrainConfig, concat, train
 
 POS_LABEL = "pos"
@@ -43,6 +43,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        if self.input_format not in FORMATS:
+            raise ValueError(f"unknown format {self.input_format!r}")
         if self.augmentation not in ("none", "sigaug"):
             raise ValueError(f"unknown augmentation {self.augmentation!r}")
         if not 0.0 <= self.mu <= MU_MAX:
@@ -236,20 +238,28 @@ def run_experiment(cfg: ExperimentConfig, graph: Optional[SignedGraph] = None) -
     return MetricReport(per_run=per_run, aux=aux)
 
 
-def sweep(cfg: ExperimentConfig, grid: dict, max_cells: int = 200):
-    """Evaluate run_experiment over the (mu, theta, delta) grid, rows in grid
-    order. Refuses grids larger than max_cells."""
+def sweep_cells(cfg: ExperimentConfig, grid: dict, max_cells: int = 200) -> list:
+    """One checked ExperimentConfig per (mu, theta, delta) grid cell, in grid
+    order. Refuses grids larger than max_cells and any cell's rejected value."""
     for key in ("mu", "theta", "delta"):
         if key not in grid or not grid[key]:
             raise ValueError(f"grid is missing non-empty axis {key!r}")
     cells = len(grid["mu"]) * len(grid["theta"]) * len(grid["delta"])
     if cells > max_cells:
         raise ValueError(f"grid has {cells} cells, more than the cap of {max_cells}")
+    return [replace(cfg, mu=mu, theta=theta, delta=delta)
+            for mu, theta, delta in product(grid["mu"], grid["theta"], grid["delta"])]
+
+
+def sweep(cfg: ExperimentConfig, grid: dict, max_cells: int = 200):
+    """Evaluate run_experiment over the (mu, theta, delta) grid, rows in grid
+    order. Every cell is checked (see sweep_cells) before the dataset loads."""
+    cells = sweep_cells(cfg, grid, max_cells)
     g = _load_dataset(cfg)
     rows = []
-    for mu, theta, delta in product(grid["mu"], grid["theta"], grid["delta"]):
-        report = run_experiment(replace(cfg, mu=mu, theta=theta, delta=delta), graph=g)
-        rows.append((mu, theta, delta, report.mean("auc"), report.std("auc")))
+    for cell in cells:
+        report = run_experiment(cell, graph=g)
+        rows.append((cell.mu, cell.theta, cell.delta, report.mean("auc"), report.std("auc")))
     return rows
 
 

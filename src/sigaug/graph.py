@@ -13,6 +13,7 @@ POS = 1
 NEG = -1
 
 CONFLICT_POLICIES = ("negative_wins", "last_wins", "majority")
+FORMATS = ("rating", "signed")
 
 
 class ParseError(ValueError):
@@ -149,11 +150,15 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
     format="signed" it must already be +1 or -1. `source` may be a file object
     (text or binary), bytes, or str content.
     """
-    if format not in ("rating", "signed"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                             f"not UTF-8 text ({exc.reason})") from None
     records = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()

@@ -8,7 +8,8 @@ the converse). AGGREGATE is the mean over the neighbor set, COMBINE is
 concatenate-then-linear-then-tanh. Training is full-batch gradient descent on a
 weighted 3-class logistic loss over node pairs plus two hinge terms separating
 positive/negative neighbors from non-adjacent pairs; gradients are derived by
-hand and validated against central finite differences.
+hand and validated against central finite differences. Inside the trainer a
+sample set is one int64 array of (u, v, class) rows, class indexing CLASSES.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graph import SignedGraph, split_adjacency
 logger = logging.getLogger(__name__)
 
 CLASSES = ("+", "-", "?")
-_CLS_INDEX = {c: i for i, c in enumerate(CLASSES)}
+_NULL = CLASSES.index("?")  # class index of the non-adjacent pairs
 
 # enumerate all non-adjacent pairs (instead of rejection sampling) below this
 _NULL_POOL_CUTOFF = 200_000
@@ -256,43 +257,46 @@ def _backward(tensors: _GraphTensors, params: ModelParams, cache, d_hp, d_hn):
     return dwp, dwn
 
 
-def _class_weights(samples, override: Optional[dict]) -> dict:
-    """Per-class loss weights: `override` when given, else total / (k * count)
-    over the k classes present in `samples`, so every class weighs the same."""
+def _edge_rows(g: SignedGraph) -> np.ndarray:
+    """g's edges as labelled (u, v, class) rows in g.edges() order; sign +1 is "+"."""
+    rows = np.array(g.edges(), dtype=np.int64).reshape(-1, 3)
+    rows[:, 2] = (1 - rows[:, 2]) // 2
+    return rows
+
+
+def _class_weights(rows: np.ndarray, override: Optional[dict]) -> np.ndarray:
+    """Per-class loss weights indexed by class: `override` (by label, naming every class
+    present) if given, else total / (k * count) over the k classes present."""
+    counts = np.bincount(rows[:, 2], minlength=len(CLASSES))
     if override:
-        return dict(override)
-    counts: dict[str, int] = {}
-    for _, _, c in samples:
-        counts[c] = counts.get(c, 0) + 1
-    total = len(samples)
-    k = len(counts)
-    return {c: total / (k * cnt) for c, cnt in counts.items()}
+        return np.array([override[c] if k else 0.0 for c, k in zip(CLASSES, counts)], float)
+    weights = np.zeros(len(CLASSES))
+    np.divide(len(rows), np.count_nonzero(counts) * counts, out=weights, where=counts > 0)
+    return weights
 
 
-def _hinge_triples(samples):
-    """Anchor-matched (anchor, edge partner, null partner) triples.
-
-    An edge sample and a "?" sample pair up whenever they share an endpoint;
-    the shared node is the anchor. Deterministic in sample order.
-    """
-    null_at: dict[int, list[int]] = {}
-    for u, v, c in samples:
-        if c == "?":
-            null_at.setdefault(u, []).append(v)
-            null_at.setdefault(v, []).append(u)
-    pos_triples, neg_triples = [], []
-    for u, v, c in samples:
-        if c == "?":
-            continue
-        out = pos_triples if c == "+" else neg_triples
-        for k in null_at.get(u, ()):
-            out.append((u, v, k))
-        for k in null_at.get(v, ()):
-            out.append((v, u, k))
-    return pos_triples, neg_triples
+def _hinge_triples(rows: np.ndarray):
+    """Anchor-matched (anchor, edge partner, null partner) triples: one (T, 3)
+    array for the "+" rows, one for the "-" rows. An edge row and a "?" row pair
+    up whenever they share an endpoint, the anchor. Per edge row (u, v) in sample
+    order come the triples anchored at u, then at v, nulls in sample order."""
+    nulls = rows[rows[:, 2] == _NULL, :2]
+    # null (u, v) is the incidences u -> v, v -> u; the stable sort keeps sample order
+    order = np.argsort(nulls.ravel(), kind="stable")
+    anchors, partners = nulls.ravel()[order], nulls[:, ::-1].ravel()[order]
+    out = []
+    for cls in (0, 1):
+        edges = rows[rows[:, 2] == cls, :2]
+        a, j = edges.ravel(), edges[:, ::-1].ravel()
+        start = np.searchsorted(anchors, a, side="left")
+        count = np.searchsorted(anchors, a, side="right") - start
+        first = np.cumsum(count) - count  # where each anchor's run starts in the output
+        k = partners[np.arange(count.sum()) + np.repeat(start - first, count)]
+        out.append(np.column_stack((np.repeat(a, count), np.repeat(j, count), k)))
+    return out
 
 
-def _loss_grads(Z, samples, theta, lam, weights, warn_missing=True):
+def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     """Classifier + hinge values with gradients w.r.t. Z and theta.
 
     Returns (ce, hinge, dZ, dTheta); `hinge` already carries the lam factor.
@@ -302,12 +306,11 @@ def _loss_grads(Z, samples, theta, lam, weights, warn_missing=True):
     dZ = np.zeros_like(Z)
     dTheta = np.zeros_like(theta)
     ce = 0.0
-    count = len(samples)
+    count = len(rows)
     if count:
-        ii = np.fromiter((min(u, v) for u, v, _ in samples), dtype=np.int64, count=count)
-        jj = np.fromiter((max(u, v) for u, v, _ in samples), dtype=np.int64, count=count)
-        yy = np.fromiter((_CLS_INDEX[c] for _, _, c in samples), dtype=np.int64, count=count)
-        ww = np.fromiter((weights[c] for _, _, c in samples), dtype=np.float64, count=count)
+        ii, jj = np.sort(rows[:, :2], axis=1).T
+        yy = rows[:, 2]
+        ww = weights[yy]
         feats = np.hstack([Z[ii], Z[jj]])
         logits = feats @ theta.T
         logits -= logits.max(axis=1, keepdims=True)
@@ -323,15 +326,12 @@ def _loss_grads(Z, samples, theta, lam, weights, warn_missing=True):
         np.add.at(dZ, ii, dfeats[:, :d])
         np.add.at(dZ, jj, dfeats[:, d:])
     hinge = 0.0
-    pos_triples, neg_triples = _hinge_triples(samples)
-    for triples, flip, name in ((pos_triples, 1.0, "(+,?)"), (neg_triples, -1.0, "(-,?)")):
-        if not triples:
+    for triples, flip, name in zip(_hinge_triples(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
+        if not len(triples):
             if warn_missing:
                 logger.warning("no %s hinge pairs in sample set; term contributes 0", name)
             continue
-        a = np.array([t[0] for t in triples])
-        j = np.array([t[1] for t in triples])
-        k = np.array([t[2] for t in triples])
+        a, j, k = triples.T
         dj = Z[a] - Z[j]
         dk = Z[a] - Z[k]
         margin = flip * ((dj * dj).sum(axis=1) - (dk * dk).sum(axis=1))
@@ -343,66 +343,63 @@ def _loss_grads(Z, samples, theta, lam, weights, warn_missing=True):
     return ce, hinge, dZ, dTheta
 
 
+def _reg(params: ModelParams, weight_decay: float) -> float:
+    """L2 regularization value, summed over params.arrays() in order."""
+    reg = 0.0
+    for a in params.arrays():
+        reg += weight_decay * float((a * a).sum())
+    return reg
+
+
 def loss(Z: np.ndarray, samples, params: ModelParams, cfg: TrainConfig) -> float:
     """Full objective value: weighted 3-class CE + lam * hinge terms + L2 reg.
 
-    Samples are (u, v, cls) with cls in {"+", "-", "?"}; the pair feature is the
-    concatenation [Z_min(u,v) || Z_max(u,v)].
+    Samples are (u, v, cls) tuples with cls in CLASSES, converted once into the
+    trainer's (u, v, class index) rows; the pair feature is [Z_min(u,v) || Z_max(u,v)].
     """
-    weights = _class_weights(samples, cfg.class_weights)
-    ce, hinge, _, _ = _loss_grads(np.asarray(Z, dtype=np.float64), samples,
+    rows = np.array([(u, v, CLASSES.index(c)) for u, v, c in samples], np.int64).reshape(-1, 3)
+    weights = _class_weights(rows, cfg.class_weights)
+    ce, hinge, _, _ = _loss_grads(np.asarray(Z, dtype=np.float64), rows,
                                   params.theta, cfg.lam, weights)
-    reg = cfg.weight_decay * sum(float((a * a).sum()) for a in params.arrays())
-    return ce + hinge + reg
+    return ce + hinge + _reg(params, cfg.weight_decay)
 
 
-def _null_pool(g: SignedGraph):
-    """All non-adjacent pairs when cheap to enumerate, else None (use rejection)."""
-    total = g.n * (g.n - 1) // 2
-    if total - g.num_edges == 0:
-        return []
-    if total <= _NULL_POOL_CUTOFF:
-        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    return None
+def _null_pool(edges: np.ndarray, n: int):
+    """Pairs not in `edges` as (P, 2) row-major rows, or None if too many to list."""
+    if n * (n - 1) // 2 > max(_NULL_POOL_CUTOFF, len(edges)):  # a complete graph lists none
+        return None
+    u, v = np.triu_indices(n, k=1)
+    free = ~np.isin(u * n + v, edges[:, 0] * n + edges[:, 1])
+    return np.column_stack((u[free], v[free]))
 
 
-def _draw_nulls(g: SignedGraph, pool, count: int, rng):
-    """`count` uniformly random non-adjacent pairs (with replacement)."""
+def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
+    """`count` uniformly random pairs not in `edges` (with replacement), as "?" rows."""
     if pool is not None:
-        if not pool:
-            return []
-        idx = rng.integers(0, len(pool), size=count)
-        return [(pool[i][0], pool[i][1], "?") for i in idx]
-    out = []
-    while len(out) < count:
-        cand = rng.integers(0, g.n, size=(2 * count, 2))
-        for u, v in cand:
-            if u == v or g.has_edge(int(u), int(v)):
-                continue
-            a, b = (int(u), int(v)) if u < v else (int(v), int(u))
-            out.append((a, b, "?"))
-            if len(out) == count:
-                break
-    return out
+        pairs = pool[rng.integers(0, len(pool), size=count)] if len(pool) else pool
+    else:
+        keys = edges[:, 0] * n + edges[:, 1]
+        pairs = np.empty((0, 2), dtype=np.int64)
+        while len(pairs) < count:  # each pass draws 2 * count candidates
+            cand = np.sort(rng.integers(0, n, size=(2 * count, 2)), axis=1)
+            cand = cand[(cand[:, 0] != cand[:, 1]) & ~np.isin(cand[:, 0] * n + cand[:, 1], keys)]
+            pairs = np.concatenate((pairs, cand[:count - len(pairs)]))
+    return np.column_stack((pairs, np.full(len(pairs), _NULL, dtype=np.int64)))
 
 
-def _grad_step(tensors, params, x, samples, weights, cfg, warn_missing=True):
+def _grad_step(tensors, params, x, rows, weights, cfg, warn_missing=True):
     """One full-batch evaluation: loss value and gradients for every array."""
     pair, cache = _forward_cached(tensors, params, x)
     Z = np.hstack([pair.zpos, pair.zneg])
-    ce, hinge, dZ, dTheta = _loss_grads(Z, samples, params.theta, cfg.lam, weights,
+    ce, hinge, dZ, dTheta = _loss_grads(Z, rows, params.theta, cfg.lam, weights,
                                         warn_missing=warn_missing)
     h = params.half_dim
     dwp, dwn = _backward(tensors, params, cache, dZ[:, :h], dZ[:, h:])
     wd = cfg.weight_decay
-    reg = 0.0
-    for arrs, grads in ((params.wpos, dwp), (params.wneg, dwn)):
-        for a, ga in zip(arrs, grads):
-            ga += 2.0 * wd * a
-            reg += wd * float((a * a).sum())
+    for a, ga in zip(params.wpos + params.wneg, dwp + dwn):
+        ga += 2.0 * wd * a
     dTheta = dTheta + 2.0 * wd * params.theta
-    reg += wd * float((params.theta * params.theta).sum())
-    return ce + hinge + reg, dwp, dwn, dTheta
+    return ce + hinge + _reg(params, wd), dwp, dwn, dTheta
 
 
 def train(g: SignedGraph, cfg: TrainConfig, features: Optional[np.ndarray] = None,
@@ -413,9 +410,10 @@ def train(g: SignedGraph, cfg: TrainConfig, features: Optional[np.ndarray] = Non
     Messages propagate over g. Supervision comes from `samples_from` (default
     g): its edges are the labeled pairs, and "?" samples are redrawn every
     epoch as uniformly random pairs non-adjacent in it, |edges| of them. An
-    augmented graph is trained with supervision from the unperturbed one so
-    synthetic edges steer propagation but never become labels. Returns the
-    final parameters, final embeddings and the per-epoch loss trace.
+    epoch's samples are one int array of (u, v, class) rows. An augmented graph
+    is trained with supervision from the unperturbed one so synthetic edges
+    steer propagation but never become labels. Returns the final parameters,
+    final embeddings and the per-epoch loss trace.
     """
     sup = samples_from if samples_from is not None else g
     if sup.n != g.n:
@@ -435,16 +433,15 @@ def train(g: SignedGraph, cfg: TrainConfig, features: Optional[np.ndarray] = Non
     if init is not None:
         params = init.copy()  # warm start; rng stream position stays identical
     tensors = _GraphTensors(g)
-    edge_samples = [(u, v, "+" if s > 0 else "-") for u, v, s in sup.edges()]
-    pool = _null_pool(sup)
-    m = sup.num_edges
+    edges = _edge_rows(sup)
+    pool = _null_pool(edges, sup.n)
     lr = cfg.learning_rate
     trace = []
     for epoch in range(cfg.epochs):
-        samples = edge_samples + _draw_nulls(sup, pool, m, rng)
+        rows = np.concatenate((edges, _draw_nulls(edges, sup.n, pool, len(edges), rng)))
         if epoch == 0:  # every epoch draws the same number of samples per class
-            weights = _class_weights(samples, cfg.class_weights)
-        value, dwp, dwn, dtheta = _grad_step(tensors, params, x, samples, weights, cfg,
+            weights = _class_weights(rows, cfg.class_weights)
+        value, dwp, dwn, dtheta = _grad_step(tensors, params, x, rows, weights, cfg,
                                              warn_missing=epoch == 0)
         trace.append(value)
         params = ModelParams(
@@ -483,18 +480,20 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5,
     params = ModelParams(params.wpos, params.wneg,
                          rng.uniform(-0.5, 0.5, size=params.theta.shape))
     tensors = _GraphTensors(g)
-    samples = [(u, v, "+" if s > 0 else "-") for u, v, s in g.edges()]
-    samples += _draw_nulls(g, _null_pool(g), max(g.num_edges, 1), rng)
-    weights = _class_weights(samples, cfg.class_weights)
+    edges = _edge_rows(g)
+    rows = np.concatenate((edges, _draw_nulls(edges, g.n, _null_pool(edges, g.n),
+                                              max(g.num_edges, 1), rng)))
+    weights = _class_weights(rows, cfg.class_weights)
 
-    _, dwp, dwn, dtheta = _grad_step(tensors, params, x, samples, weights, cfg)
+    _, dwp, dwn, dtheta = _grad_step(tensors, params, x, rows, weights, cfg)
     analytic = np.concatenate([a.ravel() for a in dwp + dwn + [dtheta]])
     flat = np.concatenate([a.ravel() for a in params.arrays()])
 
     def value_at(vec):
         p = _params_from_flat(params, vec)
         pair, _ = _forward_cached(tensors, p, x)
-        return loss(concat(pair), samples, p, cfg)
+        ce, hinge, _, _ = _loss_grads(concat(pair), rows, p.theta, cfg.lam, weights)
+        return ce + hinge + _reg(p, cfg.weight_decay)
 
     picks = rng.choice(flat.size, size=min(max(num_coords, 50), flat.size), replace=False)
     worst = 0.0

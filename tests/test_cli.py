@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -184,6 +185,62 @@ class TestSweepCmd:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert float(first[2]) == 0.2
+
+
+class TestExitCodes:
+    # each case names a dataset that does not exist, so the value must be
+    # refused before any dataset work (else the missing file would be reported)
+    @pytest.mark.parametrize("args,message", [
+        (["evaluate", "--eta", "9"], "eta must be"),
+        (["evaluate", "--mu", "0.95"], "mu must be"),
+        (["evaluate", "--epochs", "0"], "epochs must be"),
+        (["evaluate", "--format", "bogus"], "unknown format"),
+        (["sweep", "--eta", "9"], "eta must be"),
+        (["sweep", "--mu-grid", "0.95"], "mu must be"),
+        (["sweep", "--delta-grid", "0.2,1.5"], "delta must be"),
+        (["sweep", "--max-cells", "0"], "cap of 0"),
+        (["augment", "--eta", "9", "--embeddings", "model.emb"], "eta must be"),
+        (["train", "--epochs", "0"], "epochs must be"),
+        (["balance", "--mu", "2"], "mu must be"),
+        (["balance", "--eta", "2"], "eta must be"),
+    ], ids=["evaluate_eta", "evaluate_mu", "evaluate_epochs", "evaluate_format", "sweep_eta",
+            "sweep_mu_grid", "sweep_delta_grid", "sweep_max_cells", "augment_eta",
+            "train_epochs", "balance_mu", "balance_eta"])
+    def test_rejected_config_value(self, tmp_path, args, message):
+        proc = run_cli(*args, "--dataset", str(tmp_path / "missing.txt"), "--quiet")
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "input error" in proc.stderr and message in proc.stderr
+
+    @pytest.mark.parametrize("sub", ["stats", "evaluate"])
+    def test_non_utf8_dataset(self, tmp_path, sub):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1 1\n\xff\xfe 2 -1\n")
+        proc = run_cli(sub, "--dataset", str(path), "--quiet")
+        assert proc.returncode == EXIT_IO
+        assert "input error: line 2: not UTF-8" in proc.stderr
+
+    def test_unknown_format(self, congress_path):
+        proc = run_cli("stats", "--dataset", str(congress_path), "--format", "bogus", "--quiet")
+        assert proc.returncode == EXIT_IO
+        assert "input error: unknown format" in proc.stderr
+
+    @pytest.mark.parametrize("big", [False, True], ids=["buffered", "larger_than_buffer"])
+    def test_closed_stdout_is_not_a_failure(self, tmp_path, congress_path, big):
+        if big:
+            dataset = congress_path
+        else:
+            dataset = tmp_path / "tri.txt"
+            dataset.write_text(BALANCED_TRI_FILE)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader is left, so the child's first write fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sigaug", "balance", "--dataset",
+                                   str(dataset), "--quiet"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestConfigResolution:

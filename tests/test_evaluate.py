@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import sigaug as sg
 from sigaug.balance import ETA_MAX, ETA_MIN
 from sigaug.evaluate import (ExperimentConfig, MetricReport, NEG_LABEL, POS_LABEL,
-                             run_experiment, sweep)
+                             run_experiment, sweep, sweep_cells)
 from sigaug.sgnn import TrainConfig
 
 
@@ -196,6 +196,8 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="eta must be in"):
                 ExperimentConfig(dataset="x", augmentation="none", eta=eta)
         assert ExperimentConfig(dataset="x", eta=ETA_MAX).eta == ETA_MAX
+        with pytest.raises(ValueError, match="unknown format"):
+            ExperimentConfig(dataset="x", input_format="csv")
 
 
 class TestSweep:
@@ -221,6 +223,13 @@ class TestSweep:
         cfg = tiny_experiment(congress_path)
         with pytest.raises(ValueError, match="delta"):
             sweep(cfg, {"mu": [0.1], "theta": [0.5], "delta": []})
+
+    def test_cells_checked_before_dataset_loads(self, tmp_path):
+        cfg = ExperimentConfig(dataset=str(tmp_path / "missing.txt"))
+        with pytest.raises(ValueError, match="mu must be"):
+            sweep(cfg, {"mu": [0.7, 0.95], "theta": [1 / 9], "delta": [0.6]})
+        cells = sweep_cells(cfg, {"mu": [0.1, 0.5], "theta": [1 / 9], "delta": [0.2, 0.4]})
+        assert [(c.mu, c.delta) for c in cells] == [(0.1, 0.2), (0.1, 0.4), (0.5, 0.2), (0.5, 0.4)]
 
     def test_perturbation_beats_identity(self, congress_path):
         cfg = tiny_experiment(congress_path, augmentation="sigaug", runs=2,

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import math
 
@@ -41,6 +42,10 @@ class TestLoadEdgeList:
     def test_signed_requires_unit_weights(self):
         with pytest.raises(ParseError, match="line 1"):
             sg.load_edge_list("a b 3", "signed")
+
+    def test_non_utf8_bytes_report_line(self):
+        with pytest.raises(ParseError, match="line 2: not UTF-8"):
+            sg.load_edge_list(io.BytesIO(b"1 2 1\n\xff\xfe 3 1\n"), "signed")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
@@ -214,6 +219,15 @@ class TestStats:
             recs = sg.load_edge_list(fh, "signed")
         stats = sg.record_stats(recs)
         assert (stats["n"], stats["pos_edges"], stats["neg_edges"]) == (219, 413, 107)
+
+    def test_congress_fixture_regenerates_byte_for_byte(self, congress_path):
+        # renders in memory; nothing is written under data/
+        path = congress_path.parent.parent / "tools" / "gen_congress_fixture.py"
+        spec = importlib.util.spec_from_file_location("gen_congress_fixture", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        text = gen.render(gen.generate(np.random.default_rng(gen.SEED)))
+        assert text.encode() == congress_path.read_bytes()
 
     def test_empty_graph(self):
         stats = sg.graph_stats(sg.SignedGraph(0))

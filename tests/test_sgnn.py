@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import sigaug as sg
-from sigaug.sgnn import (CLASSES, _GraphTensors, _class_weights, _grad_step,
-                         init_params)
+import trainer_reference as ref
+from sigaug.sgnn import (CLASSES, _draw_nulls, _edge_rows, _GraphTensors, _class_weights,
+                         _grad_step, _hinge_triples, _loss_grads, _null_pool, init_params)
 
 from conftest import random_signed_graph
 
@@ -110,8 +111,9 @@ class TestLoss:
         Z = np.zeros((4, 4))
         samples = [(0, 1, "-"), (0, 2, "+"), (1, 3, "?")]
         cfg = sg.TrainConfig(lam=0.0, weight_decay=0.0, embed_dim=4, feature_dim=4, layers=1)
-        weights = _class_weights(samples, None)
-        expected = sum(weights[c] * math.log(3) for _, _, c in samples) / len(samples)
+        weights = _class_weights(np.array([(0, 1, 1), (0, 2, 0), (1, 3, 2)]), None)
+        expected = sum(weights[CLASSES.index(c)] * math.log(3)
+                       for _, _, c in samples) / len(samples)
         assert sg.loss(Z, samples, params, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_lambda_zero_drops_hinges(self):
@@ -134,7 +136,7 @@ class TestLoss:
         params = sg.ModelParams([np.zeros((1, 2))], [np.zeros((1, 2))], theta)
         samples = [(0, 1, "+"), (0, 2, "?")]
         cfg = sg.TrainConfig(lam=2.0, weight_decay=0.01, embed_dim=2, feature_dim=1)
-        weights = _class_weights(samples, None)
+        weights = _class_weights(np.array([(0, 1, 0), (0, 2, 2)]), None)
 
         def ce_one(i, j, cls):
             f = list(Z[i]) + list(Z[j])
@@ -142,7 +144,7 @@ class TestLoss:
             mx = max(logits)
             den = sum(math.exp(l - mx) for l in logits)
             p = math.exp(logits[CLASSES.index(cls)] - mx) / den
-            return -weights[cls] * math.log(p)
+            return -weights[CLASSES.index(cls)] * math.log(p)
 
         ce = (ce_one(0, 1, "+") + ce_one(0, 2, "?")) / 2.0
         # hinge: one (+,?) triple anchored at node 0 -> (0, 1, 2)
@@ -214,12 +216,12 @@ class TestTrain:
         params0 = init_params(5, cfg.embed_dim, cfg.layers, rng)
         x = sg.synth_features(g.n, cfg.feature_dim, cfg.seed)
         tensors = _GraphTensors(g)
-        samples = [(u, v, "+" if s > 0 else "-") for u, v, s in g.edges()]
-        counts = {"+": g.num_pos, "-": g.num_neg, "?": g.num_edges}
-        total = sum(counts.values())
-        weights = {c: total / (3 * k) for c, k in counts.items()}
-        nulls = sg.sgnn._draw_nulls(g, sg.sgnn._null_pool(g), g.num_edges, rng)
-        _, dwp, dwn, dtheta = _grad_step(tensors, params0, x, samples + nulls, weights, cfg)
+        edges = np.array([(u, v, 0 if s > 0 else 1) for u, v, s in g.edges()])
+        counts = [g.num_pos, g.num_neg, g.num_edges]  # "+", "-", "?"
+        weights = np.array([sum(counts) / (3 * k) for k in counts])
+        nulls = _draw_nulls(edges, g.n, _null_pool(edges, g.n), g.num_edges, rng)
+        _, dwp, dwn, dtheta = _grad_step(tensors, params0, x, np.concatenate((edges, nulls)),
+                                         weights, cfg)
         step = np.concatenate([(a - b).ravel() for a, b in
                                zip(res.params.arrays(), params0.arrays())])
         grad = np.concatenate([a.ravel() for a in dwp + dwn + [dtheta]])
@@ -234,6 +236,81 @@ class TestTrain:
         g = small_graph()
         with pytest.raises(ValueError, match="nodes"):
             sg.train(g, sg.TrainConfig(epochs=1), samples_from=sg.SignedGraph(2, [(0, 1, 1)]))
+
+
+def _tuples(rows):
+    return [(u, v, CLASSES[c]) for u, v, c in rows.tolist()]
+
+
+def _sparse_graph(seed, n=700, m=2100):
+    """n(n-1)/2 > 200k pairs, so null draws take the rejection path."""
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(m, 2)).tolist() if p[0] != p[1]}
+    return sg.SignedGraph(n, [(u, v, -1 if rng.random() < 0.3 else 1) for u, v in sorted(pairs)])
+
+
+class TestSamplePipelineMatchesReference:
+    """The int row pipeline against the tuple pipeline in trainer_reference."""
+
+    OVERRIDE = {"+": 0.5, "-": 3.0, "?": 1.25}
+
+    def check(self, g, seed):
+        edges = _edge_rows(g)
+        assert _tuples(edges) == [(u, v, "+" if s > 0 else "-") for u, v, s in g.edges()]
+        pool, ref_pool = _null_pool(edges, g.n), ref._null_pool(g)
+        assert (pool is None) == (ref_pool is None)
+        if pool is not None:
+            assert [tuple(p) for p in pool.tolist()] == ref_pool
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the second draw checks that both streams stayed in step
+            nulls = _draw_nulls(edges, g.n, pool, g.num_edges, rng)
+            ref_nulls = ref._draw_nulls(g, ref_pool, g.num_edges, ref_rng)
+            assert _tuples(nulls) == ref_nulls
+        rows = np.concatenate((edges, nulls))
+        samples = _tuples(edges) + ref_nulls
+        for triples, ref_triples in zip(_hinge_triples(rows), ref._hinge_triples(samples)):
+            assert [tuple(t) for t in triples.tolist()] == ref_triples
+        Z = rng.normal(size=(g.n, 6))
+        theta = rng.uniform(-0.5, 0.5, size=(3, 12))
+        for override in (None, self.OVERRIDE):
+            weights = _class_weights(rows, override)
+            ref_weights = ref._class_weights(samples, override)
+            assert {c: weights[CLASSES.index(c)] for c in ref_weights} == ref_weights
+            got = _loss_grads(Z, rows, theta, 5.0, weights)
+            want = ref._loss_grads(Z, samples, theta, 5.0, ref_weights)
+            assert got[:2] == want[:2]
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pool_path_small_graphs(self, seed):
+        g = small_graph(seed=100 + seed, n=6 + 4 * seed, density=0.3)
+        assert _null_pool(_edge_rows(g), g.n) is not None
+        self.check(g, seed)
+
+    def test_pool_path_congress(self, congress_graph):
+        self.check(congress_graph, 3)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rejection_path(self, seed):
+        g = _sparse_graph(seed)
+        assert _null_pool(_edge_rows(g), g.n) is None
+        self.check(g, seed)
+
+    def test_complete_graph_has_no_nulls(self):
+        g = sg.SignedGraph(4, [(u, v, 1 if (u + v) % 2 else -1)
+                               for u in range(4) for v in range(u + 1, 4)])
+        pool = _null_pool(_edge_rows(g), g.n)
+        assert pool.shape == (0, 2) and ref._null_pool(g) == []
+        assert _draw_nulls(_edge_rows(g), g.n, pool, 6, np.random.default_rng(0)).shape == (0, 3)
+
+    def test_override_missing_a_present_class_raises(self):
+        g = small_graph()
+        edges = _edge_rows(g)
+        rows = np.concatenate((edges, _draw_nulls(edges, g.n, _null_pool(edges, g.n), 4,
+                                                  np.random.default_rng(0))))
+        with pytest.raises(KeyError):
+            _class_weights(rows, {"+": 1.0, "-": 2.0})
+        assert _class_weights(edges, {"+": 1.0, "-": 2.0}).tolist() == [1.0, 2.0, 0.0]
 
 
 class TestGradientCheck:

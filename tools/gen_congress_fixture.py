@@ -110,15 +110,20 @@ def generate(rng):
     return [edges[i] for i in order]
 
 
+def render(edges) -> str:
+    """The fixture file's text for an edge list: two comment lines, then `u v sign` lines."""
+    lines = ["# synthetic stand-in for the Congress mention network",
+             "# 219 nodes, 413 positive / 107 negative directed edges, no reciprocal pairs"]
+    lines += [f"{u} {v} {s}" for u, v, s in edges]
+    return "\n".join(lines) + "\n"
+
+
 def main():
     rng = np.random.default_rng(SEED)
     edges = generate(rng)
     out = pathlib.Path(__file__).resolve().parent.parent / "data" / "congress_synthetic.txt"
     with out.open("w") as fh:
-        fh.write("# synthetic stand-in for the Congress mention network\n")
-        fh.write("# 219 nodes, 413 positive / 107 negative directed edges, no reciprocal pairs\n")
-        for u, v, s in edges:
-            fh.write(f"{u} {v} {s}\n")
+        fh.write(render(edges))
     pos = sum(1 for _, _, s in edges if s > 0)
     print(f"wrote {out}: {len(edges)} edges, {pos} positive, {len(edges) - pos} negative")
 
