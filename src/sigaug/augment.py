@@ -22,12 +22,13 @@ sign, so the working sets stay disjoint and fusion is their union.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .balance import DISCARD, ETA_MAX, ETA_MIN, KEEP, MU_MAX, filter_edge, pair_utility
+from .balance import DISCARD, KEEP, check_eta, check_mu, filter_edge, pair_utility
 from .graph import SignedGraph
 from .sgnn import EmbeddingPair
 
@@ -65,14 +66,12 @@ class EPRConfig:
     eta: int = 4
 
     def __post_init__(self):
-        if self.theta_target <= 0:
-            raise ValueError("theta_target must be positive")
+        if not 0 < self.theta_target < math.inf:
+            raise ValueError("theta_target must be positive and finite")
         if not 0.0 <= self.delta_target <= 1.0:
             raise ValueError("delta_target must be in [0, 1]")
-        if not 0.0 <= self.mu <= MU_MAX:
-            raise ValueError(f"mu must be in [0, {MU_MAX}]")
-        if not ETA_MIN <= self.eta <= ETA_MAX:
-            raise ValueError(f"eta must be in [{ETA_MIN}, {ETA_MAX}]")
+        check_mu(self.mu)
+        check_eta(self.eta)
 
 
 @dataclass(frozen=True)

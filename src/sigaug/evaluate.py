@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional
@@ -10,7 +11,7 @@ import numpy as np
 from scipy.special import expit
 
 from .augment import EPRConfig, augment
-from .balance import ETA_MAX, ETA_MIN, MU_MAX
+from .balance import check_eta, check_mu
 from .graph import FORMATS, SignedGraph, build_graph, load_edge_list, split_edges
 from .sgnn import TrainConfig, concat, train
 
@@ -47,14 +48,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.input_format!r}")
         if self.augmentation not in ("none", "sigaug"):
             raise ValueError(f"unknown augmentation {self.augmentation!r}")
-        if not 0.0 <= self.mu <= MU_MAX:
-            raise ValueError(f"mu must be in [0, {MU_MAX}]")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        check_mu(self.mu)
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must be in [0, 1]")
-        if not ETA_MIN <= self.eta <= ETA_MAX:
-            raise ValueError(f"eta must be in [{ETA_MIN}, {ETA_MAX}]")
+        check_eta(self.eta)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:

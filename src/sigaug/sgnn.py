@@ -10,6 +10,8 @@ weighted 3-class logistic loss over node pairs plus two hinge terms separating
 positive/negative neighbors from non-adjacent pairs; gradients are derived by
 hand and validated against central finite differences. Inside the trainer a
 sample set is one int64 array of (u, v, class) rows, class indexing CLASSES.
+The loss reaches Z only through per-row gradients on each row's two endpoints,
+so dZ is one product of a sparse node-by-row incidence matrix with them.
 """
 
 from __future__ import annotations
@@ -50,21 +52,20 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.embed_dim < 2 or self.embed_dim % 2:
             raise ValueError("embed_dim must be an even integer >= 2")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.class_weights is not None:
-            if any(w <= 0 for w in self.class_weights.values()):
-                raise ValueError("class weights must be positive")
+        if any(not 0 < w < math.inf for w in (self.class_weights or {}).values()):
+            raise ValueError("class weights must be positive and finite")
 
 
 @dataclass
@@ -275,24 +276,24 @@ def _class_weights(rows: np.ndarray, override: Optional[dict]) -> np.ndarray:
     return weights
 
 
-def _hinge_triples(rows: np.ndarray):
-    """Anchor-matched (anchor, edge partner, null partner) triples: one (T, 3)
-    array for the "+" rows, one for the "-" rows. An edge row and a "?" row pair
-    up whenever they share an endpoint, the anchor. Per edge row (u, v) in sample
-    order come the triples anchored at u, then at v, nulls in sample order."""
-    nulls = rows[rows[:, 2] == _NULL, :2]
-    # null (u, v) is the incidences u -> v, v -> u; the stable sort keeps sample order
-    order = np.argsort(nulls.ravel(), kind="stable")
-    anchors, partners = nulls.ravel()[order], nulls[:, ::-1].ravel()[order]
+def _hinge_pairs(rows: np.ndarray):
+    """Hinge terms as (edge row, null row) index pairs into `rows`: one (T, 2) array
+    for the "+" rows, one for the "-" rows; a term compares its rows' squared distances.
+    An edge row and a "?" row pair up whenever they share an endpoint, the anchor. Per
+    edge row (u, v) in sample order come pairs anchored at u, then at v, nulls in order."""
+    null = np.flatnonzero(rows[:, 2] == _NULL)
+    anchors = rows[null, :2].ravel()  # null row (u, v) is incidences at u and at v
+    order = np.argsort(anchors, kind="stable")  # the stable sort keeps sample order
+    anchors, partners = anchors[order], null[order // 2]
     out = []
     for cls in (0, 1):
-        edges = rows[rows[:, 2] == cls, :2]
-        a, j = edges.ravel(), edges[:, ::-1].ravel()
+        edge = np.flatnonzero(rows[:, 2] == cls)
+        a = rows[edge, :2].ravel()
         start = np.searchsorted(anchors, a, side="left")
         count = np.searchsorted(anchors, a, side="right") - start
         first = np.cumsum(count) - count  # where each anchor's run starts in the output
         k = partners[np.arange(count.sum()) + np.repeat(start - first, count)]
-        out.append(np.column_stack((np.repeat(a, count), np.repeat(j, count), k)))
+        out.append(np.column_stack((np.repeat(np.repeat(edge, 2), count), k)))
     return out
 
 
@@ -303,15 +304,13 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     Regularization is handled by the callers.
     """
     n, d = Z.shape
-    dZ = np.zeros_like(Z)
-    dTheta = np.zeros_like(theta)
-    ce = 0.0
     count = len(rows)
+    ii, jj = np.sort(rows[:, :2], axis=1).T
+    feats = np.hstack([Z[ii], Z[jj]])
+    ce, dTheta, dfeats = 0.0, np.zeros_like(theta), np.zeros_like(feats)
     if count:
-        ii, jj = np.sort(rows[:, :2], axis=1).T
         yy = rows[:, 2]
         ww = weights[yy]
-        feats = np.hstack([Z[ii], Z[jj]])
         logits = feats @ theta.T
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
@@ -323,23 +322,24 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
         grad_logits *= (ww / count)[:, None]
         dTheta = grad_logits.T @ feats
         dfeats = grad_logits @ theta
-        np.add.at(dZ, ii, dfeats[:, :d])
-        np.add.at(dZ, jj, dfeats[:, d:])
-    hinge = 0.0
-    for triples, flip, name in zip(_hinge_triples(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
-        if not len(triples):
+    diff = feats[:, :d] - feats[:, d:]
+    dist = (diff * diff).sum(axis=1)
+    hinge, coef = 0.0, np.zeros(count)  # coef: d hinge / d dist per row
+    for pairs, flip, name in zip(_hinge_pairs(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
+        if not len(pairs):
             if warn_missing:
                 logger.warning("no %s hinge pairs in sample set; term contributes 0", name)
             continue
-        a, j, k = triples.T
-        dj = Z[a] - Z[j]
-        dk = Z[a] - Z[k]
-        margin = flip * ((dj * dj).sum(axis=1) - (dk * dk).sum(axis=1))
+        e, k = pairs.T
+        margin = flip * (dist[e] - dist[k])
         hinge += lam * float(np.maximum(margin, 0.0).mean())
-        coef = (lam / len(triples)) * (margin > 0.0)
-        np.add.at(dZ, a, (coef * flip * 2.0)[:, None] * (dj - dk))
-        np.add.at(dZ, j, (coef * flip * -2.0)[:, None] * dj)
-        np.add.at(dZ, k, (coef * flip * 2.0)[:, None] * dk)
+        c = (lam / len(pairs)) * flip * (margin > 0.0)
+        coef += np.bincount(e, c, minlength=count) - np.bincount(k, c, minlength=count)
+    # per-row gradients onto their endpoints: CE halves on ii and on jj, hinge on ii minus jj
+    cols = np.r_[:3 * count, 2 * count:3 * count]  # each hinge column holds ii and jj
+    incidence = sp.csr_matrix((np.repeat([1.0, 1.0, 1.0, -1.0], count),
+                               (np.concatenate((ii, jj, ii, jj)), cols)), shape=(n, 3 * count))
+    dZ = incidence @ np.vstack((dfeats[:, :d], dfeats[:, d:], (2.0 * coef)[:, None] * diff))
     return ce, hinge, dZ, dTheta
 
 
@@ -390,7 +390,7 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
 def _grad_step(tensors, params, x, rows, weights, cfg, warn_missing=True):
     """One full-batch evaluation: loss value and gradients for every array."""
     pair, cache = _forward_cached(tensors, params, x)
-    Z = np.hstack([pair.zpos, pair.zneg])
+    Z = concat(pair)
     ce, hinge, dZ, dTheta = _loss_grads(Z, rows, params.theta, cfg.lam, weights,
                                         warn_missing=warn_missing)
     h = params.half_dim

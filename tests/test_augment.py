@@ -141,6 +141,9 @@ class TestEPRConfig:
             sg.EPRConfig(theta_target=1.0, delta_target=1.5, mu=0.7)
         with pytest.raises(ValueError):
             sg.EPRConfig(theta_target=1.0, delta_target=0.5, mu=0.95)
+        for theta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="theta_target must be positive and finite"):
+                sg.EPRConfig(theta_target=theta, delta_target=0.5, mu=0.7)
 
 
 class TestPerturbStep:

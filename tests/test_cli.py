@@ -203,9 +203,21 @@ class TestExitCodes:
         (["train", "--epochs", "0"], "epochs must be"),
         (["balance", "--mu", "2"], "mu must be"),
         (["balance", "--eta", "2"], "eta must be"),
+        (["evaluate", "--augmentation", "sigaug", "--theta", "nan"], "theta must be"),
+        (["evaluate", "--augmentation", "sigaug", "--theta", "inf"], "theta must be"),
+        (["evaluate", "--learning-rate", "nan"], "learning_rate must be"),
+        (["evaluate", "--lambda", "nan"], "lam must be"),
+        (["evaluate", "--weight-decay", "nan"], "weight_decay must be"),
+        (["sweep", "--theta-grid", "1,nan"], "theta must be"),
+        (["augment", "--theta", "inf", "--embeddings", "model.emb"], "theta_target must be"),
+        (["train", "--learning-rate", "inf"], "learning_rate must be"),
+        (["balance", "--mu", "nan"], "mu must be"),
     ], ids=["evaluate_eta", "evaluate_mu", "evaluate_epochs", "evaluate_format", "sweep_eta",
             "sweep_mu_grid", "sweep_delta_grid", "sweep_max_cells", "augment_eta",
-            "train_epochs", "balance_mu", "balance_eta"])
+            "train_epochs", "balance_mu", "balance_eta", "evaluate_theta_nan",
+            "evaluate_theta_inf", "evaluate_learning_rate_nan", "evaluate_lambda_nan",
+            "evaluate_weight_decay_nan", "sweep_theta_grid_nan", "augment_theta_inf",
+            "train_learning_rate_inf", "balance_mu_nan"])
     def test_rejected_config_value(self, tmp_path, args, message):
         proc = run_cli(*args, "--dataset", str(tmp_path / "missing.txt"), "--quiet")
         assert proc.returncode == EXIT_IO, proc.stderr

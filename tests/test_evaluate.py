@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sigaug as sg
-from sigaug.balance import ETA_MAX, ETA_MIN
+from sigaug.balance import ETA_MAX, ETA_MIN, check_eta, check_mu
 from sigaug.evaluate import (ExperimentConfig, MetricReport, NEG_LABEL, POS_LABEL,
                              run_experiment, sweep, sweep_cells)
 from sigaug.sgnn import TrainConfig
@@ -193,11 +193,26 @@ class TestRunExperiment:
         # eta is refused when the config is built, before any training, even
         # where no augmentation would use it
         for eta in (ETA_MIN - 1, ETA_MAX + 1):
-            with pytest.raises(ValueError, match="eta must be in"):
+            with pytest.raises(ValueError, match="eta must be an integer in"):
                 ExperimentConfig(dataset="x", augmentation="none", eta=eta)
         assert ExperimentConfig(dataset="x", eta=ETA_MAX).eta == ETA_MAX
         with pytest.raises(ValueError, match="unknown format"):
             ExperimentConfig(dataset="x", input_format="csv")
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta must be positive and finite"):
+                ExperimentConfig(dataset="x", augmentation="sigaug", theta=theta)
+
+    @pytest.mark.parametrize("field,value,check", [("mu", 0.95, check_mu),
+                                                   ("eta", ETA_MAX + 1, check_eta)])
+    def test_mu_and_eta_refused_with_balance_messages(self, field, value, check):
+        # one copy of each range check: both configs raise what balance raises
+        with pytest.raises(ValueError) as want:
+            check(value)
+        for build in (lambda: ExperimentConfig(dataset="x", **{field: value}),
+                      lambda: sg.EPRConfig(1.0, 0.5, **{"mu": 0.7, field: value})):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == str(want.value)
 
 
 class TestSweep:

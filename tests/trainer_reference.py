@@ -5,8 +5,12 @@ oracle for the library's int (u, v, class) rows. Each function takes and
 returns Python lists of (u, v, label) tuples and tests adjacency one pair at a
 time with `SignedGraph.has_edge`, so a faster library path cannot change it.
 The library's rows must give the same null draws for equal seeds, the same
-hinge triples in the same order, the same class weights, and bit-equal loss
-values and gradients.
+hinge triples in the same order (the library keeps them as pairs of sample
+rows), the same class weights, and bit-equal loss values and gradients with
+respect to theta. The gradient with respect to Z is equal within 1e-12
+relative to its largest entry: the library sums it in another order, as one
+sparse product over sample rows instead of the per-term `np.add.at` scatters
+below.
 """
 
 from __future__ import annotations
