@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .balance import DISCARD, KEEP, check_eta, check_mu, filter_edge, pair_utility
+from .balance import DISCARD, ETA_DEFAULT, KEEP, check_eta, check_mu, filter_edge, pair_utility
 from .graph import SignedGraph
 from .sgnn import EmbeddingPair
 
@@ -63,7 +63,7 @@ class EPRConfig:
     theta_target: float
     delta_target: float
     mu: float
-    eta: int = 4
+    eta: int = ETA_DEFAULT
 
     def __post_init__(self):
         if not 0 < self.theta_target < math.inf:
@@ -139,8 +139,10 @@ def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
     Rows are L2-normalized first. The reciprocal keeps its sign; magnitudes
     below 1e-8 are clamped to +-1e-8 before dividing so mneg stays finite.
     Zero-norm rows yield zero similarity (with a warning) and fall under the
-    same guard. Diagonals are set to a large negative sentinel: a node paired
-    with itself is never a candidate.
+    same guard. Both matrices are exactly symmetric: numpy computes `z @ z.T`
+    as one symmetric rank-k update (syrk), which fills one triangle and mirrors
+    it. Diagonals are set to a large negative sentinel: a node paired with
+    itself is never a candidate.
     """
 
     def normalize(z):
@@ -158,8 +160,6 @@ def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
     guarded = np.where(np.abs(sim) < _RECIPROCAL_GUARD,
                        np.where(sim < 0, -_RECIPROCAL_GUARD, _RECIPROCAL_GUARD), sim)
     mneg = 1.0 / guarded
-    mpos = (mpos + mpos.T) / 2.0
-    mneg = (mneg + mneg.T) / 2.0
     np.fill_diagonal(mpos, DIAG_SENTINEL)
     np.fill_diagonal(mneg, DIAG_SENTINEL)
     return ProbabilityMatrices(mpos=mpos, mneg=mneg)

@@ -24,8 +24,10 @@ KEEP = "keep"
 DISCARD = "discard"
 
 MU_MAX = 0.9
+MU_DEFAULT = 0.7
 ETA_MIN = 3
 ETA_MAX = 6
+ETA_DEFAULT = 4
 
 # hard cap for the exhaustive enumeration oracle
 _ORACLE_MAX_NODES = 14
@@ -111,7 +113,7 @@ def _check_adjacency_inputs(apos, aneg, eta):
     return apos, aneg
 
 
-def count_cycles(apos, aneg, eta: int = 4) -> CycleCountSet:
+def count_cycles(apos, aneg, eta: int = ETA_DEFAULT) -> CycleCountSet:
     """Signed walk-closure counting via the adjacency-product recursion.
 
     Base case (length-2 walks): cb(3) = Apos*Aneg + Aneg*Apos and
@@ -131,7 +133,7 @@ def count_cycles(apos, aneg, eta: int = 4) -> CycleCountSet:
     return CycleCountSet(eta=eta, cb=cb, cu=cu, c=c)
 
 
-def oracle_count_cycles(g: SignedGraph, eta: int = 4) -> CycleCountSet:
+def oracle_count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> CycleCountSet:
     """Reference counter: explicit enumeration of signed walks, no matrix products.
 
     Walks may revisit nodes, matching the product semantics of count_cycles.
@@ -189,7 +191,7 @@ def filter_edge(utility: Optional[float], mu: float) -> str:
 
 
 def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
-                 eta: int = 4) -> Optional[float]:
+                 eta: int = ETA_DEFAULT) -> Optional[float]:
     """Incremental utility of the pair (u, v) on neighbor-set adjacency.
 
     Counts the same walk quantities as count_cycles/edge_utility but only for
@@ -227,17 +229,12 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
     return num / den
 
 
-def compute_utilities(g: SignedGraph, eta: int = 4, mu: float = 0.7,
-                      pairs=None) -> UtilityScores:
-    """Score edges of g (default: all negative edges) by balanced-cycle share."""
+def compute_utilities(g: SignedGraph, eta: int = ETA_DEFAULT,
+                      mu: float = MU_DEFAULT) -> UtilityScores:
+    """Score the negative edges of g by balanced-cycle share."""
     check_mu(mu)
     counts = count_cycles(*split_adjacency(g), eta)
-    if pairs is None:
-        pairs = [(u, v) for u, v, s in g.edges() if s < 0]
-    scores = {}
-    for u, v in pairs:
-        key = (u, v) if u < v else (v, u)
-        scores[key] = edge_utility(counts, key[0], key[1])
+    scores = {(u, v): edge_utility(counts, u, v) for u, v, s in g.edges() if s < 0}
     return UtilityScores(mu=mu, scores=scores)
 
 

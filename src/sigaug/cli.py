@@ -1,11 +1,14 @@
 """Command-line frontend wiring the pipeline stages together.
 
 Subcommands: stats, balance, train, augment, evaluate, sweep. Flags override
-values from an optional flat `key = value` config file, which override built-in
+values from an optional flat `key = value` config file, which override the
 defaults; every run echoes the fully resolved configuration (parseable back in
-the same format). Exit codes: 0 success (also when the reader of standard
-output closes it early), 2 unreadable/invalid input files or a configuration
-value out of range, 3 component failure, 64 usage errors.
+the same format). The defaults are read from a default
+`evaluate.ExperimentConfig` and its `TrainConfig`; only the keys the library
+has no field for (dataset, output, quiet, embeddings, log) and sweep's
+augmentation have their own. Exit codes: 0 success (also when the reader of
+standard output closes it early), 2 unreadable/invalid input files or a
+configuration value out of range, 3 component failure, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -48,81 +51,45 @@ def _float_list(text: str) -> tuple:
     return tuple(_ratio(f) for f in text.split(",") if f.strip())
 
 
-# key -> (type, default) per subcommand; this is the whole resolvable surface
-_COMMON = {
-    "seed": (int, 0),
-    "output": (str, ""),
-    "quiet": (bool, False),
-}
+def _key(default) -> tuple:
+    """A key's (type, default); the type follows the default's, and floats also
+    take a/b fractions."""
+    types = {bool: bool, int: int, float: _ratio, str: str, tuple: _float_list}
+    return types[type(default)], default
 
-# training keys of train, evaluate and sweep; defaults are TrainConfig's
-_TRAIN = {
-    "epochs": (int, 100),
-    "learning_rate": (_ratio, 0.01),
-    "lambda": (_ratio, 5.0),
-    "weight_decay": (_ratio, 1e-4),
-    "dim": (int, 64),
-    "feature_dim": (int, 64),
-    "layers": (int, 2),
-}
+
+# the library's defaults, which the key tables below read
+_DEFAULT = evaluate.ExperimentConfig(dataset="")
+
+# CLI key -> field of the config object it sets
+_EXPERIMENT_FIELDS = {"dataset": "dataset", "format": "input_format",
+                      "augmentation": "augmentation", "runs": "runs", "mu": "mu",
+                      "theta": "theta", "delta": "delta", "eta": "eta",
+                      "test_fraction": "test_fraction", "seed": "base_seed"}
+_TRAIN_FIELDS = {"epochs": "epochs", "learning_rate": "learning_rate", "lambda": "lam",
+                 "weight_decay": "weight_decay", "dim": "embed_dim",
+                 "feature_dim": "feature_dim", "layers": "layers"}
+
+# key -> (type, default) per subcommand; this is the whole resolvable surface
+_COMMON = {"seed": _key(_DEFAULT.base_seed), "output": _key(""), "quiet": _key(False)}
+_TRAIN = {key: _key(getattr(_DEFAULT.train, f)) for key, f in _TRAIN_FIELDS.items()}
+_DATA = {"dataset": _key(""), "format": _key(_DEFAULT.input_format)}
+_TARGETS = {key: _key(getattr(_DEFAULT, key)) for key in ("mu", "theta", "delta")}
+_ETA = {"eta": _key(_DEFAULT.eta)}
+_RUNS = {"runs": _key(_DEFAULT.runs)}
+_SPLIT = {"test_fraction": _key(_DEFAULT.test_fraction)}
 
 _KEYS = {
-    "stats": {
-        "dataset": (str, ""),
-        "format": (str, "signed"),
-        **_COMMON,
-    },
-    "balance": {
-        "dataset": (str, ""),
-        "format": (str, "signed"),
-        "eta": (int, 4),
-        "mu": (_ratio, 0.7),
-        **_COMMON,
-    },
-    "train": {
-        "dataset": (str, ""),
-        "format": (str, "signed"),
-        **_TRAIN,
-        **_COMMON,
-    },
-    "augment": {
-        "dataset": (str, ""),
-        "format": (str, "signed"),
-        "embeddings": (str, ""),
-        "mu": (_ratio, 0.7),
-        "theta": (_ratio, 1.0 / 9.0),
-        "delta": (_ratio, 0.6),
-        "eta": (int, 4),
-        "log": (str, ""),
-        **_COMMON,
-    },
-    "evaluate": {
-        "dataset": (str, ""),
-        "format": (str, "signed"),
-        "augmentation": (str, "none"),
-        "runs": (int, 5),
-        "mu": (_ratio, 0.7),
-        "theta": (_ratio, 1.0 / 9.0),
-        "delta": (_ratio, 0.6),
-        "eta": (int, 4),
-        "test_fraction": (_ratio, 0.2),
-        **_TRAIN,
-        **_COMMON,
-    },
-    "sweep": {
-        "dataset": (str, ""),
-        "format": (str, "signed"),
-        "augmentation": (str, "sigaug"),
-        "runs": (int, 5),
-        "mu_grid": (_float_list, (0.7,)),
-        "theta_grid": (_float_list, (1.0 / 9.0,)),
-        "delta_grid": (_float_list, (0.6,)),
-        "max_cells": (int, 200),
-        "eta": (int, 4),
-        "test_fraction": (_ratio, 0.2),
-        **_TRAIN,
-        **_COMMON,
-    },
+    "stats": {**_DATA, **_COMMON},
+    "balance": {**_DATA, **_ETA, "mu": _TARGETS["mu"], **_COMMON},
+    "train": {**_DATA, **_TRAIN, **_COMMON},
+    "augment": {**_DATA, "embeddings": _key(""), **_TARGETS, **_ETA, "log": _key(""),
+                **_COMMON},
+    "evaluate": {**_DATA, "augmentation": _key(_DEFAULT.augmentation), **_RUNS, **_TARGETS,
+                 **_ETA, **_SPLIT, **_TRAIN, **_COMMON},
+    "sweep": {**_DATA, "augmentation": _key("sigaug"), **_RUNS,
+              **{key + "_grid": _key((d,)) for key, (_t, d) in _TARGETS.items()},
+              "max_cells": _key(evaluate.MAX_CELLS), **_ETA, **_SPLIT, **_TRAIN, **_COMMON},
 }
 
 
@@ -137,17 +104,16 @@ class CliConfig:
         return dict(self.values)[key]
 
 
-def _coerce(subcommand: str, key: str, raw):
-    typ, _default = _KEYS[subcommand][key]
-    if typ is bool:
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(raw, str):
-        return typ(raw)
-    if typ is _float_list and not isinstance(raw, tuple):
-        return tuple(raw)
-    return raw
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key: str, typ, text: str):
+    if typ is not bool:
+        return typ(text)
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"{key} must be one of {'/'.join(_BOOLS)}, got {text!r}")
+    return _BOOLS[text.lower()]
 
 
 def parse_config_text(text: str, subcommand: str) -> dict:
@@ -163,7 +129,7 @@ def parse_config_text(text: str, subcommand: str) -> dict:
         key = key.strip()
         if key not in _KEYS[subcommand]:
             raise ValueError(f"config line {lineno}: unknown key {key!r} for {subcommand}")
-        values[key] = _coerce(subcommand, key, val.strip())
+        values[key] = _coerce(key, _KEYS[subcommand][key][0], val.strip())
     return values
 
 
@@ -195,7 +161,7 @@ def _add_flags(sub, subcommand):
         if typ is bool:
             sub.add_argument(flag, dest=key, action="store_const", const=True, default=None)
         else:
-            sub.add_argument(flag, dest=key, type=typ if typ is not str else str, default=None)
+            sub.add_argument(flag, dest=key, type=typ, default=None)
     sub.add_argument("--config", dest="config", type=str, default=None)
 
 
@@ -267,17 +233,14 @@ def cmd_balance(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
+def _fields(cfg: CliConfig, field_of: dict) -> dict:
+    """The subcommand's values of the keys in `field_of`, by config-object field."""
+    values = dict(cfg.values)
+    return {f: values[key] for key, f in field_of.items() if key in values}
+
+
 def _train_config(cfg: CliConfig) -> sgnn.TrainConfig:
-    return sgnn.TrainConfig(
-        epochs=cfg.get("epochs"),
-        learning_rate=cfg.get("learning_rate"),
-        lam=cfg.get("lambda"),
-        weight_decay=cfg.get("weight_decay"),
-        seed=cfg.get("seed"),
-        embed_dim=cfg.get("dim"),
-        feature_dim=cfg.get("feature_dim"),
-        layers=cfg.get("layers"),
-    )
+    return sgnn.TrainConfig(seed=cfg.get("seed"), **_fields(cfg, _TRAIN_FIELDS))
 
 
 def cmd_train(cfg: CliConfig) -> int:
@@ -320,20 +283,9 @@ def cmd_augment(cfg: CliConfig) -> int:
 
 
 def _experiment_config(cfg: CliConfig) -> evaluate.ExperimentConfig:
-    values = dict(cfg.values)
     # sweep has no mu/theta/delta keys (it sets them per grid cell)
-    targets = {k: values[k] for k in ("mu", "theta", "delta") if k in values}
-    return evaluate.ExperimentConfig(
-        dataset=cfg.get("dataset"),
-        input_format=cfg.get("format"),
-        augmentation=cfg.get("augmentation"),
-        eta=cfg.get("eta"),
-        runs=cfg.get("runs"),
-        base_seed=cfg.get("seed"),
-        test_fraction=cfg.get("test_fraction"),
-        train=_train_config(cfg),
-        **targets,
-    )
+    return evaluate.ExperimentConfig(train=_train_config(cfg),
+                                     **_fields(cfg, _EXPERIMENT_FIELDS))
 
 
 def cmd_evaluate(cfg: CliConfig) -> int:
@@ -346,8 +298,7 @@ def cmd_evaluate(cfg: CliConfig) -> int:
 
 def cmd_sweep(cfg: CliConfig) -> int:
     exp = _checked(_experiment_config, cfg)
-    grid = {"mu": list(cfg.get("mu_grid")), "theta": list(cfg.get("theta_grid")),
-            "delta": list(cfg.get("delta_grid"))}
+    grid = {key: list(cfg.get(key + "_grid")) for key in ("mu", "theta", "delta")}
     _checked(evaluate.sweep_cells, exp, grid, max_cells=cfg.get("max_cells"))
     rows = evaluate.sweep(exp, grid, max_cells=cfg.get("max_cells"))
     lines = ["mu,theta,delta,mean_auc,std"]

@@ -11,12 +11,15 @@ import numpy as np
 from scipy.special import expit
 
 from .augment import EPRConfig, augment
-from .balance import check_eta, check_mu
+from .balance import ETA_DEFAULT, MU_DEFAULT, check_eta, check_mu
 from .graph import FORMATS, SignedGraph, build_graph, load_edge_list, split_edges
 from .sgnn import TrainConfig, concat, train
 
 POS_LABEL = "pos"
 NEG_LABEL = "neg"
+
+# largest (mu, theta, delta) grid a sweep accepts
+MAX_CELLS = 200
 
 METRIC_NAMES = ("auc", "f1_binary_avg", "neg_precision", "neg_recall", "neg_f1", "pos_f1")
 
@@ -34,10 +37,10 @@ class ExperimentConfig:
     dataset: str
     input_format: str = "signed"
     augmentation: str = "none"
-    mu: float = 0.7
+    mu: float = MU_DEFAULT
     theta: float = 1.0 / 9.0
     delta: float = 0.6
-    eta: int = 4
+    eta: int = ETA_DEFAULT
     runs: int = 5
     base_seed: int = 0
     test_fraction: float = 0.2
@@ -237,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig, graph: Optional[SignedGraph] = None) -
     return MetricReport(per_run=per_run, aux=aux)
 
 
-def sweep_cells(cfg: ExperimentConfig, grid: dict, max_cells: int = 200) -> list:
+def sweep_cells(cfg: ExperimentConfig, grid: dict, max_cells: int = MAX_CELLS) -> list:
     """One checked ExperimentConfig per (mu, theta, delta) grid cell, in grid
     order. Refuses grids larger than max_cells and any cell's rejected value."""
     for key in ("mu", "theta", "delta"):
@@ -250,7 +253,7 @@ def sweep_cells(cfg: ExperimentConfig, grid: dict, max_cells: int = 200) -> list
             for mu, theta, delta in product(grid["mu"], grid["theta"], grid["delta"])]
 
 
-def sweep(cfg: ExperimentConfig, grid: dict, max_cells: int = 200):
+def sweep(cfg: ExperimentConfig, grid: dict, max_cells: int = MAX_CELLS):
     """Evaluate run_experiment over the (mu, theta, delta) grid, rows in grid
     order. Every cell is checked (see sweep_cells) before the dataset loads."""
     cells = sweep_cells(cfg, grid, max_cells)

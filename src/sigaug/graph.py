@@ -222,7 +222,8 @@ def build_graph(records: list[RatingRecord], conflict_policy: str = "negative_wi
 def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     """Hold out round(test_fraction * |edges|) edges uniformly at random.
 
-    Deterministic for a given seed. The train graph keeps all n nodes.
+    Refuses a fraction that rounds to no held-out edge. Deterministic for a
+    given seed. The train graph keeps all n nodes.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -230,6 +231,8 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     if m < 2:
         raise ValueError("graph needs at least 2 edges to split")
     k = int(math.floor(test_fraction * m + 0.5))
+    if k == 0:
+        raise ValueError(f"test_fraction={test_fraction} holds out no edge of m={m}")
     rng = np.random.default_rng(seed)
     picked = set(rng.choice(m, size=k, replace=False).tolist())
     edges = g.edges()

@@ -33,6 +33,9 @@ _NULL = CLASSES.index("?")  # class index of the non-adjacent pairs
 
 # enumerate all non-adjacent pairs (instead of rejection sampling) below this
 _NULL_POOL_CUTOFF = 200_000
+# rejection passes before giving up: a pass keeps the free-pair share of its
+# 2 * count draws, so graphs with well over 1/32 of their pairs free finish
+_NULL_DRAW_PASSES = 16
 
 
 @dataclass
@@ -380,10 +383,17 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
     else:
         keys = edges[:, 0] * n + edges[:, 1]
         pairs = np.empty((0, 2), dtype=np.int64)
-        while len(pairs) < count:  # each pass draws 2 * count candidates
+        for _ in range(_NULL_DRAW_PASSES):
+            if len(pairs) == count:
+                break
             cand = np.sort(rng.integers(0, n, size=(2 * count, 2)), axis=1)
             cand = cand[(cand[:, 0] != cand[:, 1]) & ~np.isin(cand[:, 0] * n + cand[:, 1], keys)]
             pairs = np.concatenate((pairs, cand[:count - len(pairs)]))
+        if len(pairs) < count:
+            share = 1.0 - len(edges) / (n * (n - 1) // 2)
+            raise ValueError(f"cannot draw {count} non-adjacent pairs in {_NULL_DRAW_PASSES} "
+                             f"rejection passes: n={n}, {len(edges)} edges, "
+                             f"free-pair share {share:.3g}")
     return np.column_stack((pairs, np.full(len(pairs), _NULL, dtype=np.int64)))
 
 
@@ -402,12 +412,12 @@ def _grad_step(tensors, params, x, rows, weights, cfg, warn_missing=True):
     return ce + hinge + _reg(params, wd), dwp, dwn, dTheta
 
 
-def train(g: SignedGraph, cfg: TrainConfig, features: Optional[np.ndarray] = None,
-          samples_from: Optional[SignedGraph] = None,
+def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] = None,
           init: Optional[ModelParams] = None) -> TrainResult:
     """Full-batch gradient descent for cfg.epochs steps; deterministic per seed.
 
-    Messages propagate over g. Supervision comes from `samples_from` (default
+    Messages propagate over g from the fixed-seed synth_features(g.n,
+    cfg.feature_dim, cfg.seed). Supervision comes from `samples_from` (default
     g): its edges are the labeled pairs, and "?" samples are redrawn every
     epoch as uniformly random pairs non-adjacent in it, |edges| of them. An
     epoch's samples are one int array of (u, v, class) rows. An augmented graph
@@ -422,12 +432,7 @@ def train(g: SignedGraph, cfg: TrainConfig, features: Optional[np.ndarray] = Non
         raise ValueError("training requires at least one positive edge")
     if sup.num_neg == 0:
         raise ValueError("training requires at least one negative edge")
-    if features is None:
-        x = synth_features(g.n, cfg.feature_dim, cfg.seed)
-    else:
-        x = np.asarray(features, dtype=np.float64)
-        if x.shape[0] != g.n:
-            raise ValueError(f"feature rows {x.shape[0]} != node count {g.n}")
+    x = synth_features(g.n, cfg.feature_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(x.shape[1], cfg.embed_dim, cfg.layers, rng)
     if init is not None:
@@ -463,13 +468,12 @@ def _params_from_flat(template: ModelParams, flat: np.ndarray) -> ModelParams:
     return ModelParams(arrays[:nl], arrays[nl:2 * nl], arrays[-1])
 
 
-def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5,
-                   num_coords: int = 60) -> float:
+def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-FD gradients.
 
-    Checks num_coords (>= 50) randomly chosen parameter coordinates on one
-    frozen sample batch at a generic parameter point. Relative error is
-    |g_fd - g_an| / max(|g_fd|, |g_an|, 1e-8).
+    Checks 60 randomly chosen parameter coordinates (all of them if there are
+    fewer) on one frozen sample batch at a generic parameter point. Relative
+    error is |g_fd - g_an| / max(|g_fd|, |g_an|, 1e-8).
     """
     if not 1e-6 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon must be in [1e-6, 1e-4], got {epsilon}")
@@ -495,7 +499,7 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5,
         ce, hinge, _, _ = _loss_grads(concat(pair), rows, p.theta, cfg.lam, weights)
         return ce + hinge + _reg(p, cfg.weight_decay)
 
-    picks = rng.choice(flat.size, size=min(max(num_coords, 50), flat.size), replace=False)
+    picks = rng.choice(flat.size, size=min(60, flat.size), replace=False)
     worst = 0.0
     for idx in picks:
         bump = np.zeros_like(flat)

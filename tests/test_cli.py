@@ -282,6 +282,16 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus = 1", "stats")
 
+    def test_config_booleans(self, tmp_path, congress_path):
+        for text, value in (("1", True), ("Yes", True), ("on", True), ("TRUE", True),
+                            ("0", False), ("no", False), ("Off", False), ("false", False)):
+            assert parse_config_text(f"quiet = {text}", "stats") == {"quiet": value}
+        conf = tmp_path / "typo.conf"
+        conf.write_text("quiet = ture\n")
+        proc = run_cli("stats", "--dataset", str(congress_path), "--config", str(conf))
+        assert proc.returncode == EXIT_IO and proc.stdout == ""
+        assert "config error: quiet must be one of" in proc.stderr and "'ture'" in proc.stderr
+
     def test_config_file_error_exit(self, tmp_path, congress_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("not a key value line")

@@ -173,6 +173,12 @@ class TestSplitEdges:
             with pytest.raises(ValueError):
                 sg.split_edges(g, frac, 0)
 
+    def test_refuses_an_empty_test_set(self, congress_graph):
+        # round(0.0005 * 520) == 0: refused before any training sees the split
+        with pytest.raises(ValueError, match="test_fraction=0.0005 .* m=520"):
+            sg.split_edges(congress_graph, 0.0005, 0)
+        assert len(sg.split_edges(congress_graph, 0.001, 0).test) == 1
+
     def test_congress_test_size(self, congress_graph):
         split = sg.split_edges(congress_graph, 0.2, seed=0)
         assert len(split.test) == round(0.2 * congress_graph.num_edges) == 104

@@ -339,6 +339,19 @@ class TestSamplePipelineMatchesReference:
         assert _class_weights(edges, {"+": 1.0, "-": 2.0}).tolist() == [1.0, 2.0, 0.0]
 
 
+def test_rejection_sampling_refuses_a_nearly_complete_graph():
+    # n=640 has 204,480 pairs, too many to list; with all but 11 of them edges a
+    # rejection pass keeps about 22 of its 409k draws, so 204,469 nulls would take
+    # some 9,300 passes
+    n = 640
+    u, v = np.triu_indices(n, k=1)
+    free = np.random.default_rng(0).choice(len(u), size=11, replace=False)
+    edges = np.delete(np.column_stack((u, v)), free, axis=0).astype(np.int64)
+    assert _null_pool(edges, n) is None
+    with pytest.raises(ValueError, match=r"n=640, 204469 edges, free-pair share 5\.38e-05"):
+        _draw_nulls(edges, n, None, len(edges), np.random.default_rng(0))
+
+
 class TestLossMemory:
     def test_no_hinge_term_by_dim_temporary(self):
         # a sample set shaped like the n=1000 benchmark graph's train split: about
