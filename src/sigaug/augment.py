@@ -293,31 +293,20 @@ def fuse(apos_aug, aneg_aug, probs: ProbabilityMatrices) -> SignedGraph:
     aneg = sp.csr_matrix(aneg_aug)
     if apos.shape != aneg.shape or apos.shape[0] != apos.shape[1]:
         raise ValueError("adjacency shapes differ or are not square")
-    for name, m in (("positive", apos), ("negative", aneg)):
+    pos, neg = set(), set()  # each sign's nonzero (u, v) pairs with u < v
+    for name, m, pairs in (("positive", apos, pos), ("negative", aneg, neg)):
         if (m != m.T).nnz != 0:
             raise ValueError(f"{name} adjacency is not symmetric")
-    n = apos.shape[0]
-    pc = apos.tocoo()
-    nc = aneg.tocoo()
-    pairs = set()
-    for r, c, d in zip(pc.row, pc.col, pc.data):
-        if r < c and d:
-            pairs.add((int(r), int(c)))
-    for r, c, d in zip(nc.row, nc.col, nc.data):
-        if r < c and d:
-            pairs.add((int(r), int(c)))
+        rows, cols = sp.triu(m, k=1).nonzero()
+        pairs.update(zip(rows.tolist(), cols.tolist()))
     edges = []
-    for u, v in sorted(pairs):
-        has_pos = apos[u, v] != 0
-        has_neg = aneg[u, v] != 0
-        if has_pos and has_neg:
+    for u, v in sorted(pos | neg):
+        if (u, v) in pos and (u, v) in neg:
             sign = 1 if probs.mpos[u, v] > probs.mneg[u, v] else -1
-        elif has_pos:
-            sign = 1
         else:
-            sign = -1
+            sign = 1 if (u, v) in pos else -1
         edges.append((u, v, sign))
-    return SignedGraph(n, edges)
+    return SignedGraph(apos.shape[0], edges)
 
 
 def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGraph:

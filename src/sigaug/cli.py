@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import balance, evaluate, graph, sgnn
 from .augment import EPRConfig
@@ -43,7 +42,10 @@ def _ratio(text: str) -> float:
     """Float flag that also accepts a/b fractions (e.g. 1/9)."""
     if "/" in text:
         num, den = text.split("/", 1)
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise ValueError(f"{text!r} divides by zero") from None
     return float(text)
 
 
@@ -93,26 +95,15 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """One subcommand invocation, fully resolved."""
-
-    subcommand: str
-    values: tuple  # sorted (key, value) pairs
-
-    def get(self, key):
-        return dict(self.values)[key]
-
-
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(key: str, typ, text: str):
+def _coerce(typ, text: str):
     if typ is not bool:
         return typ(text)
     if text.lower() not in _BOOLS:
-        raise ValueError(f"{key} must be one of {'/'.join(_BOOLS)}, got {text!r}")
+        raise ValueError(f"must be one of {'/'.join(_BOOLS)}, got {text!r}")
     return _BOOLS[text.lower()]
 
 
@@ -129,7 +120,10 @@ def parse_config_text(text: str, subcommand: str) -> dict:
         key = key.strip()
         if key not in _KEYS[subcommand]:
             raise ValueError(f"config line {lineno}: unknown key {key!r} for {subcommand}")
-        values[key] = _coerce(key, _KEYS[subcommand][key][0], val.strip())
+        try:
+            values[key] = _coerce(_KEYS[subcommand][key][0], val.strip())
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return values
 
 
@@ -143,16 +137,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def format_config(cfg: CliConfig) -> str:
-    return "\n".join(f"{k} = {_format_value(v)}" for k, v in cfg.values)
+def format_config(cfg: dict) -> str:
+    return "\n".join(f"{k} = {_format_value(v)}" for k, v in cfg.items())
 
 
-def resolve_config(subcommand: str, file_values: dict, flag_values: dict) -> CliConfig:
-    """defaults < config file < explicit flags."""
+def resolve_config(subcommand: str, file_values: dict, flag_values: dict) -> dict:
+    """Every key of the subcommand, sorted: defaults < config file < explicit flags."""
     resolved = {k: d for k, (_t, d) in _KEYS[subcommand].items()}
     resolved.update(file_values)
     resolved.update({k: v for k, v in flag_values.items() if v is not None})
-    return CliConfig(subcommand=subcommand, values=tuple(sorted(resolved.items())))
+    return dict(sorted(resolved.items()))
 
 
 def _add_flags(sub, subcommand):
@@ -193,12 +187,12 @@ def _checked(build, *args, **kwargs):
         raise InputError(str(exc)) from exc
 
 
-def _load_graph(cfg: CliConfig):
-    path = cfg.get("dataset")
+def _load_graph(cfg: dict):
+    path = cfg["dataset"]
     if not path:
         raise FileNotFoundError("no --dataset given")
     with open(path, "rb") as fh:
-        records = _checked(graph.load_edge_list, fh, cfg.get("format"))
+        records = _checked(graph.load_edge_list, fh, cfg["format"])
     return records, graph.build_graph(records)
 
 
@@ -207,60 +201,59 @@ def _stats_lines(prefix: str, stats: dict) -> list:
             for k in ("n", "pos_edges", "neg_edges", "neg_ratio")]
 
 
-def cmd_stats(cfg: CliConfig) -> int:
+def cmd_stats(cfg: dict) -> int:
     records, g = _load_graph(cfg)
     lines = _stats_lines("", graph.record_stats(records))
     lines += _stats_lines("built_", graph.graph_stats(g))
-    _emit("\n".join(lines), cfg.get("output"))
+    _emit("\n".join(lines), cfg["output"])
     return EXIT_OK
 
 
-def cmd_balance(cfg: CliConfig) -> int:
-    _checked(balance.check_eta, cfg.get("eta"))
-    _checked(balance.check_mu, cfg.get("mu"))
+def cmd_balance(cfg: dict) -> int:
+    _checked(balance.check_eta, cfg["eta"])
+    _checked(balance.check_mu, cfg["mu"])
     _records, g = _load_graph(cfg)
-    scores = balance.compute_utilities(g, eta=cfg.get("eta"), mu=cfg.get("mu"))
+    scores = balance.compute_utilities(g, eta=cfg["eta"], mu=cfg["mu"])
     lines = []
     for (u, v), util in sorted(scores.scores.items()):
         util_text = "undef" if util is None else repr(util)
         lines.append(f"{u} {v} {g.sign(u, v)} {util_text}")
-    lines.append(f"mu={cfg.get('mu')!r}")
-    lines.append(f"eta={cfg.get('eta')}")
+    lines.append(f"mu={cfg['mu']!r}")
+    lines.append(f"eta={cfg['eta']}")
     lines.append(f"kept={scores.kept}")
     lines.append(f"discarded={scores.discarded}")
     lines.append(f"undefined={scores.undefined}")
-    _emit("\n".join(lines), cfg.get("output"))
+    _emit("\n".join(lines), cfg["output"])
     return EXIT_OK
 
 
-def _fields(cfg: CliConfig, field_of: dict) -> dict:
+def _fields(cfg: dict, field_of: dict) -> dict:
     """The subcommand's values of the keys in `field_of`, by config-object field."""
-    values = dict(cfg.values)
-    return {f: values[key] for key, f in field_of.items() if key in values}
+    return {f: cfg[key] for key, f in field_of.items() if key in cfg}
 
 
-def _train_config(cfg: CliConfig) -> sgnn.TrainConfig:
-    return sgnn.TrainConfig(seed=cfg.get("seed"), **_fields(cfg, _TRAIN_FIELDS))
+def _train_config(cfg: dict) -> sgnn.TrainConfig:
+    return sgnn.TrainConfig(seed=cfg["seed"], **_fields(cfg, _TRAIN_FIELDS))
 
 
-def cmd_train(cfg: CliConfig) -> int:
+def cmd_train(cfg: dict) -> int:
     train_cfg = _checked(_train_config, cfg)
     _records, g = _load_graph(cfg)
     result = sgnn.train(g, train_cfg)
-    output = cfg.get("output") or "model"
+    output = cfg["output"] or "model"
     sgnn.save_embeddings(result.embeddings, output + ".emb")
     sgnn.save_params(result.params, output + ".params")
-    if not cfg.get("quiet"):
+    if not cfg["quiet"]:
         print(f"final_loss={result.loss_trace[-1]!r}", file=sys.stderr)
         print(f"wrote {output}.emb and {output}.params", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_augment(cfg: CliConfig) -> int:
-    epr = _checked(EPRConfig, theta_target=cfg.get("theta"), delta_target=cfg.get("delta"),
-                   mu=cfg.get("mu"), eta=cfg.get("eta"))
+def cmd_augment(cfg: dict) -> int:
+    epr = _checked(EPRConfig, theta_target=cfg["theta"], delta_target=cfg["delta"],
+                   mu=cfg["mu"], eta=cfg["eta"])
     _records, g = _load_graph(cfg)
-    emb_path = cfg.get("embeddings")
+    emb_path = cfg["embeddings"]
     if not emb_path:
         raise FileNotFoundError("no --embeddings given")
     try:
@@ -272,38 +265,39 @@ def cmd_augment(cfg: CliConfig) -> int:
                          f"the graph has {g.n} nodes")
     result = run_augment(g, pair, epr)
     edge_lines = [f"{u} {v} {s}" for u, v, s in result.graph.edges()]
-    _emit("\n".join(edge_lines), cfg.get("output"))
-    log_path = cfg.get("log") or ((cfg.get("output") or "augment") + ".log")
+    _emit("\n".join(edge_lines), cfg["output"])
+    log_path = cfg["log"] or ((cfg["output"] or "augment") + ".log")
     with open(log_path, "w") as fh:
         fh.write("\n".join(result.log.to_lines()) + "\n")
-    if not cfg.get("quiet"):
+    if not cfg["quiet"]:
         print(f"thresholds_unmet={result.thresholds_unmet}", file=sys.stderr)
         print(f"perturbations={result.log.total_kept} log={log_path}", file=sys.stderr)
     return EXIT_OK
 
 
-def _experiment_config(cfg: CliConfig) -> evaluate.ExperimentConfig:
+def _experiment_config(cfg: dict) -> evaluate.ExperimentConfig:
     # sweep has no mu/theta/delta keys (it sets them per grid cell)
     return evaluate.ExperimentConfig(train=_train_config(cfg),
                                      **_fields(cfg, _EXPERIMENT_FIELDS))
 
 
-def cmd_evaluate(cfg: CliConfig) -> int:
-    report = evaluate.run_experiment(_checked(_experiment_config, cfg))
-    _emit("\n".join(report.to_machine_lines()), cfg.get("output"))
-    if not cfg.get("quiet"):
+def cmd_evaluate(cfg: dict) -> int:
+    # run_experiment's own ValueError is a split refusal (failed runs raise RuntimeError)
+    report = _checked(evaluate.run_experiment, _checked(_experiment_config, cfg))
+    _emit("\n".join(report.to_machine_lines()), cfg["output"])
+    if not cfg["quiet"]:
         print(report.to_table(), file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: CliConfig) -> int:
+def cmd_sweep(cfg: dict) -> int:
     exp = _checked(_experiment_config, cfg)
-    grid = {key: list(cfg.get(key + "_grid")) for key in ("mu", "theta", "delta")}
-    _checked(evaluate.sweep_cells, exp, grid, max_cells=cfg.get("max_cells"))
-    rows = evaluate.sweep(exp, grid, max_cells=cfg.get("max_cells"))
+    grid = {key: list(cfg[key + "_grid"]) for key in ("mu", "theta", "delta")}
+    # sweep checks every cell before the dataset loads; its ValueError is bad input
+    rows = _checked(evaluate.sweep, exp, grid, max_cells=cfg["max_cells"])
     lines = ["mu,theta,delta,mean_auc,std"]
     lines += [f"{mu!r},{th!r},{de!r},{mean!r},{std!r}" for mu, th, de, mean, std in rows]
-    _emit("\n".join(lines), cfg.get("output"))
+    _emit("\n".join(lines), cfg["output"])
     return EXIT_OK
 
 
@@ -331,7 +325,7 @@ def main(argv=None) -> int:
             return EXIT_IO
     flag_values = {k: getattr(args, k) for k in _KEYS[sub]}
     cfg = resolve_config(sub, file_values, flag_values)
-    if not cfg.get("quiet"):
+    if not cfg["quiet"]:
         print(f"# sigaug {sub} resolved configuration", file=sys.stderr)
         print(format_config(cfg), file=sys.stderr)
     try:

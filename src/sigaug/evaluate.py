@@ -8,11 +8,10 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .augment import EPRConfig, augment
 from .balance import ETA_DEFAULT, MU_DEFAULT, check_eta, check_mu
-from .graph import FORMATS, SignedGraph, build_graph, load_edge_list, split_edges
+from .graph import FORMATS, EdgeSplit, SignedGraph, build_graph, load_edge_list, split_edges
 from .sgnn import TrainConfig, concat, train
 
 POS_LABEL = "pos"
@@ -69,13 +68,6 @@ class MetricReport:
 
     per_run: dict
     aux: dict = field(default_factory=dict)
-
-    @property
-    def runs(self) -> int:
-        return len(next(iter(self.per_run.values()))) if self.per_run else 0
-
-    def values(self, name: str) -> list:
-        return self.per_run[name]
 
     def mean(self, name: str) -> float:
         return float(np.mean(self.per_run[name]))
@@ -185,9 +177,18 @@ def predict_test_edges(Z: np.ndarray, classifier: np.ndarray, test):
     jj = np.array([max(u, v) for u, v, _ in test])
     feats = np.hstack([Z[ii], Z[jj]])
     logits = feats @ classifier.T
-    scores = expit(logits[:, 0] - logits[:, 1])
+    scores = [_expit(t) for t in (logits[:, 0] - logits[:, 1]).tolist()]
     labels = [POS_LABEL if s > 0 else NEG_LABEL for _, _, s in test]
-    return scores.tolist(), labels
+    return scores, labels
+
+
+def _expit(t: float) -> float:
+    """The logistic function through libm's exp, which gives scipy.special.expit's
+    bits (numpy's exp does not); 0.0 where exp(-t) overflows, as expit gives."""
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:
+        return 0.0
 
 
 def _load_dataset(cfg: ExperimentConfig) -> SignedGraph:
@@ -196,8 +197,7 @@ def _load_dataset(cfg: ExperimentConfig) -> SignedGraph:
     return build_graph(records)
 
 
-def _run_once(g: SignedGraph, cfg: ExperimentConfig, seed: int):
-    split = split_edges(g, cfg.test_fraction, seed)
+def _run_once(split: EdgeSplit, cfg: ExperimentConfig, seed: int):
     tc = replace(cfg.train, seed=seed)
     result = train(split.train, tc)
     aux = {}
@@ -224,13 +224,19 @@ def _run_once(g: SignedGraph, cfg: ExperimentConfig, seed: int):
 
 def run_experiment(cfg: ExperimentConfig, graph: Optional[SignedGraph] = None) -> MetricReport:
     """The full protocol: per run, split -> train -> (augment -> retrain) ->
-    predict -> metrics, with seed = base_seed + run index; then aggregate."""
+    predict -> metrics, with seed = base_seed + run index; then aggregate.
+
+    A split that split_edges refuses raises its ValueError before run 0 trains
+    (whether a split holds out an edge does not depend on the seed); any other
+    failure of run r raises RuntimeError("run r failed: ...")."""
     g = graph if graph is not None else _load_dataset(cfg)
     per_run: dict = {name: [] for name in METRIC_NAMES}
     aux: dict = {}
     for r in range(cfg.runs):
+        seed = cfg.base_seed + r
+        split = split_edges(g, cfg.test_fraction, seed)
         try:
-            metrics, run_aux = _run_once(g, cfg, cfg.base_seed + r)
+            metrics, run_aux = _run_once(split, cfg, seed)
         except Exception as exc:
             raise RuntimeError(f"run {r} failed: {exc}") from exc
         for name in METRIC_NAMES:

@@ -93,9 +93,6 @@ class SignedGraph:
     def neg_neighbors(self, u: int) -> frozenset:
         return self._neg[u]
 
-    def neighbors(self, u: int) -> frozenset:
-        return self._pos[u] | self._neg[u]
-
     def degree(self, u: int) -> int:
         return len(self._pos[u]) + len(self._neg[u])
 
@@ -124,8 +121,6 @@ class EdgeSplit:
 
     train: SignedGraph
     test: tuple[tuple[int, int, int], ...]
-    seed: int
-    test_fraction: float
 
 
 def _split_fields(line: str) -> list[str]:
@@ -238,7 +233,7 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     edges = g.edges()
     test = tuple(edges[i] for i in sorted(picked))
     train = SignedGraph(g.n, (edges[i] for i in range(m) if i not in picked))
-    return EdgeSplit(train=train, test=test, seed=seed, test_fraction=test_fraction)
+    return EdgeSplit(train=train, test=test)
 
 
 def split_adjacency(g: SignedGraph):

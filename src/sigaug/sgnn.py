@@ -115,11 +115,19 @@ class ModelParams:
         return self.wpos[0].shape[1] // 2
 
     def arrays(self) -> list:
+        """Every array in the one order the trainer uses: wpos layers, wneg layers, theta."""
         return list(self.wpos) + list(self.wneg) + [self.theta]
 
+    @classmethod
+    def from_arrays(cls, arrays) -> "ModelParams":
+        """The inverse of arrays()."""
+        if len(arrays) % 2 == 0:
+            raise ValueError(f"expected 2 * layers + 1 arrays, got {len(arrays)}")
+        layers = len(arrays) // 2
+        return cls(list(arrays[:layers]), list(arrays[layers:2 * layers]), arrays[-1])
+
     def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.wpos],
-                           [w.copy() for w in self.wneg], self.theta.copy())
+        return ModelParams.from_arrays([a.copy() for a in self.arrays()])
 
 
 @dataclass
@@ -240,7 +248,8 @@ def forward(g: SignedGraph, params: ModelParams, x: np.ndarray) -> EmbeddingPair
 
 
 def _backward(tensors: _GraphTensors, params: ModelParams, cache, d_hp, d_hn):
-    """Backprop through the layer stack; returns per-layer weight gradients."""
+    """Backprop through the layer stack; returns the branch weight gradients in
+    arrays() order (wpos layers, then wneg layers)."""
     h = params.half_dim
     dwp = [None] * params.layers
     dwn = [None] * params.layers
@@ -258,7 +267,7 @@ def _backward(tensors: _GraphTensors, params: ModelParams, cache, d_hp, d_hn):
         dan = dcatn[:, h:]
         d_hp = dcatp[:, :h] + tensors.rpd_t @ dap + tensors.rnd_t @ dan
         d_hn = dcatn[:, :h] + tensors.rnd_t @ dap + tensors.rpd_t @ dan
-    return dwp, dwn
+    return dwp + dwn
 
 
 def _edge_rows(g: SignedGraph) -> np.ndarray:
@@ -398,18 +407,16 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
 
 
 def _grad_step(tensors, params, x, rows, weights, cfg, warn_missing=True):
-    """One full-batch evaluation: loss value and gradients for every array."""
+    """One full-batch evaluation: loss value and the gradients in params.arrays() order."""
     pair, cache = _forward_cached(tensors, params, x)
-    Z = concat(pair)
-    ce, hinge, dZ, dTheta = _loss_grads(Z, rows, params.theta, cfg.lam, weights,
+    ce, hinge, dZ, dTheta = _loss_grads(concat(pair), rows, params.theta, cfg.lam, weights,
                                         warn_missing=warn_missing)
     h = params.half_dim
-    dwp, dwn = _backward(tensors, params, cache, dZ[:, :h], dZ[:, h:])
+    grads = _backward(tensors, params, cache, dZ[:, :h], dZ[:, h:]) + [dTheta]
     wd = cfg.weight_decay
-    for a, ga in zip(params.wpos + params.wneg, dwp + dwn):
+    for a, ga in zip(params.arrays(), grads):
         ga += 2.0 * wd * a
-    dTheta = dTheta + 2.0 * wd * params.theta
-    return ce + hinge + _reg(params, wd), dwp, dwn, dTheta
+    return ce + hinge + _reg(params, wd), grads
 
 
 def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] = None,
@@ -446,26 +453,12 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
         rows = np.concatenate((edges, _draw_nulls(edges, sup.n, pool, len(edges), rng)))
         if epoch == 0:  # every epoch draws the same number of samples per class
             weights = _class_weights(rows, cfg.class_weights)
-        value, dwp, dwn, dtheta = _grad_step(tensors, params, x, rows, weights, cfg,
-                                             warn_missing=epoch == 0)
+        value, grads = _grad_step(tensors, params, x, rows, weights, cfg,
+                                  warn_missing=epoch == 0)
         trace.append(value)
-        params = ModelParams(
-            [w - lr * gw for w, gw in zip(params.wpos, dwp)],
-            [w - lr * gw for w, gw in zip(params.wneg, dwn)],
-            params.theta - lr * dtheta,
-        )
+        params = ModelParams.from_arrays([a - lr * ga for a, ga in zip(params.arrays(), grads)])
     pair, _ = _forward_cached(tensors, params, x)
     return TrainResult(params=params, embeddings=pair, loss_trace=trace)
-
-
-def _params_from_flat(template: ModelParams, flat: np.ndarray) -> ModelParams:
-    arrays = []
-    offset = 0
-    for a in template.arrays():
-        arrays.append(flat[offset:offset + a.size].reshape(a.shape).copy())
-        offset += a.size
-    nl = template.layers
-    return ModelParams(arrays[:nl], arrays[nl:2 * nl], arrays[-1])
 
 
 def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> float:
@@ -489,12 +482,15 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
                                               max(g.num_edges, 1), rng)))
     weights = _class_weights(rows, cfg.class_weights)
 
-    _, dwp, dwn, dtheta = _grad_step(tensors, params, x, rows, weights, cfg)
-    analytic = np.concatenate([a.ravel() for a in dwp + dwn + [dtheta]])
-    flat = np.concatenate([a.ravel() for a in params.arrays()])
+    _, grads = _grad_step(tensors, params, x, rows, weights, cfg)
+    analytic = np.concatenate([a.ravel() for a in grads])
+    arrays = params.arrays()
+    flat = np.concatenate([a.ravel() for a in arrays])
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
 
     def value_at(vec):
-        p = _params_from_flat(params, vec)
+        p = ModelParams.from_arrays([part.reshape(a.shape)
+                                     for part, a in zip(np.split(vec, cuts), arrays)])
         pair, _ = _forward_cached(tensors, p, x)
         ce, hinge, _, _ = _loss_grads(concat(pair), rows, p.theta, cfg.lam, weights)
         return ce + hinge + _reg(p, cfg.weight_decay)
@@ -534,7 +530,7 @@ def load_params(path) -> ModelParams:
             raise ValueError(f"{path}: malformed parameter header {header!r}")
         layers = int(header.split("=", 1)[1])
         arrays = [np.lib.format.read_array(fh) for _ in range(2 * layers + 1)]
-    return ModelParams(arrays[:layers], arrays[layers:2 * layers], arrays[-1])
+    return ModelParams.from_arrays(arrays)
 
 
 def save_embeddings(pair: EmbeddingPair, path):

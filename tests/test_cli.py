@@ -64,6 +64,11 @@ class TestUsage:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == EXIT_USAGE
 
+    def test_zero_denominator_flag(self):
+        proc = run_cli("evaluate", "--theta", "1/0")
+        assert proc.returncode == EXIT_USAGE
+        assert "invalid" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestBalanceCmd:
     def test_balanced_triangle_kept(self, tmp_path):
@@ -231,6 +236,15 @@ class TestExitCodes:
         assert proc.returncode == EXIT_IO
         assert "input error: line 2: not UTF-8" in proc.stderr
 
+    @pytest.mark.parametrize("sub", ["evaluate", "sweep"])
+    def test_empty_test_split(self, congress_path, sub):
+        # the refusal is bad input reported before run 0 trains, not a failed run
+        proc = run_cli(sub, "--dataset", str(congress_path), "--test-fraction", "0.0005",
+                       "--quiet")
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "input error: test_fraction=0.0005 holds out no edge of m=520" in proc.stderr
+        assert "run 0" not in proc.stderr
+
     def test_unknown_format(self, congress_path):
         proc = run_cli("stats", "--dataset", str(congress_path), "--format", "bogus", "--quiet")
         assert proc.returncode == EXIT_IO
@@ -290,7 +304,21 @@ class TestConfigResolution:
         conf.write_text("quiet = ture\n")
         proc = run_cli("stats", "--dataset", str(congress_path), "--config", str(conf))
         assert proc.returncode == EXIT_IO and proc.stdout == ""
-        assert "config error: quiet must be one of" in proc.stderr and "'ture'" in proc.stderr
+        assert "config error: config line 1: quiet: must be one of" in proc.stderr
+        assert "'ture'" in proc.stderr
+
+    @pytest.mark.parametrize("sub,line,message", [
+        ("train", "epochs = ten", "epochs: invalid literal for int() with base 10: 'ten'"),
+        ("sweep", "mu_grid = 0.5,abc", "mu_grid: could not convert string to float: 'abc'"),
+        ("evaluate", "theta = 1/0", "theta: '1/0' divides by zero"),
+    ], ids=["int", "float_list", "zero_denominator"])
+    def test_bad_config_value_names_line_and_key(self, tmp_path, congress_path, sub, line,
+                                                 message):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"# header\n{line}\n")
+        proc = run_cli(sub, "--dataset", str(congress_path), "--config", str(conf))
+        assert proc.returncode == EXIT_IO and proc.stdout == ""
+        assert f"config error: config line 2: {message}" in proc.stderr
 
     def test_config_file_error_exit(self, tmp_path, congress_path):
         conf = tmp_path / "bad.conf"

@@ -63,12 +63,14 @@ class TestAuc:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a cold `import sigaug`, which every CLI call pays
+    # scipy.stats and scipy.special would take most of a cold `import sigaug`,
+    # which every CLI call pays
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, sigaug; print('scipy.stats' in sys.modules)"],
+                           "import sys, sigaug; print([m for m in ('scipy.stats', "
+                           "'scipy.special') if m in sys.modules])"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 class TestClassificationMetrics:
@@ -136,6 +138,20 @@ class TestPredictTestEdges:
         with pytest.raises(ValueError):
             sg.predict_test_edges(np.zeros((2, 2)), np.zeros((3, 4)), [])
 
+    def test_scores_equal_scipy_expit_bit_for_bit(self):
+        from scipy.special import expit  # the oracle only; sigaug computes expit itself
+        edge = [0.0, -0.0, 1e-320, -1e-320, 709.78, -709.78, 745.0, -745.0,
+                746.5, -746.5, 1e4, -1e4]
+        t = np.concatenate((edge, np.random.default_rng(3).normal(scale=40.0, size=4000)))
+        # test edge (i, k) has logit difference t[i]: the "+" row reads the lower
+        # endpoint's one feature, and node k's feature -1 meets only zero weights
+        k = len(t)
+        Z = np.append(t, -1.0)[:, None]
+        theta = np.zeros((3, 2))
+        theta[0, 0] = 1.0
+        scores, _ = sg.predict_test_edges(Z, theta, [(i, k, 1) for i in range(k)])
+        assert np.array_equal(np.array(scores).view(np.int64), expit(t).view(np.int64))
+
 
 class TestMetricReport:
     def test_roundtrip_lossless(self):
@@ -182,6 +198,10 @@ class TestRunExperiment:
         cfg = ExperimentConfig(dataset=str(bad), runs=1, train=TrainConfig(epochs=1))
         with pytest.raises(RuntimeError, match="run 0"):
             run_experiment(cfg)
+
+    def test_refused_split_is_not_a_run_failure(self, congress_path):
+        with pytest.raises(ValueError, match="holds out no edge of m=520"):
+            run_experiment(tiny_experiment(congress_path, test_fraction=0.0005))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

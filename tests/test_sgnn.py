@@ -116,6 +116,14 @@ class TestModelParams:
         with pytest.raises(ValueError, match="finite"):
             sg.ModelParams([bad], [w.copy()], np.zeros((3, 8)))
 
+    def test_from_arrays_inverts_arrays(self):
+        params = init_params(5, 6, 3, np.random.default_rng(0))
+        back = sg.ModelParams.from_arrays(params.arrays())
+        assert back.layers == 3
+        assert all(a is b for a, b in zip(back.arrays(), params.arrays()))
+        with pytest.raises(ValueError, match=r"2 \* layers \+ 1"):
+            sg.ModelParams.from_arrays(params.arrays()[1:])
+
 
 class TestLoss:
     def test_zero_embeddings_uniform_classifier(self):
@@ -234,11 +242,10 @@ class TestTrain:
         counts = [g.num_pos, g.num_neg, g.num_edges]  # "+", "-", "?"
         weights = np.array([sum(counts) / (3 * k) for k in counts])
         nulls = _draw_nulls(edges, g.n, _null_pool(edges, g.n), g.num_edges, rng)
-        _, dwp, dwn, dtheta = _grad_step(tensors, params0, x, np.concatenate((edges, nulls)),
-                                         weights, cfg)
+        _, grads = _grad_step(tensors, params0, x, np.concatenate((edges, nulls)), weights, cfg)
         step = np.concatenate([(a - b).ravel() for a, b in
                                zip(res.params.arrays(), params0.arrays())])
-        grad = np.concatenate([a.ravel() for a in dwp + dwn + [dtheta]])
+        grad = np.concatenate([a.ravel() for a in grads])
         assert float(step @ grad) < 0.0
 
     def test_result_unpacks(self):
