@@ -56,10 +56,6 @@ class UtilityScores:
     mu: float
     scores: dict[tuple[int, int], Optional[float]]
 
-    def verdict(self, u: int, v: int) -> str:
-        key = (u, v) if u < v else (v, u)
-        return filter_edge(self.scores[key], self.mu)
-
     @property
     def kept(self) -> int:
         return sum(1 for s in self.scores.values() if filter_edge(s, self.mu) == KEEP)

@@ -91,7 +91,7 @@ _KEYS = {
                  **_ETA, **_SPLIT, **_TRAIN, **_COMMON},
     "sweep": {**_DATA, "augmentation": _key("sigaug"), **_RUNS,
               **{key + "_grid": _key((d,)) for key, (_t, d) in _TARGETS.items()},
-              "max_cells": _key(evaluate.MAX_CELLS), **_ETA, **_SPLIT, **_TRAIN, **_COMMON},
+              **_ETA, **_SPLIT, **_TRAIN, **_COMMON},
 }
 
 
@@ -294,7 +294,7 @@ def cmd_sweep(cfg: dict) -> int:
     exp = _checked(_experiment_config, cfg)
     grid = {key: list(cfg[key + "_grid"]) for key in ("mu", "theta", "delta")}
     # sweep checks every cell before the dataset loads; its ValueError is bad input
-    rows = _checked(evaluate.sweep, exp, grid, max_cells=cfg["max_cells"])
+    rows = _checked(evaluate.sweep, exp, grid)
     lines = ["mu,theta,delta,mean_auc,std"]
     lines += [f"{mu!r},{th!r},{de!r},{mean!r},{std!r}" for mu, th, de, mean, std in rows]
     _emit("\n".join(lines), cfg["output"])

@@ -58,6 +58,8 @@ class ExperimentConfig:
         check_eta(self.eta)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
 
@@ -227,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig, graph: Optional[SignedGraph] = None) -
     predict -> metrics, with seed = base_seed + run index; then aggregate.
 
     A split that split_edges refuses raises its ValueError before run 0 trains
-    (whether a split holds out an edge does not depend on the seed); any other
+    (the held-out count does not depend on the seed); any other
     failure of run r raises RuntimeError("run r failed: ...")."""
     g = graph if graph is not None else _load_dataset(cfg)
     per_run: dict = {name: [] for name in METRIC_NAMES}
@@ -246,23 +248,18 @@ def run_experiment(cfg: ExperimentConfig, graph: Optional[SignedGraph] = None) -
     return MetricReport(per_run=per_run, aux=aux)
 
 
-def sweep_cells(cfg: ExperimentConfig, grid: dict, max_cells: int = MAX_CELLS) -> list:
-    """One checked ExperimentConfig per (mu, theta, delta) grid cell, in grid
-    order. Refuses grids larger than max_cells and any cell's rejected value."""
+def sweep(cfg: ExperimentConfig, grid: dict):
+    """Evaluate run_experiment over the (mu, theta, delta) grid, rows in grid
+    order. An empty axis, a grid of more than MAX_CELLS cells and any cell's
+    rejected value are refused before the dataset loads."""
     for key in ("mu", "theta", "delta"):
         if key not in grid or not grid[key]:
             raise ValueError(f"grid is missing non-empty axis {key!r}")
-    cells = len(grid["mu"]) * len(grid["theta"]) * len(grid["delta"])
-    if cells > max_cells:
-        raise ValueError(f"grid has {cells} cells, more than the cap of {max_cells}")
-    return [replace(cfg, mu=mu, theta=theta, delta=delta)
-            for mu, theta, delta in product(grid["mu"], grid["theta"], grid["delta"])]
-
-
-def sweep(cfg: ExperimentConfig, grid: dict, max_cells: int = MAX_CELLS):
-    """Evaluate run_experiment over the (mu, theta, delta) grid, rows in grid
-    order. Every cell is checked (see sweep_cells) before the dataset loads."""
-    cells = sweep_cells(cfg, grid, max_cells)
+    count = len(grid["mu"]) * len(grid["theta"]) * len(grid["delta"])
+    if count > MAX_CELLS:
+        raise ValueError(f"grid has {count} cells, more than the cap of {MAX_CELLS}")
+    cells = [replace(cfg, mu=mu, theta=theta, delta=delta)
+             for mu, theta, delta in product(grid["mu"], grid["theta"], grid["delta"])]
     g = _load_dataset(cfg)
     rows = []
     for cell in cells:

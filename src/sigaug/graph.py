@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -12,7 +12,6 @@ import scipy.sparse as sp
 POS = 1
 NEG = -1
 
-CONFLICT_POLICIES = ("negative_wins", "last_wins", "majority")
 FORMATS = ("rating", "signed")
 
 
@@ -31,7 +30,6 @@ class RatingRecord:
     source: str
     target: str
     rating: int
-    timestamp: Optional[int] = None
 
 
 class SignedGraph:
@@ -96,13 +94,6 @@ class SignedGraph:
     def degree(self, u: int) -> int:
         return len(self._pos[u]) + len(self._neg[u])
 
-    def without_edge(self, u: int, v: int) -> "SignedGraph":
-        """A copy with edge {u, v} removed (error if absent)."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"no edge ({u}, {v}) to remove")
-        key = (u, v) if u < v else (v, u)
-        return SignedGraph(self.n, (e for e in self._edges if (e[0], e[1]) != key))
-
     def __eq__(self, other):
         if not isinstance(other, SignedGraph):
             return NotImplemented
@@ -142,8 +133,9 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
     Each data line holds `source target weight [timestamp]`, comma- or
     whitespace-separated; lines starting with '#' or '%' are comments. With
     format="rating" the weight is an integer rating in [-10, 10]; with
-    format="signed" it must already be +1 or -1. `source` may be a file object
-    (text or binary), bytes, or str content.
+    format="signed" it must already be +1 or -1. A timestamp must be an integer
+    and is not kept. `source` may be a file object (text or binary), bytes, or
+    str content.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
@@ -170,55 +162,42 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
             raise ParseError(lineno, f"rating {rating} outside [-10, 10]")
         if format == "signed" and rating not in (POS, NEG):
             raise ParseError(lineno, f"sign {rating} not in {{+1, -1}}")
-        ts = _parse_int(fields[3], lineno, "timestamp") if len(fields) == 4 else None
-        records.append(RatingRecord(src, dst, rating, ts))
+        if len(fields) == 4:
+            _parse_int(fields[3], lineno, "timestamp")
+        records.append(RatingRecord(src, dst, rating))
     return records
 
 
-def build_graph(records: list[RatingRecord], conflict_policy: str = "negative_wins") -> SignedGraph:
+def build_graph(records: list[RatingRecord]) -> SignedGraph:
     """Symmetrize directed records into a SignedGraph.
 
     Labels are mapped to dense ids in first-appearance order (source before
     target, record order). Ratings > 0 become +1 edges, ratings <= 0 become -1.
-    Self-loops are dropped. Duplicate directed records over the same unordered
-    pair are collapsed per `conflict_policy`:
-
-    - negative_wins: any -1 among the duplicates wins (default; negative
-      information is scarcer and more informative),
-    - last_wins: the last record in file order wins,
-    - majority: the more frequent sign wins, ties resolved to -1.
+    Self-loops are dropped. Duplicate and reciprocal records over the same
+    unordered pair collapse to one edge, negative if any of them is negative:
+    negative information is scarcer and more informative.
     """
-    if conflict_policy not in CONFLICT_POLICIES:
-        raise ValueError(f"unknown conflict policy {conflict_policy!r}")
     ids: dict[str, int] = {}
     for rec in records:
         for label in (rec.source, rec.target):
             if label not in ids:
                 ids[label] = len(ids)
-    pair_signs: dict[tuple[int, int], list[int]] = {}
+    pair_sign: dict[tuple[int, int], int] = {}
     for rec in records:
         u, v = ids[rec.source], ids[rec.target]
         if u == v:
             continue
         key = (u, v) if u < v else (v, u)
-        pair_signs.setdefault(key, []).append(POS if rec.rating > 0 else NEG)
-    edges = []
-    for (u, v), signs in pair_signs.items():
-        if conflict_policy == "negative_wins":
-            s = NEG if NEG in signs else POS
-        elif conflict_policy == "last_wins":
-            s = signs[-1]
-        else:
-            s = POS if sum(signs) > 0 else NEG
-        edges.append((u, v, s))
-    return SignedGraph(len(ids), edges)
+        if pair_sign.get(key) != NEG:  # a negative record wins
+            pair_sign[key] = POS if rec.rating > 0 else NEG
+    return SignedGraph(len(ids), ((u, v, s) for (u, v), s in pair_sign.items()))
 
 
 def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     """Hold out round(test_fraction * |edges|) edges uniformly at random.
 
-    Refuses a fraction that rounds to no held-out edge. Deterministic for a
-    given seed. The train graph keeps all n nodes.
+    Refuses a fraction that rounds to no held-out edge or to every edge.
+    Deterministic for a given seed. The train graph keeps all n nodes.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -228,6 +207,8 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     k = int(math.floor(test_fraction * m + 0.5))
     if k == 0:
         raise ValueError(f"test_fraction={test_fraction} holds out no edge of m={m}")
+    if k == m:
+        raise ValueError(f"test_fraction={test_fraction} holds out every edge of m={m}")
     rng = np.random.default_rng(seed)
     picked = set(rng.choice(m, size=k, replace=False).tolist())
     edges = g.edges()

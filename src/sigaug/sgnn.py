@@ -50,7 +50,6 @@ class TrainConfig:
     embed_dim: int = 64
     feature_dim: int = 64
     layers: int = 2
-    class_weights: Optional[dict] = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -67,8 +66,8 @@ class TrainConfig:
             raise ValueError("feature_dim must be >= 1")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if any(not 0 < w < math.inf for w in (self.class_weights or {}).values()):
-            raise ValueError("class weights must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -149,9 +148,6 @@ class TrainResult:
     params: ModelParams
     embeddings: EmbeddingPair
     loss_trace: list = field(default_factory=list)
-
-    def __iter__(self):  # allow `params, embeddings = train(...)`
-        return iter((self.params, self.embeddings))
 
 
 @dataclass(frozen=True)
@@ -277,12 +273,10 @@ def _edge_rows(g: SignedGraph) -> np.ndarray:
     return rows
 
 
-def _class_weights(rows: np.ndarray, override: Optional[dict]) -> np.ndarray:
-    """Per-class loss weights indexed by class: `override` (by label, naming every class
-    present) if given, else total / (k * count) over the k classes present."""
+def _class_weights(rows: np.ndarray) -> np.ndarray:
+    """Per-class loss weights indexed by class: total / (k * count) over the k
+    classes present, 0 for an absent class."""
     counts = np.bincount(rows[:, 2], minlength=len(CLASSES))
-    if override:
-        return np.array([override[c] if k else 0.0 for c, k in zip(CLASSES, counts)], float)
     weights = np.zeros(len(CLASSES))
     np.divide(len(rows), np.count_nonzero(counts) * counts, out=weights, where=counts > 0)
     return weights
@@ -370,7 +364,7 @@ def loss(Z: np.ndarray, samples, params: ModelParams, cfg: TrainConfig) -> float
     trainer's (u, v, class index) rows; the pair feature is [Z_min(u,v) || Z_max(u,v)].
     """
     rows = np.array([(u, v, CLASSES.index(c)) for u, v, c in samples], np.int64).reshape(-1, 3)
-    weights = _class_weights(rows, cfg.class_weights)
+    weights = _class_weights(rows)
     ce, hinge, _, _ = _loss_grads(np.asarray(Z, dtype=np.float64), rows,
                                   params.theta, cfg.lam, weights)
     return ce + hinge + _reg(params, cfg.weight_decay)
@@ -452,7 +446,7 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
     for epoch in range(cfg.epochs):
         rows = np.concatenate((edges, _draw_nulls(edges, sup.n, pool, len(edges), rng)))
         if epoch == 0:  # every epoch draws the same number of samples per class
-            weights = _class_weights(rows, cfg.class_weights)
+            weights = _class_weights(rows)
         value, grads = _grad_step(tensors, params, x, rows, weights, cfg,
                                   warn_missing=epoch == 0)
         trace.append(value)
@@ -480,7 +474,7 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
     edges = _edge_rows(g)
     rows = np.concatenate((edges, _draw_nulls(edges, g.n, _null_pool(edges, g.n),
                                               max(g.num_edges, 1), rng)))
-    weights = _class_weights(rows, cfg.class_weights)
+    weights = _class_weights(rows)
 
     _, grads = _grad_step(tensors, params, x, rows, weights, cfg)
     analytic = np.concatenate([a.ravel() for a in grads])
@@ -556,10 +550,14 @@ def load_embeddings(path) -> EmbeddingPair:
             if node != len(rows):
                 raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
                                  f"integers, got {fields[0]!r}")
+            if len(fields) == 1:
+                raise ValueError(f"{path}:{lineno}: node {node} has no embedding values")
             try:
                 rows.append([float(v) for v in fields[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{lineno}: non-finite embedding value")
             if len(rows[-1]) != len(rows[0]):
                 raise ValueError(f"{path}:{lineno}: {len(rows[-1])} values, "
                                  f"the first row has {len(rows[0])}")

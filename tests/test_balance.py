@@ -221,7 +221,7 @@ class TestComputeUtilities:
         g = sg.SignedGraph(4, [(0, 1, -1), (2, 3, 1)])
         scores = sg.compute_utilities(g, eta=3, mu=0.7)
         assert scores.undefined == 1 and scores.scores[(0, 1)] is None
-        assert scores.verdict(0, 1) == KEEP
+        assert sg.filter_edge(scores.scores[(0, 1)], scores.mu) == KEEP
 
 
 class TestEntropy:

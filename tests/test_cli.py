@@ -7,7 +7,7 @@ import pytest
 
 import sigaug as sg
 from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        format_config, parse_config_text, resolve_config)
+                        _experiment_config, format_config, parse_config_text, resolve_config)
 
 
 def run_cli(*args, **kw):
@@ -137,7 +137,10 @@ class TestTrainAugmentCmds:
         ("0 0.1 0.2\n1 0.3 0.4\n2 0.5 0.6\n", "bad.emb:"),                # 3 rows, 4 nodes
         ("0 0.1 0.2\n1 0.3 0.4\n2 0.5 zz\n3 0.7 0.8\n", "bad.emb:3:"),   # non-numeric value
         ("0 0.1 0.2\n1 0.3\n2 0.5 0.6\n3 0.7 0.8\n", "bad.emb:2:"),      # short row
-    ], ids=["non_integer_id", "non_dense_ids", "row_count", "non_numeric", "width"])
+        ("0\n1\n2\n3\n", "bad.emb:1: node 0 has no embedding values"),  # ids only
+        ("0 0.1 0.2\n1 nan 0.4\n2 0.5 0.6\n3 0.7 0.8\n", "bad.emb:2: non-finite"),
+    ], ids=["non_integer_id", "non_dense_ids", "row_count", "non_numeric", "width",
+            "no_values", "non_finite"])
     def test_malformed_embeddings_exit_code(self, tmp_path, emb_text, where):
         data = tmp_path / "c4.txt"
         data.write_text(C4_FILE)
@@ -203,7 +206,7 @@ class TestExitCodes:
         (["sweep", "--eta", "9"], "eta must be"),
         (["sweep", "--mu-grid", "0.95"], "mu must be"),
         (["sweep", "--delta-grid", "0.2,1.5"], "delta must be"),
-        (["sweep", "--max-cells", "0"], "cap of 0"),
+        (["sweep", "--delta-grid", ",".join(["0.2"] * 201)], "201 cells, more than the cap"),
         (["augment", "--eta", "9", "--embeddings", "model.emb"], "eta must be"),
         (["train", "--epochs", "0"], "epochs must be"),
         (["balance", "--mu", "2"], "mu must be"),
@@ -217,12 +220,16 @@ class TestExitCodes:
         (["augment", "--theta", "inf", "--embeddings", "model.emb"], "theta_target must be"),
         (["train", "--learning-rate", "inf"], "learning_rate must be"),
         (["balance", "--mu", "nan"], "mu must be"),
+        (["train", "--seed", "-1"], "seed must be"),
+        (["evaluate", "--seed", "-1"], "seed must be"),
+        (["sweep", "--seed", "-1"], "seed must be"),
     ], ids=["evaluate_eta", "evaluate_mu", "evaluate_epochs", "evaluate_format", "sweep_eta",
             "sweep_mu_grid", "sweep_delta_grid", "sweep_max_cells", "augment_eta",
             "train_epochs", "balance_mu", "balance_eta", "evaluate_theta_nan",
             "evaluate_theta_inf", "evaluate_learning_rate_nan", "evaluate_lambda_nan",
             "evaluate_weight_decay_nan", "sweep_theta_grid_nan", "augment_theta_inf",
-            "train_learning_rate_inf", "balance_mu_nan"])
+            "train_learning_rate_inf", "balance_mu_nan", "train_seed", "evaluate_seed",
+            "sweep_seed"])
     def test_rejected_config_value(self, tmp_path, args, message):
         proc = run_cli(*args, "--dataset", str(tmp_path / "missing.txt"), "--quiet")
         assert proc.returncode == EXIT_IO, proc.stderr
@@ -243,6 +250,14 @@ class TestExitCodes:
                        "--quiet")
         assert proc.returncode == EXIT_IO, proc.stderr
         assert "input error: test_fraction=0.0005 holds out no edge of m=520" in proc.stderr
+        assert "run 0" not in proc.stderr
+
+    @pytest.mark.parametrize("sub", ["evaluate", "sweep"])
+    def test_empty_train_split(self, congress_path, sub):
+        proc = run_cli(sub, "--dataset", str(congress_path), "--test-fraction", "0.9995",
+                       "--quiet")
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "input error: test_fraction=0.9995 holds out every edge of m=520" in proc.stderr
         assert "run 0" not in proc.stderr
 
     def test_unknown_format(self, congress_path):
@@ -338,3 +353,18 @@ def test_cli_defaults_match_library_defaults():
                       ("sweep", ("eta", "runs", "test_fraction"))):
         for key in keys:
             assert _KEYS[sub][key][1] == experiment[key], (sub, key)
+
+
+def test_every_config_field_is_set_by_a_cli_key():
+    # a non-default value for each evaluate key; a field left at its default is
+    # settable only from code
+    flags = {"dataset": "d.txt", "format": "rating", "augmentation": "sigaug", "runs": 2,
+             "mu": 0.6, "theta": 0.5, "delta": 0.3, "eta": 3, "test_fraction": 0.3,
+             "seed": 1, "epochs": 2, "learning_rate": 0.5, "lambda": 1.0,
+             "weight_decay": 0.5, "dim": 8, "feature_dim": 4, "layers": 1}
+    exp = _experiment_config(resolve_config("evaluate", {}, flags))
+    default = sg.ExperimentConfig(dataset="")
+    for got, want in ((exp, default), (exp.train, default.train)):
+        for f in fields(got):
+            if f.name != "train":
+                assert getattr(got, f.name) != getattr(want, f.name), f.name

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import sigaug as sg
 from sigaug.balance import ETA_MAX, ETA_MIN, check_eta, check_mu
 from sigaug.evaluate import (ExperimentConfig, MetricReport, NEG_LABEL, POS_LABEL,
-                             run_experiment, sweep, sweep_cells)
+                             MAX_CELLS, run_experiment, sweep)
 from sigaug.sgnn import TrainConfig
 
 
@@ -250,9 +250,8 @@ class TestSweep:
 
     def test_cap_refusal(self, congress_path):
         cfg = tiny_experiment(congress_path)
-        with pytest.raises(ValueError, match="8 cells"):
-            sweep(cfg, {"mu": [0.1, 0.2], "theta": [0.5, 1.0], "delta": [0.2, 0.4]},
-                  max_cells=4)
+        with pytest.raises(ValueError, match=f"{MAX_CELLS + 1} cells"):
+            sweep(cfg, {"mu": [0.1], "theta": [0.5], "delta": [0.2] * (MAX_CELLS + 1)})
 
     def test_missing_axis(self, congress_path):
         cfg = tiny_experiment(congress_path)
@@ -263,8 +262,6 @@ class TestSweep:
         cfg = ExperimentConfig(dataset=str(tmp_path / "missing.txt"))
         with pytest.raises(ValueError, match="mu must be"):
             sweep(cfg, {"mu": [0.7, 0.95], "theta": [1 / 9], "delta": [0.6]})
-        cells = sweep_cells(cfg, {"mu": [0.1, 0.5], "theta": [1 / 9], "delta": [0.2, 0.4]})
-        assert [(c.mu, c.delta) for c in cells] == [(0.1, 0.2), (0.1, 0.4), (0.5, 0.2), (0.5, 0.4)]
 
     def test_perturbation_beats_identity(self, congress_path):
         cfg = tiny_experiment(congress_path, augmentation="sigaug", runs=2,

@@ -14,7 +14,9 @@ from conftest import random_signed_graph
 class TestLoadEdgeList:
     def test_rating_line_with_timestamp(self):
         recs = sg.load_edge_list(io.BytesIO(b"7188,1,10,1407470400"), "rating")
-        assert recs == [sg.RatingRecord("7188", "1", 10, 1407470400)]
+        assert recs == [sg.RatingRecord("7188", "1", 10)]
+        with pytest.raises(ParseError, match="line 1: non-numeric timestamp"):
+            sg.load_edge_list("7188,1,10,noon", "rating")
 
     def test_empty_stream(self):
         assert sg.load_edge_list(io.BytesIO(b""), "rating") == []
@@ -59,18 +61,9 @@ class TestBuildGraph:
 
     def test_negative_wins_policy(self):
         recs = [sg.RatingRecord("a", "b", 5), sg.RatingRecord("b", "a", -2)]
-        g = sg.build_graph(recs, "negative_wins")
+        g = sg.build_graph(recs)
         assert g.sign(0, 1) == -1
-
-    def test_last_wins_policy(self):
-        recs = [sg.RatingRecord("a", "b", -5), sg.RatingRecord("b", "a", 2)]
-        assert sg.build_graph(recs, "last_wins").sign(0, 1) == 1
-
-    def test_majority_policy_with_tie(self):
-        recs = [sg.RatingRecord("a", "b", 5), sg.RatingRecord("b", "a", -2)]
-        assert sg.build_graph(recs, "majority").sign(0, 1) == -1
-        recs.append(sg.RatingRecord("a", "b", 1))
-        assert sg.build_graph(recs, "majority").sign(0, 1) == 1
+        assert sg.build_graph(recs[::-1]).sign(0, 1) == -1
 
     def test_zero_rating_maps_negative(self):
         g = sg.build_graph([sg.RatingRecord("a", "b", 0)])
@@ -106,10 +99,6 @@ class TestBuildGraph:
         g = sg.build_graph([])
         assert g.n == 0 and g.num_edges == 0
 
-    def test_bad_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            sg.build_graph([], "first_wins")
-
 
 class TestSignedGraph:
     def test_rejects_bad_edges(self):
@@ -127,13 +116,6 @@ class TestSignedGraph:
         assert g.pos_neighbors(0) == {1}
         assert g.neg_neighbors(0) == {2}
         assert g.degree(2) == 2 and g.sign(1, 3) == 0
-
-    def test_without_edge(self):
-        g = sg.SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
-        g2 = g.without_edge(2, 1)
-        assert g2.num_edges == 1 and not g2.has_edge(1, 2)
-        with pytest.raises(ValueError):
-            g2.without_edge(1, 2)
 
 
 class TestSplitEdges:
@@ -178,6 +160,12 @@ class TestSplitEdges:
         with pytest.raises(ValueError, match="test_fraction=0.0005 .* m=520"):
             sg.split_edges(congress_graph, 0.0005, 0)
         assert len(sg.split_edges(congress_graph, 0.001, 0).test) == 1
+
+    def test_refuses_an_empty_train_set(self, congress_graph):
+        # round(0.9995 * 520) == 520: no edge would be left to train on
+        with pytest.raises(ValueError, match="test_fraction=0.9995 holds out every edge of m=520"):
+            sg.split_edges(congress_graph, 0.9995, 0)
+        assert len(sg.split_edges(congress_graph, 0.999, 0).test) == 519
 
     def test_congress_test_size(self, congress_graph):
         split = sg.split_edges(congress_graph, 0.2, seed=0)
