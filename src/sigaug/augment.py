@@ -3,9 +3,12 @@
 Turns branch embeddings into edge-propensity matrices, then repeatedly perturbs
 the extreme entries: the best non-edge is added and the worst existing edge
 removed, per sign. The matrices are fixed for the run and a spent pair never
-returns, so each (sign, action) slot's picks are its candidates sorted once:
-the four candidate pools are ranked up front and walked. Negative candidates
-pass through the edge-utility filter evaluated on the current working graph,
+returns, so each (sign, action) slot's picks are its candidates in one fixed
+order, walked from the front. The remove pools (the original edges) are sorted
+up front. The add pools span all n^2/2 pairs, of which a run reads few, so
+they are ranked lazily, a chunk of the best remaining pairs at a time.
+Negative candidates pass through the edge-utility filter, a one-pair walk
+count (`balance.pair_utility`) evaluated on the current working graph,
 and `LogEntry.performed` is the one place its verdict decides: additions need
 a keep verdict, removals a discard verdict (high-utility negatives are
 retained, noise negatives go). A regulator steers the running ratio of
@@ -46,6 +49,10 @@ DIAG_SENTINEL = -1e30
 
 _RECIPROCAL_GUARD = 1e-8
 _RATIO_TOL = 1e-9
+
+# add-pool ranking: rows per block of one pass, and pairs ranked by the first refill
+_ROW_BLOCK = 128
+_FIRST_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -186,18 +193,65 @@ def epr_check(log: PerturbationLog, cfg: EPRConfig, original_edge_count: int) ->
     return CONTINUE
 
 
+def _top(vals: np.ndarray, k: int) -> np.ndarray:
+    """The k largest of vals, unordered (all of them if there are fewer)."""
+    return vals if vals.size <= k else np.partition(vals, vals.size - k)[vals.size - k:]
+
+
+def _ranked_pairs(values: np.ndarray):
+    """Upper-triangle keys u * n + v of an n x n matrix, highest value first
+    and ties in key order: the order of a stable sort by descending value.
+
+    Ranked lazily, a chunk at a time. One pass over fixed row blocks keeps
+    each block's top `chunk` values among the entries not yet ranked; the
+    chunk-th largest of those is the new threshold. A second pass collects
+    every unranked entry at or above it, so a tie run goes in whole, and
+    yields them stable-sorted by value. Each refill doubles the chunk, so no
+    array of all n^2/2 pairs is built unless the pool is walked that far.
+    Values must not be NaN.
+    """
+    n = values.shape[0]
+    chunk = _FIRST_CHUNK
+    below = math.inf  # every entry ranked so far is >= below, every other one < below
+
+    def unranked():
+        """(first row, block, mask of its unranked upper entries) per row block."""
+        for r0 in range(0, n - 1, _ROW_BLOCK):
+            r1 = min(r0 + _ROW_BLOCK, n - 1)
+            block = values[r0:r1, r0 + 1:]
+            upper = np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
+            yield r0, block, upper & (block < below)
+
+    while n > 1:
+        tops = np.concatenate([_top(block[mask], chunk) for _r0, block, mask in unranked()])
+        if tops.size == 0:
+            return
+        kth = _top(tops, chunk).min()
+        keys, vals = [], []
+        for r0, block, mask in unranked():
+            mask &= block >= kth
+            rows, cols = np.nonzero(mask)
+            keys.append((rows + r0) * n + (cols + r0 + 1))
+            vals.append(block[mask])
+        keys, vals = np.concatenate(keys), np.concatenate(vals)
+        yield from keys[np.argsort(-vals, kind="stable")]
+        below = kth
+        chunk *= 2
+
+
 class AugmentationState:
     """Mutable working state of one augmentation run (single-owner).
 
-    The candidates of each (sign, action) slot form one pool, ranked once here:
-    add pools hold every upper-triangle pair, highest value first; remove pools
-    hold the original edges of their sign, lowest value first. The sort is
-    stable over row-major pairs, so ties fall in the order an argmax/argmin
-    scan would break them. This equals rescanning the remaining candidates
-    before every action because the values never change during a run and a
-    pair that leaves a pool never comes back. `taken` holds the original edges
-    plus every pair already picked; add pools skip those pairs. Remove pools
-    never need to: no other slot can take an original edge.
+    The candidates of each (sign, action) slot form one pool, each ranked in
+    one fixed order: add pools hold every upper-triangle pair, highest value
+    first, ranked lazily by `_ranked_pairs`; remove pools hold the original
+    edges of their sign, lowest value first, sorted here. Both orders break
+    ties by row-major key, as an argmax/argmin scan would. Walking the pools
+    equals rescanning the remaining candidates before every action because
+    the values never change during a run and a pair that leaves a pool never
+    comes back. `taken` holds the original edges plus every pair already
+    picked; add pools skip those pairs. Remove pools never need to: no other
+    slot can take an original edge.
     """
 
     def __init__(self, g: SignedGraph, probs: ProbabilityMatrices, cfg: EPRConfig):
@@ -213,12 +267,10 @@ class AugmentationState:
         self.log = PerturbationLog()
         # pairs as row-major flat keys u * n + v, u < v; g.edges() is in that order
         self.taken = {u * n + v for u, v, _ in g.edges()}
-        upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
         self.pools = {}
-        # one expression per pool: each sort's n^2/2 scratch is freed before the next
         for sign, values in ((1, probs.mpos), (-1, probs.mneg)):
             edges = np.array([u * n + v for u, v, s in g.edges() if s == sign], dtype=np.intp)
-            self.pools[sign, ADD] = iter(upper[np.argsort(-values.take(upper), kind="stable")])
+            self.pools[sign, ADD] = _ranked_pairs(values)
             self.pools[sign, REMOVE] = iter(edges[np.argsort(values.take(edges), kind="stable")])
 
     def _pick(self, sign: int, action: str):
@@ -250,7 +302,7 @@ def perturb_step(state: AugmentationState) -> int:
     logged; 0 means every slot's pool is empty or steered away, which is the
     stop signal to the driver.
 
-    Each slot takes the next pair of its pool, ranked once: the pair a fresh
+    Each slot takes the next pair of its pool in its fixed order: the pair a fresh
     argmax/argmin scan would pick (AugmentationState says why). Positive
     actions are ungated. Negative candidates pass through the utility filter
     on the current working graph, and the logged entry's `performed` decides

@@ -186,40 +186,61 @@ def filter_edge(utility: Optional[float], mu: float) -> str:
     return KEEP if utility >= mu else DISCARD
 
 
+def _hops(pos_adj: Sequence[set], neg_adj: Sequence[set], start: int,
+          hops: int) -> list[tuple[dict, dict]]:
+    """(even, odd) walk counts by end node for each length 0..hops from start;
+    odd means an odd number of negative edges."""
+    even: dict[int, int] = {start: 1}
+    odd: dict[int, int] = {}
+    out = [(even, odd)]
+    for _length in range(hops):
+        even2: dict[int, int] = {}
+        odd2: dict[int, int] = {}
+        for same, flip, counts in ((even2, odd2, even), (odd2, even2, odd)):
+            for w, cnt in counts.items():
+                for x in pos_adj[w]:
+                    same[x] = same.get(x, 0) + cnt
+                for x in neg_adj[w]:
+                    flip[x] = flip.get(x, 0) + cnt
+        even, odd = even2, odd2
+        out.append((even, odd))
+    return out
+
+
+def _dot(a: dict, b: dict) -> int:
+    """Sum over shared nodes of the product of two walk-count dicts."""
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(cnt * b.get(w, 0) for w, cnt in a.items())
+
+
 def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
                  eta: int = ETA_DEFAULT) -> Optional[float]:
     """Incremental utility of the pair (u, v) on neighbor-set adjacency.
 
     Counts the same walk quantities as count_cycles/edge_utility but only for
-    the one pair, in O(local degree) work, so the augmenter can score a
-    candidate edge against the current working graph without rebuilding the
-    full count matrices. The candidate edge itself is not assumed present.
+    the one pair, in local work, so the augmenter can score a candidate edge
+    against the current working graph without rebuilding the full count
+    matrices. The candidate edge itself is not assumed present.
+
+    The walks meet in the middle: walk counts by end node and sign parity
+    grow ceil((eta-1)/2) hops from u and floor((eta-1)/2) hops from v, and a
+    length-L walk u -> v splits at its node w after ceil(L/2) hops. Its parity
+    is the sum of the two halves' parities (odd = even*odd + odd*even). The
+    counts are exact integers, so the share is the same float as from the
+    count matrices.
     """
     check_eta(eta)
-    odd: dict[int, int] = {}
-    even: dict[int, int] = {}
-    for w in pos_adj[u]:
-        even[w] = even.get(w, 0) + 1
-    for w in neg_adj[u]:
-        odd[w] = odd.get(w, 0) + 1
+    from_u = _hops(pos_adj, neg_adj, u, eta // 2)
+    from_v = _hops(pos_adj, neg_adj, v, (eta - 1) // 2)
     num = 0
     den = 0
-    for _length in range(2, eta):
-        odd2: dict[int, int] = {}
-        even2: dict[int, int] = {}
-        for w, cnt in odd.items():
-            for x in pos_adj[w]:
-                odd2[x] = odd2.get(x, 0) + cnt
-            for x in neg_adj[w]:
-                even2[x] = even2.get(x, 0) + cnt
-        for w, cnt in even.items():
-            for x in pos_adj[w]:
-                even2[x] = even2.get(x, 0) + cnt
-            for x in neg_adj[w]:
-                odd2[x] = odd2.get(x, 0) + cnt
-        odd, even = odd2, even2
-        num += odd.get(v, 0)
-        den += odd.get(v, 0) + even.get(v, 0)
+    for length in range(2, eta):
+        even_u, odd_u = from_u[(length + 1) // 2]
+        even_v, odd_v = from_v[length // 2]
+        odd = _dot(even_u, odd_v) + _dot(odd_u, even_v)
+        num += odd
+        den += odd + _dot(even_u, even_v) + _dot(odd_u, odd_v)
     if den == 0:
         return None
     return num / den

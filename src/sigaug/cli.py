@@ -73,8 +73,9 @@ _TRAIN_FIELDS = {"epochs": "epochs", "learning_rate": "learning_rate", "lambda":
                  "feature_dim": "feature_dim", "layers": "layers"}
 
 # key -> (type, default) per subcommand; this is the whole resolvable surface
-_COMMON = {"seed": _key(_DEFAULT.base_seed), "output": _key(""), "quiet": _key(False)}
+_COMMON = {"output": _key(""), "quiet": _key(False)}
 _TRAIN = {key: _key(getattr(_DEFAULT.train, f)) for key, f in _TRAIN_FIELDS.items()}
+_SEED = {"seed": _key(_DEFAULT.base_seed)}  # only the subcommands that train read one
 _DATA = {"dataset": _key(""), "format": _key(_DEFAULT.input_format)}
 _TARGETS = {key: _key(getattr(_DEFAULT, key)) for key in ("mu", "theta", "delta")}
 _ETA = {"eta": _key(_DEFAULT.eta)}
@@ -84,14 +85,14 @@ _SPLIT = {"test_fraction": _key(_DEFAULT.test_fraction)}
 _KEYS = {
     "stats": {**_DATA, **_COMMON},
     "balance": {**_DATA, **_ETA, "mu": _TARGETS["mu"], **_COMMON},
-    "train": {**_DATA, **_TRAIN, **_COMMON},
+    "train": {**_DATA, **_TRAIN, **_SEED, **_COMMON},
     "augment": {**_DATA, "embeddings": _key(""), **_TARGETS, **_ETA, "log": _key(""),
                 **_COMMON},
     "evaluate": {**_DATA, "augmentation": _key(_DEFAULT.augmentation), **_RUNS, **_TARGETS,
-                 **_ETA, **_SPLIT, **_TRAIN, **_COMMON},
+                 **_ETA, **_SPLIT, **_TRAIN, **_SEED, **_COMMON},
     "sweep": {**_DATA, "augmentation": _key("sigaug"), **_RUNS,
               **{key + "_grid": _key((d,)) for key, (_t, d) in _TARGETS.items()},
-              **_ETA, **_SPLIT, **_TRAIN, **_COMMON},
+              **_ETA, **_SPLIT, **_TRAIN, **_SEED, **_COMMON},
 }
 
 

@@ -3,7 +3,8 @@
 This is the augmenter as first written, kept as the oracle for the library's
 `augment`. One block per (sign, action) slot, each with its own gate check,
 and the result built as two sparse adjacencies merged by `fuse`. It holds its
-own masks and selection so that a faster library path cannot change it.
+own masks, selection and utility gate (`reference_pair_utility`, one frontier
+grown eta-1 hops out from u) so that a faster library path cannot change it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,40 @@ import scipy.sparse as sp
 from sigaug.augment import (_RATIO_TOL, ADD, CONTINUE, NOT_GATED, REMOVE, LogEntry,
                             PerturbationLog, _ratio_error, _ratio_ok, edge_probabilities,
                             epr_check, fuse)
-from sigaug.balance import DISCARD, KEEP, filter_edge, pair_utility
+from sigaug.balance import DISCARD, KEEP, check_eta, filter_edge
+
+
+def reference_pair_utility(pos_adj, neg_adj, u, v, eta):
+    """Balanced share of the walks u -> v of lengths 2..eta-1, from one frontier
+    of (odd, even) walk counts grown a hop at a time out from u."""
+    check_eta(eta)
+    odd: dict[int, int] = {}
+    even: dict[int, int] = {}
+    for w in pos_adj[u]:
+        even[w] = even.get(w, 0) + 1
+    for w in neg_adj[u]:
+        odd[w] = odd.get(w, 0) + 1
+    num = 0
+    den = 0
+    for _length in range(2, eta):
+        odd2: dict[int, int] = {}
+        even2: dict[int, int] = {}
+        for w, cnt in odd.items():
+            for x in pos_adj[w]:
+                odd2[x] = odd2.get(x, 0) + cnt
+            for x in neg_adj[w]:
+                even2[x] = even2.get(x, 0) + cnt
+        for w, cnt in even.items():
+            for x in pos_adj[w]:
+                even2[x] = even2.get(x, 0) + cnt
+            for x in neg_adj[w]:
+                odd2[x] = odd2.get(x, 0) + cnt
+        odd, even = odd2, even2
+        num += odd.get(v, 0)
+        den += odd.get(v, 0) + even.get(v, 0)
+    if den == 0:
+        return None
+    return num / den
 
 
 class ReferenceState:
@@ -104,7 +138,7 @@ def reference_perturb_step(state):
         if pick is not None:
             u, v = pick
             state.mark_spent(u, v)
-            util = pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
+            util = reference_pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
             verdict = filter_edge(util, cfg.mu)
             if verdict == KEEP:
                 state.neg_adj[u].add(v)
@@ -117,7 +151,7 @@ def reference_perturb_step(state):
         if pick is not None:
             u, v = pick
             state.mark_spent(u, v)
-            util = pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
+            util = reference_pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
             verdict = filter_edge(util, cfg.mu)
             if verdict == DISCARD:
                 state.neg_adj[u].discard(v)

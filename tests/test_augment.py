@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sigaug as sg
-from sigaug.augment import (ADD, CONTINUE, DIAG_SENTINEL, NOT_GATED, STOP,
-                            AugmentationState, LogEntry, PerturbationLog)
+from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, CONTINUE, DIAG_SENTINEL,
+                            NOT_GATED, STOP, AugmentationState, LogEntry, PerturbationLog,
+                            _ranked_pairs, edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
 
 from augment_reference import reference_augment
@@ -350,3 +353,71 @@ class TestMatchesReference:
         pair = trained_pair(congress_graph, epochs=5)
         self.assert_same(congress_graph, pair,
                          sg.EPRConfig(theta_target=1 / 9, delta_target=0.6, mu=0.7))
+
+
+def stable_ranking(values):
+    """Upper-triangle keys by a stable sort on descending value: the add-pool order."""
+    n = values.shape[0]
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+    return upper[np.argsort(-values.take(upper), kind="stable")]
+
+
+class TestRankedPairs:
+    """The lazy add-pool ranking, walked to exhaustion, against one full stable sort."""
+
+    @staticmethod
+    def assert_ranked(values):
+        got = np.fromiter(_ranked_pairs(values), dtype=np.intp)
+        assert np.array_equal(got, stable_ranking(values))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2 * _ROW_BLOCK + 40),
+           decimals=st.sampled_from([0, 1, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_rounded_random_matrices(self, seed, n, decimals):
+        # few distinct values: long tie runs cross chunk and row-block boundaries
+        self.assert_ranked(np.round(np.random.default_rng(seed).normal(size=(n, n)), decimals))
+
+    def test_all_equal(self):
+        self.assert_ranked(np.full((_ROW_BLOCK + 5, _ROW_BLOCK + 5), 0.25))
+
+    def test_tie_run_straddles_first_chunk(self):
+        n = 80
+        assert n * (n - 1) // 2 > _FIRST_CHUNK + 50
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(n, n))
+        # distinct values by a random rank, then one tie run across the first refill
+        upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+        rank = rng.permutation(upper.size)
+        rank[(rank >= _FIRST_CHUNK - 50) & (rank < _FIRST_CHUNK + 50)] = _FIRST_CHUNK - 50
+        values.flat[upper] = -rank.astype(np.float64)
+        self.assert_ranked(values)
+
+    def test_rows_not_a_multiple_of_the_block(self):
+        n = 2 * _ROW_BLOCK + 37
+        self.assert_ranked(np.random.default_rng(4).normal(size=(n, n)))
+
+    def test_one_and_two_nodes(self):
+        assert list(_ranked_pairs(np.zeros((1, 1)))) == []
+        assert list(_ranked_pairs(np.zeros((2, 2)))) == [1]
+
+
+class TestPoolMemory:
+    def test_no_all_pairs_array(self):
+        # shaped like the n=1000, m=4000 benchmark graph; one int64 array over all
+        # n^2/2 upper pairs is 4 MB, and ranking both add pools in full needs about
+        # 17 MB where the lazy pools need about 5.5 MB
+        rng = np.random.default_rng(0)
+        n = 1000
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(4000, 2)).tolist()
+                 if p[0] != p[1]}
+        g = sg.SignedGraph(n, [(u, v, -1 if rng.random() < 0.2 else 1) for u, v in sorted(pairs)])
+        probs = edge_probabilities(sg.EmbeddingPair(*rng.normal(size=(2, n, 64))))
+        cfg = sg.EPRConfig(theta_target=1 / 9, delta_target=0.12, mu=0.7)
+        tracemalloc.start()
+        try:
+            state = AugmentationState(g, probs, cfg)
+            assert all(state._pick(sign, action) is not None for sign, action in _SLOTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import sigaug as sg
 from sigaug.balance import DISCARD, KEEP
 
+from augment_reference import reference_pair_utility
 from conftest import random_signed_graph
 
 
@@ -204,6 +205,29 @@ class TestPairUtility:
                 u, v = rng.choice(g.n, size=2, replace=False)
                 assert sg.pair_utility(pos_adj, neg_adj, int(u), int(v), 4) == \
                     sg.edge_utility(counts, int(u), int(v))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), density=st.floats(0.0, 0.5),
+           neg=st.floats(0.0, 1.0), isolate=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_frontier_walk_and_count_matrices(self, seed, n, density, neg, isolate):
+        # every ordered pair: edges and non-edges; node 0 isolated on request, and
+        # density 0 leaves every frontier empty
+        g = random_signed_graph(np.random.default_rng(seed), n, density, neg)
+        if isolate:
+            g = sg.SignedGraph(n, [(u, v, s) for u, v, s in g.edges() if u != 0])
+        pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
+        neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
+        for eta in range(3, 7):
+            counts = sg.count_cycles(*sg.split_adjacency(g), eta)
+            oracle = sg.oracle_count_cycles(g, eta)
+            for u in range(n):
+                for v in range(n):
+                    if u != v:
+                        # chained == also requires None in the same places
+                        assert sg.pair_utility(pos_adj, neg_adj, u, v, eta) == \
+                            reference_pair_utility(pos_adj, neg_adj, u, v, eta) == \
+                            sg.edge_utility(counts, u, v) == sg.edge_utility(oracle, u, v), \
+                            (eta, u, v)
 
     def test_eta_guardrail(self):
         with pytest.raises(ValueError):

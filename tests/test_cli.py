@@ -341,6 +341,17 @@ class TestConfigResolution:
         proc = run_cli("stats", "--dataset", str(congress_path), "--config", str(conf))
         assert proc.returncode == EXIT_IO
 
+    @pytest.mark.parametrize("sub", ["stats", "balance", "augment"])
+    def test_seed_refused_where_nothing_trains(self, tmp_path, congress_path, sub):
+        proc = run_cli(sub, "--dataset", str(congress_path), "--seed", "5")
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert "unrecognized arguments: --seed" in proc.stderr
+        conf = tmp_path / "seed.conf"
+        conf.write_text("seed = 5\n")
+        proc = run_cli(sub, "--dataset", str(congress_path), "--config", str(conf))
+        assert proc.returncode == EXIT_IO and proc.stdout == ""
+        assert f"config error: config line 1: unknown key 'seed' for {sub}" in proc.stderr
+
 
 def test_cli_defaults_match_library_defaults():
     train = {f.name: f.default for f in fields(sg.TrainConfig)}
