@@ -23,14 +23,10 @@ from .balance import (
     UtilityScores,
     compute_utilities,
     count_cycles,
-    edge_utility,
-    entropy_shares,
     expected_entropy_after_perturbation,
     filter_edge,
     oracle_count_cycles,
     pair_utility,
-    path_sign,
-    shannon_entropy,
 )
 from .sgnn import (
     EgoTree,
@@ -45,7 +41,6 @@ from .sgnn import (
     init_params,
     load_embeddings,
     load_params,
-    loss,
     save_embeddings,
     save_params,
     synth_features,
@@ -68,7 +63,6 @@ from .evaluate import (
     ExperimentConfig,
     MetricReport,
     auc,
-    boundary_diagnostics,
     classification_metrics,
     predict_test_edges,
     run_experiment,

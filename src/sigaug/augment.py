@@ -143,17 +143,24 @@ class AugmentedGraph:
 def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
     """Cosine scores per branch: mpos = Zp Zp^T, mneg = 1 / (Zn Zn^T).
 
-    Rows are L2-normalized first. The reciprocal keeps its sign; magnitudes
-    below 1e-8 are clamped to +-1e-8 before dividing so mneg stays finite.
-    Zero-norm rows yield zero similarity (with a warning) and fall under the
-    same guard. Both matrices are exactly symmetric: numpy computes `z @ z.T`
-    as one symmetric rank-k update (syrk), which fills one triangle and mirrors
-    it. Diagonals are set to a large negative sentinel: a node paired with
-    itself is never a candidate.
+    Rows are L2-normalized first; a row whose norm overflows is divided by its
+    largest magnitude before that. The reciprocal keeps its sign; magnitudes
+    below 1e-8 are clamped to +-1e-8 (zeros to +1e-8) before dividing, in
+    place, so mneg stays finite. Zero-norm rows yield zero similarity (with a
+    warning) and fall under the same guard. Both matrices are exactly
+    symmetric: numpy computes `z @ z.T` as one symmetric rank-k update (syrk),
+    which fills one triangle and mirrors it. Diagonals are set to a large
+    negative sentinel: a node paired with itself is never a candidate.
     """
 
     def normalize(z):
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflowed norm is handled below
+            norms = np.linalg.norm(z, axis=1, keepdims=True)
+        huge = ~np.isfinite(norms[:, 0])
+        if huge.any():  # bring those rows into range
+            z = z.copy()
+            z[huge] /= np.abs(z[huge]).max(axis=1, keepdims=True)
+            norms[huge] = np.linalg.norm(z[huge], axis=1, keepdims=True)
         bad = norms[:, 0] < 1e-300
         if bad.any():
             logger.warning("%d zero-norm embedding rows; similarities guarded", int(bad.sum()))
@@ -162,11 +169,11 @@ def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
 
     zp = normalize(np.asarray(pair.zpos, dtype=np.float64))
     zn = normalize(np.asarray(pair.zneg, dtype=np.float64))
+    mneg = zn @ zn.T
+    small = (mneg < _RECIPROCAL_GUARD) & (mneg > -_RECIPROCAL_GUARD)
+    mneg[small] = np.where(mneg[small] < 0, -_RECIPROCAL_GUARD, _RECIPROCAL_GUARD)
+    np.divide(1.0, mneg, out=mneg)
     mpos = zp @ zp.T
-    sim = zn @ zn.T
-    guarded = np.where(np.abs(sim) < _RECIPROCAL_GUARD,
-                       np.where(sim < 0, -_RECIPROCAL_GUARD, _RECIPROCAL_GUARD), sim)
-    mneg = 1.0 / guarded
     np.fill_diagonal(mpos, DIAG_SENTINEL)
     np.fill_diagonal(mneg, DIAG_SENTINEL)
     return ProbabilityMatrices(mpos=mpos, mneg=mneg)

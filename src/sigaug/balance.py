@@ -2,7 +2,8 @@
 
 Counts balanced/unbalanced signed walks closing through each node pair, scores
 edges by the share of balanced cycles they sit in, gates edges on that score,
-and provides the message-entropy diagnostics used to reason about perturbation.
+and bounds the expected message entropy after perturbation
+(`expected_entropy_after_perturbation`).
 
 Counting semantics are walk-based: the length-n matrices are built from
 adjacency products, so for n >= 4 they include degenerate back-and-forth walks.
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph, split_adjacency
+from .graph import SignedGraph
 
 KEEP = "keep"
 DISCARD = "discard"
@@ -81,18 +82,6 @@ def check_mu(mu) -> None:
         raise ValueError(f"mu must be in [0, {MU_MAX}], got {mu}")
 
 
-def path_sign(signs: Sequence[int]) -> int:
-    """Cumulative product of edge signs along a path: +1 iff negatives are even."""
-    if len(signs) == 0:
-        raise ValueError("path must contain at least one edge")
-    out = 1
-    for s in signs:
-        if s not in (1, -1):
-            raise ValueError(f"sign {s} not in {{+1, -1}}")
-        out *= s
-    return out
-
-
 def _check_adjacency_inputs(apos, aneg, eta):
     apos = sp.csr_matrix(apos, dtype=np.int64)
     aneg = sp.csr_matrix(aneg, dtype=np.int64)
@@ -118,6 +107,10 @@ def count_cycles(apos, aneg, eta: int = ETA_DEFAULT) -> CycleCountSet:
     cb(n) = cb(n-1)*Apos + cu(n-1)*Aneg and cu(n) = cb(n-1)*Aneg + cu(n-1)*Apos.
     The products stay sparse csr at every size. Diagonals are retained but
     carry no meaning for edge scoring.
+
+    Not on the program's path: compute_utilities and the augmenter's gate
+    count the same walks per pair with pair_utility. This all-pairs form is
+    the one the enumeration oracle checks.
     """
     ap, an = _check_adjacency_inputs(apos, aneg, eta)
     cb = {3: ap @ an + an @ ap}
@@ -162,22 +155,6 @@ def oracle_count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> CycleCountSet
     return CycleCountSet(eta=eta, cb=cb, cu=cu, c=c)
 
 
-def edge_utility(counts: CycleCountSet, u: int, v: int) -> Optional[float]:
-    """Share of balanced cycles among all cycles through the pair (u, v).
-
-    Sums lengths 3..eta. Returns None when the pair sits in no cycle at all
-    (zero denominator) rather than inventing a score.
-    """
-    num = 0
-    den = 0
-    for k in range(3, counts.eta + 1):
-        num += int(counts.cb[k][u, v])
-        den += int(counts.c[k][u, v])
-    if den == 0:
-        return None
-    return num / den
-
-
 def filter_edge(utility: Optional[float], mu: float) -> str:
     """Keep iff utility is undefined (cycle-free) or >= mu."""
     check_mu(mu)
@@ -216,12 +193,14 @@ def _dot(a: dict, b: dict) -> int:
 
 def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
                  eta: int = ETA_DEFAULT) -> Optional[float]:
-    """Incremental utility of the pair (u, v) on neighbor-set adjacency.
+    """Balanced-cycle share of the pair (u, v) on neighbor-set adjacency.
 
-    Counts the same walk quantities as count_cycles/edge_utility but only for
-    the one pair, in local work, so the augmenter can score a candidate edge
-    against the current working graph without rebuilding the full count
-    matrices. The candidate edge itself is not assumed present.
+    The one walk counter on the program's path: the augmenter's utility gate
+    and compute_utilities both score with it. It sums the pair's entries of
+    count_cycles' cb and c matrices over lengths 3..eta, in local work, so a
+    candidate edge is scored against the current working graph without any
+    count matrix. The candidate edge itself is not assumed present. Returns
+    None when the pair sits in no cycle at all (zero denominator).
 
     The walks meet in the middle: walk counts by end node and sign parity
     grow ceil((eta-1)/2) hops from u and floor((eta-1)/2) hops from v, and a
@@ -248,30 +227,18 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
 
 def compute_utilities(g: SignedGraph, eta: int = ETA_DEFAULT,
                       mu: float = MU_DEFAULT) -> UtilityScores:
-    """Score the negative edges of g by balanced-cycle share."""
-    check_mu(mu)
-    counts = count_cycles(*split_adjacency(g), eta)
-    scores = {(u, v): edge_utility(counts, u, v) for u, v, s in g.edges() if s < 0}
-    return UtilityScores(mu=mu, scores=scores)
+    """Score the negative edges of g by balanced-cycle share, in g.edges() order.
 
-
-def entropy_shares(g: SignedGraph) -> np.ndarray:
-    """Message-traffic share per edge: endpoint-degree sums, normalized.
-
-    Stands in for per-edge delivery counts, is topology-derived and
-    deterministic, and reduces to the uniform distribution on regular graphs.
-    Aligned with g.edges() order.
+    This is what `sigaug balance` runs. Each edge is scored by pair_utility on
+    g's neighbor sets, so no n x n count matrix is built.
     """
-    if g.num_edges == 0:
-        raise ValueError("entropy shares are undefined for an edgeless graph")
-    shares = np.array([g.degree(u) + g.degree(v) for u, v, _ in g.edges()], dtype=np.float64)
-    return shares / shares.sum()
-
-
-def shannon_entropy(g: SignedGraph) -> float:
-    """Entropy (natural log) of the per-edge message-share distribution."""
-    p = entropy_shares(g)
-    return float(-(p * np.log(p)).sum())
+    check_mu(mu)
+    check_eta(eta)
+    pos_adj = [g.pos_neighbors(u) for u in range(g.n)]
+    neg_adj = [g.neg_neighbors(u) for u in range(g.n)]
+    scores = {(u, v): pair_utility(pos_adj, neg_adj, u, v, eta)
+              for u, v, s in g.edges() if s < 0}
+    return UtilityScores(mu=mu, scores=scores)
 
 
 def expected_entropy_after_perturbation(p, delta: float) -> float:

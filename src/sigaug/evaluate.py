@@ -1,4 +1,4 @@
-"""Metrics, the multi-run experiment protocol, sweeps, and diagnostics."""
+"""Metrics, the multi-run experiment protocol, and sweeps."""
 
 from __future__ import annotations
 
@@ -93,21 +93,6 @@ class MetricReport:
             for r, v in enumerate(self.aux[name]):
                 lines.append(f"{name},{r},{v!r}")
         return lines
-
-    @staticmethod
-    def from_machine_lines(lines) -> "MetricReport":
-        per_run: dict = {}
-        aux: dict = {}
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, run, value = line.split(",")
-            if run in ("mean", "std"):
-                continue
-            target = per_run if name in METRIC_NAMES else aux
-            target.setdefault(name, []).append(float(value))
-        return MetricReport(per_run=per_run, aux=aux)
 
     def to_table(self) -> str:
         rows = [f"{'metric':<16}{'mean':>12}{'std':>12}  per-run"]
@@ -266,12 +251,3 @@ def sweep(cfg: ExperimentConfig, grid: dict):
         report = run_experiment(cell, graph=g)
         rows.append((cell.mu, cell.theta, cell.delta, report.mean("auc"), report.std("auc")))
     return rows
-
-
-def boundary_diagnostics(classifier: np.ndarray) -> dict:
-    """L2 norms of the positive/negative class weight vectors and their ratio
-    (reported as +inf when the negative vector is zero)."""
-    norm_pos = float(np.linalg.norm(classifier[0]))
-    norm_neg = float(np.linalg.norm(classifier[1]))
-    ratio = float("inf") if norm_neg == 0.0 else norm_pos / norm_neg
-    return {"norm_pos": norm_pos, "norm_neg": norm_neg, "ratio": ratio}

@@ -91,9 +91,6 @@ class SignedGraph:
     def neg_neighbors(self, u: int) -> frozenset:
         return self._neg[u]
 
-    def degree(self, u: int) -> int:
-        return len(self._pos[u]) + len(self._neg[u])
-
     def __eq__(self, other):
         if not isinstance(other, SignedGraph):
             return NotImplemented

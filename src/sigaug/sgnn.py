@@ -357,19 +357,6 @@ def _reg(params: ModelParams, weight_decay: float) -> float:
     return reg
 
 
-def loss(Z: np.ndarray, samples, params: ModelParams, cfg: TrainConfig) -> float:
-    """Full objective value: weighted 3-class CE + lam * hinge terms + L2 reg.
-
-    Samples are (u, v, cls) tuples with cls in CLASSES, converted once into the
-    trainer's (u, v, class index) rows; the pair feature is [Z_min(u,v) || Z_max(u,v)].
-    """
-    rows = np.array([(u, v, CLASSES.index(c)) for u, v, c in samples], np.int64).reshape(-1, 3)
-    weights = _class_weights(rows)
-    ce, hinge, _, _ = _loss_grads(np.asarray(Z, dtype=np.float64), rows,
-                                  params.theta, cfg.lam, weights)
-    return ce + hinge + _reg(params, cfg.weight_decay)
-
-
 def _null_pool(edges: np.ndarray, n: int):
     """Pairs not in `edges` as (P, 2) row-major rows, or None if too many to list."""
     if n * (n - 1) // 2 > max(_NULL_POOL_CUTOFF, len(edges)):  # a complete graph lists none

@@ -5,6 +5,10 @@ This is the augmenter as first written, kept as the oracle for the library's
 and the result built as two sparse adjacencies merged by `fuse`. It holds its
 own masks, selection and utility gate (`reference_pair_utility`, one frontier
 grown eta-1 hops out from u) so that a faster library path cannot change it.
+
+`edge_utility` reads the same share off the all-pairs walk counts of
+`count_cycles` or `oracle_count_cycles`; it is the oracle for the library's
+`pair_utility` and `compute_utilities`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,19 @@ def reference_pair_utility(pos_adj, neg_adj, u, v, eta):
         odd, even = odd2, even2
         num += odd.get(v, 0)
         den += odd.get(v, 0) + even.get(v, 0)
+    if den == 0:
+        return None
+    return num / den
+
+
+def edge_utility(counts, u, v):
+    """Share of balanced cycles among all cycles through the pair (u, v), summed
+    over lengths 3..eta of a CycleCountSet; None when the pair sits in no cycle."""
+    num = 0
+    den = 0
+    for k in range(3, counts.eta + 1):
+        num += int(counts.cb[k][u, v])
+        den += int(counts.c[k][u, v])
     if den == 0:
         return None
     return num / den

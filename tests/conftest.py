@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 import sigaug as sg
+from sigaug.evaluate import METRIC_NAMES, MetricReport
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONGRESS = REPO / "data" / "congress_synthetic.txt"
@@ -27,3 +28,20 @@ def random_signed_graph(rng, n, density=0.3, neg_frac=0.3):
             if rng.random() < density:
                 edges.append((u, v, -1 if rng.random() < neg_frac else 1))
     return sg.SignedGraph(n, edges)
+
+
+def parse_report(lines):
+    """The MetricReport that to_machine_lines wrote: per-run values only, mean
+    and std lines skipped, names outside METRIC_NAMES read as aux counters."""
+    per_run: dict = {}
+    aux: dict = {}
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, run, value = line.split(",")
+        if run in ("mean", "std"):
+            continue
+        target = per_run if name in METRIC_NAMES else aux
+        target.setdefault(name, []).append(float(value))
+    return MetricReport(per_run=per_run, aux=aux)

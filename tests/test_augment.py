@@ -68,6 +68,41 @@ class TestEdgeProbabilities:
         # guarded reciprocal of a zero similarity
         assert probs.mneg[0, 1] == pytest.approx(1e8)
 
+    def test_tiny_similarities_clamped_with_their_sign(self):
+        zneg = np.array([[1.0, 0.0], [0.0, -1.0], [-1e-9, 1.0], [1e-9, 1.0]])
+        probs = sg.edge_probabilities(sg.EmbeddingPair(np.ones((4, 2)), zneg))
+        assert probs.mneg[0, 1] == 1e8
+        assert probs.mneg[0, 2] == -1e8
+        assert probs.mneg[0, 3] == 1e8
+
+    def test_huge_finite_row_scores_like_its_direction(self):
+        # the squared norm of (1e200, 1e200) overflows; the row must not turn into zeros
+        rng = np.random.default_rng(5)
+        rest = rng.normal(size=(4, 2))
+        huge = edge_probabilities(sg.EmbeddingPair(np.vstack(([1e200, 1e200], rest)),
+                                                   np.vstack(([1e200, 1e200], rest))))
+        unit = edge_probabilities(sg.EmbeddingPair(np.vstack(([1.0, 1.0], rest)),
+                                                   np.vstack(([1.0, 1.0], rest))))
+        for got, want in ((huge.mpos, unit.mpos), (huge.mneg, unit.mneg)):
+            assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
+            assert np.array_equal(got[1:, 1:], want[1:, 1:])  # other rows keep their bits
+
+
+class TestEdgeProbabilitiesMemory:
+    def test_peak_near_the_two_results(self):
+        # computing the reciprocal guard on copies of Zn Zn^T while mpos is alive
+        # peaks at 2.1x the two n x n results (34 MB here); in place, at 1.1x
+        rng = np.random.default_rng(0)
+        n = 1000
+        pair = sg.EmbeddingPair(*rng.normal(size=(2, n, 64)))
+        tracemalloc.start()
+        try:
+            probs = edge_probabilities(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * (probs.mpos.nbytes + probs.mneg.nbytes)
+
 
 class TestFuse:
     @pytest.mark.parametrize("ap,an,rel,expected", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sigaug as sg
 from sigaug.balance import DISCARD, KEEP
 
-from augment_reference import reference_pair_utility
+from augment_reference import edge_utility, reference_pair_utility
 from conftest import random_signed_graph
 
 
@@ -19,30 +19,6 @@ def counts_equal(a, b):
         and (a.c[k] != b.c[k]).nnz == 0
         for k in range(3, a.eta + 1)
     )
-
-
-class TestPathSign:
-    def test_all_positive(self):
-        assert sg.path_sign([1, 1, 1]) == 1
-
-    def test_odd_negatives(self):
-        assert sg.path_sign([1, -1, 1]) == -1
-
-    def test_even_negatives(self):
-        assert sg.path_sign([-1, -1]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sg.path_sign([])
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            sg.path_sign([1, 0])
-
-    @given(st.lists(st.sampled_from([1, -1]), min_size=1),
-           st.lists(st.sampled_from([1, -1]), min_size=1))
-    def test_concatenation_multiplies(self, xs, ys):
-        assert sg.path_sign(xs + ys) == sg.path_sign(xs) * sg.path_sign(ys)
 
 
 UNBALANCED_TRI = [(0, 1, 1), (1, 2, 1), (0, 2, -1)]
@@ -140,23 +116,23 @@ class TestOracle:
 class TestEdgeUtility:
     def test_balanced_only_edge(self):
         counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(3, BALANCED_TRI)), 4)
-        assert sg.edge_utility(counts, 1, 2) == 1.0
+        assert edge_utility(counts, 1, 2) == 1.0
 
     def test_unbalanced_only_edge(self):
         counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(3, UNBALANCED_TRI)), 3)
-        assert sg.edge_utility(counts, 0, 2) == 0.0
+        assert edge_utility(counts, 0, 2) == 0.0
 
     def test_isolated_edge_undefined_at_eta3(self):
         g = sg.SignedGraph(4, [(0, 1, -1), (2, 3, 1)])
         counts = sg.count_cycles(*sg.split_adjacency(g), 3)
-        assert sg.edge_utility(counts, 0, 1) is None
+        assert edge_utility(counts, 0, 1) is None
 
     def test_isolated_edge_degenerate_walk_at_eta4(self):
         # walk semantics: at length 4 the edge closes over its own
         # back-and-forth walk (odd sign for a negative edge)
         g = sg.SignedGraph(4, [(0, 1, -1), (2, 3, 1)])
         counts = sg.count_cycles(*sg.split_adjacency(g), 4)
-        assert sg.edge_utility(counts, 0, 1) == 1.0
+        assert edge_utility(counts, 0, 1) == 1.0
         assert counts_equal(counts, sg.oracle_count_cycles(g, 4))
 
     def test_range(self):
@@ -165,7 +141,7 @@ class TestEdgeUtility:
             g = random_signed_graph(rng, 9, 0.5, 0.4)
             counts = sg.count_cycles(*sg.split_adjacency(g), 4)
             for u, v, _s in g.edges():
-                util = sg.edge_utility(counts, u, v)
+                util = edge_utility(counts, u, v)
                 assert util is None or 0.0 <= util <= 1.0
 
 
@@ -204,7 +180,7 @@ class TestPairUtility:
             for _ in range(10):
                 u, v = rng.choice(g.n, size=2, replace=False)
                 assert sg.pair_utility(pos_adj, neg_adj, int(u), int(v), 4) == \
-                    sg.edge_utility(counts, int(u), int(v))
+                    edge_utility(counts, int(u), int(v))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), density=st.floats(0.0, 0.5),
            neg=st.floats(0.0, 1.0), isolate=st.booleans())
@@ -226,7 +202,7 @@ class TestPairUtility:
                         # chained == also requires None in the same places
                         assert sg.pair_utility(pos_adj, neg_adj, u, v, eta) == \
                             reference_pair_utility(pos_adj, neg_adj, u, v, eta) == \
-                            sg.edge_utility(counts, u, v) == sg.edge_utility(oracle, u, v), \
+                            edge_utility(counts, u, v) == edge_utility(oracle, u, v), \
                             (eta, u, v)
 
     def test_eta_guardrail(self):
@@ -247,22 +223,28 @@ class TestComputeUtilities:
         assert scores.undefined == 1 and scores.scores[(0, 1)] is None
         assert sg.filter_edge(scores.scores[(0, 1)], scores.mu) == KEEP
 
+    @staticmethod
+    def assert_matches_count_matrices(g, eta):
+        counts = sg.count_cycles(*sg.split_adjacency(g), eta)
+        expected = [((u, v), edge_utility(counts, u, v)) for u, v, s in g.edges() if s < 0]
+        # list equality checks the edge order and the None places too
+        assert list(sg.compute_utilities(g, eta).scores.items()) == expected
 
-class TestEntropy:
-    def test_star_graph(self):
-        star = sg.SignedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-        assert sg.shannon_entropy(star) == pytest.approx(math.log(3), abs=1e-12)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14), density=st.floats(0.0, 0.6),
+           neg=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_count_matrices(self, seed, n, density, neg):
+        g = random_signed_graph(np.random.default_rng(seed), n, density, neg)
+        for eta in range(3, 7):
+            self.assert_matches_count_matrices(g, eta)
 
-    def test_single_edge(self):
-        assert sg.shannon_entropy(sg.SignedGraph(2, [(0, 1, -1)])) == 0.0
+    @pytest.mark.parametrize("eta", range(3, 7))
+    def test_matches_count_matrices_on_congress(self, congress_graph, eta):
+        self.assert_matches_count_matrices(congress_graph, eta)
 
-    def test_uniform_on_regular_graph(self):
-        ring = sg.SignedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)])
-        assert sg.shannon_entropy(ring) == pytest.approx(math.log(4), abs=1e-12)
-
-    def test_edgeless_rejected(self):
-        with pytest.raises(ValueError):
-            sg.shannon_entropy(sg.SignedGraph(3))
+    def test_eta_checked_without_negative_edges(self):
+        with pytest.raises(ValueError, match="eta"):
+            sg.compute_utilities(sg.SignedGraph(3, [(0, 1, 1)]), eta=7)
 
 
 class TestExpectedEntropy:

@@ -9,6 +9,8 @@ import sigaug as sg
 from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         _experiment_config, format_config, parse_config_text, resolve_config)
 
+from conftest import parse_report
+
 
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "sigaug", *args],
@@ -168,7 +170,7 @@ class TestEvaluateCmd:
                        "--epochs", "3", "--dim", "8", "--feature-dim", "6",
                        "--output", str(out), "--quiet")
         assert proc.returncode == EXIT_OK
-        report = sg.MetricReport.from_machine_lines(out.read_text().splitlines())
+        report = parse_report(out.read_text().splitlines())
         assert set(report.per_run) == {"auc", "f1_binary_avg", "neg_precision",
                                        "neg_recall", "neg_f1", "pos_f1"}
 

@@ -13,6 +13,8 @@ from sigaug.evaluate import (ExperimentConfig, MetricReport, NEG_LABEL, POS_LABE
                              MAX_CELLS, run_experiment, sweep)
 from sigaug.sgnn import TrainConfig
 
+from conftest import parse_report
+
 
 def tiny_experiment(congress_path, **kw):
     defaults = dict(dataset=str(congress_path), augmentation="none", runs=1,
@@ -162,7 +164,7 @@ class TestMetricReport:
             aux={"thresholds_unmet": [0.0, 1.0]},
         )
         lines = report.to_machine_lines()
-        parsed = MetricReport.from_machine_lines(lines)
+        parsed = parse_report(lines)
         assert parsed.per_run == report.per_run and parsed.aux == report.aux
         assert parsed.to_machine_lines() == lines
 
@@ -269,22 +271,3 @@ class TestSweep:
         rows = sweep(cfg, {"mu": [0.7], "theta": [1 / 9], "delta": [0.0, 0.6]})
         assert rows[1][3] >= rows[0][3]
 
-
-class TestBoundaryDiagnostics:
-    def test_equal_vectors(self):
-        theta = np.ones((3, 4))
-        d = sg.boundary_diagnostics(theta)
-        assert d["ratio"] == pytest.approx(1.0)
-
-    def test_zero_negative_vector(self):
-        theta = np.zeros((3, 4))
-        theta[0] = 1.0
-        assert sg.boundary_diagnostics(theta)["ratio"] == math.inf
-
-    def test_reports_trained_norms(self, congress_graph):
-        # reported diagnostic on a trained classifier: norms are finite and
-        # positive; the imbalance direction itself is not acceptance-gated
-        split = sg.split_edges(congress_graph, 0.2, 0)
-        res = sg.train(split.train, TrainConfig(epochs=20))
-        d = sg.boundary_diagnostics(res.params.theta)
-        assert d["norm_pos"] > 0 and d["norm_neg"] > 0 and np.isfinite(d["ratio"])

@@ -11,6 +11,10 @@ respect to theta. The gradient with respect to Z is equal within 1e-12
 relative to its largest entry: the library sums it in another order, as one
 sparse product over sample rows instead of the per-term `np.add.at` scatters
 below.
+
+`loss` is the full objective value for tuple samples, evaluated by the
+library's loss on the rows those tuples convert to; the hand-computed values
+in the loss tests go through it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from sigaug import sgnn
 from sigaug.graph import SignedGraph
 from sigaug.sgnn import _NULL_POOL_CUTOFF, CLASSES
 
@@ -113,6 +118,19 @@ def _loss_grads(Z, samples, theta, lam, weights, warn_missing=True):
         np.add.at(dZ, j, (coef * flip * -2.0)[:, None] * dj)
         np.add.at(dZ, k, (coef * flip * 2.0)[:, None] * dk)
     return ce, hinge, dZ, dTheta
+
+
+
+def loss(Z, samples, params, cfg) -> float:
+    """Full objective value: weighted 3-class CE + lam * hinge terms + L2 reg.
+
+    Samples are (u, v, cls) tuples with cls in CLASSES, converted once into the
+    trainer's (u, v, class index) rows; the pair feature is [Z_min(u,v) || Z_max(u,v)].
+    """
+    rows = np.array([(u, v, _CLS_INDEX[c]) for u, v, c in samples], np.int64).reshape(-1, 3)
+    ce, hinge, _, _ = sgnn._loss_grads(np.asarray(Z, dtype=np.float64), rows, params.theta,
+                                       cfg.lam, sgnn._class_weights(rows))
+    return ce + hinge + sgnn._reg(params, cfg.weight_decay)
 
 
 def _null_pool(g: SignedGraph):
