@@ -44,9 +44,6 @@ ADD = "add"
 REMOVE = "remove"
 NOT_GATED = "n/a"
 
-# finite stand-in on the diagonal, which is never a candidate pair
-DIAG_SENTINEL = -1e30
-
 _RECIPROCAL_GUARD = 1e-8
 _RATIO_TOL = 1e-9
 
@@ -57,7 +54,7 @@ _FIRST_CHUNK = 1024
 
 @dataclass(frozen=True)
 class ProbabilityMatrices:
-    """Edge-propensity matrices per sign, diagonals masked to a sentinel."""
+    """Edge-propensity matrices per sign; only pairs u < v are ever read."""
 
     mpos: np.ndarray
     mneg: np.ndarray
@@ -73,11 +70,11 @@ class EPRConfig:
     eta: int = ETA_DEFAULT
 
     def __post_init__(self):
-        if not 0 < self.theta_target < math.inf:
-            raise ValueError("theta_target must be positive and finite")
-        if not 0.0 <= self.delta_target <= 1.0:
-            raise ValueError("delta_target must be in [0, 1]")
         check_mu(self.mu)
+        if not 0 < self.theta_target < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not 0.0 <= self.delta_target <= 1.0:
+            raise ValueError("delta must be in [0, 1]")
         check_eta(self.eta)
 
 
@@ -149,8 +146,8 @@ def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
     place, so mneg stays finite. Zero-norm rows yield zero similarity (with a
     warning) and fall under the same guard. Both matrices are exactly
     symmetric: numpy computes `z @ z.T` as one symmetric rank-k update (syrk),
-    which fills one triangle and mirrors it. Diagonals are set to a large
-    negative sentinel: a node paired with itself is never a candidate.
+    which fills one triangle and mirrors it. The diagonals hold each node's
+    score with itself, which no pool reads: candidates are pairs u < v.
     """
 
     def normalize(z):
@@ -174,8 +171,6 @@ def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
     mneg[small] = np.where(mneg[small] < 0, -_RECIPROCAL_GUARD, _RECIPROCAL_GUARD)
     np.divide(1.0, mneg, out=mneg)
     mpos = zp @ zp.T
-    np.fill_diagonal(mpos, DIAG_SENTINEL)
-    np.fill_diagonal(mneg, DIAG_SENTINEL)
     return ProbabilityMatrices(mpos=mpos, mneg=mneg)
 
 
@@ -375,8 +370,8 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
     both regulator targets are met, the best-effort result is returned with
     thresholds_unmet set.
     """
-    if g.n == 0:
-        raise ValueError("cannot augment an empty graph")
+    if g.num_edges == 0:
+        raise ValueError("cannot augment a graph without edges")
     probs = edge_probabilities(pair)
     state = AugmentationState(g, probs, cfg)
     unmet = False

@@ -5,8 +5,8 @@ values from an optional flat `key = value` config file, which override the
 defaults; every run echoes the fully resolved configuration (parseable back in
 the same format). The defaults are read from a default
 `evaluate.ExperimentConfig` and its `TrainConfig`; only the keys the library
-has no field for (dataset, output, quiet, embeddings, log) and sweep's
-augmentation have their own. Exit codes: 0 success (also when the reader of
+has no field for (dataset, output, quiet, embeddings, log) have their own.
+`sweep` always runs sigaug. Exit codes: 0 success (also when the reader of
 standard output closes it early), 2 unreadable/invalid input files or a
 configuration value out of range, 3 component failure, 64 usage errors.
 """
@@ -90,7 +90,7 @@ _KEYS = {
                 **_COMMON},
     "evaluate": {**_DATA, "augmentation": _key(_DEFAULT.augmentation), **_RUNS, **_TARGETS,
                  **_ETA, **_SPLIT, **_TRAIN, **_SEED, **_COMMON},
-    "sweep": {**_DATA, "augmentation": _key("sigaug"), **_RUNS,
+    "sweep": {**_DATA, **_RUNS,
               **{key + "_grid": _key((d,)) for key, (_t, d) in _TARGETS.items()},
               **_ETA, **_SPLIT, **_TRAIN, **_SEED, **_COMMON},
 }
@@ -168,14 +168,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, output: str):
+def _emit(lines: list, output: str):
+    """Write each line and a newline to the file `output`, or to stdout if it is empty."""
+    text = "".join(f"{line}\n" for line in lines)
     if output:
         with open(output, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _checked(build, *args, **kwargs):
@@ -188,11 +188,14 @@ def _checked(build, *args, **kwargs):
         raise InputError(str(exc)) from exc
 
 
-def _load_graph(cfg: dict):
-    path = cfg["dataset"]
-    if not path:
+def _dataset(cfg: dict) -> str:
+    if not cfg["dataset"]:
         raise FileNotFoundError("no --dataset given")
-    with open(path, "rb") as fh:
+    return cfg["dataset"]
+
+
+def _load_graph(cfg: dict):
+    with open(_dataset(cfg), "rb") as fh:
         records = _checked(graph.load_edge_list, fh, cfg["format"])
     return records, graph.build_graph(records)
 
@@ -206,7 +209,7 @@ def cmd_stats(cfg: dict) -> int:
     records, g = _load_graph(cfg)
     lines = _stats_lines("", graph.record_stats(records))
     lines += _stats_lines("built_", graph.graph_stats(g))
-    _emit("\n".join(lines), cfg["output"])
+    _emit(lines, cfg["output"])
     return EXIT_OK
 
 
@@ -224,7 +227,7 @@ def cmd_balance(cfg: dict) -> int:
     lines.append(f"kept={scores.kept}")
     lines.append(f"discarded={scores.discarded}")
     lines.append(f"undefined={scores.undefined}")
-    _emit("\n".join(lines), cfg["output"])
+    _emit(lines, cfg["output"])
     return EXIT_OK
 
 
@@ -265,40 +268,40 @@ def cmd_augment(cfg: dict) -> int:
         raise InputError(f"{emb_path}: {pair.zpos.shape[0]} embedding rows, "
                          f"the graph has {g.n} nodes")
     result = run_augment(g, pair, epr)
-    edge_lines = [f"{u} {v} {s}" for u, v, s in result.graph.edges()]
-    _emit("\n".join(edge_lines), cfg["output"])
+    _emit([f"{u} {v} {s}" for u, v, s in result.graph.edges()], cfg["output"])
     log_path = cfg["log"] or ((cfg["output"] or "augment") + ".log")
-    with open(log_path, "w") as fh:
-        fh.write("\n".join(result.log.to_lines()) + "\n")
+    _emit(result.log.to_lines(), log_path)
     if not cfg["quiet"]:
         print(f"thresholds_unmet={result.thresholds_unmet}", file=sys.stderr)
         print(f"perturbations={result.log.total_kept} log={log_path}", file=sys.stderr)
     return EXIT_OK
 
 
-def _experiment_config(cfg: dict) -> evaluate.ExperimentConfig:
+def _experiment_config(cfg: dict, **fixed) -> evaluate.ExperimentConfig:
     # sweep has no mu/theta/delta keys (it sets them per grid cell)
-    return evaluate.ExperimentConfig(train=_train_config(cfg),
-                                     **_fields(cfg, _EXPERIMENT_FIELDS))
+    exp = evaluate.ExperimentConfig(train=_train_config(cfg),
+                                    **_fields(cfg, _EXPERIMENT_FIELDS), **fixed)
+    _dataset(cfg)  # after the values, as the other subcommands check them
+    return exp
 
 
 def cmd_evaluate(cfg: dict) -> int:
     # run_experiment's own ValueError is a split refusal (failed runs raise RuntimeError)
     report = _checked(evaluate.run_experiment, _checked(_experiment_config, cfg))
-    _emit("\n".join(report.to_machine_lines()), cfg["output"])
+    _emit(report.to_machine_lines(), cfg["output"])
     if not cfg["quiet"]:
         print(report.to_table(), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: dict) -> int:
-    exp = _checked(_experiment_config, cfg)
+    exp = _checked(_experiment_config, cfg, augmentation="sigaug")
     grid = {key: list(cfg[key + "_grid"]) for key in ("mu", "theta", "delta")}
     # sweep checks every cell before the dataset loads; its ValueError is bad input
     rows = _checked(evaluate.sweep, exp, grid)
     lines = ["mu,theta,delta,mean_auc,std"]
     lines += [f"{mu!r},{th!r},{de!r},{mean!r},{std!r}" for mu, th, de, mean, std in rows]
-    _emit("\n".join(lines), cfg["output"])
+    _emit(lines, cfg["output"])
     return EXIT_OK
 
 

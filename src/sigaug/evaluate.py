@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .augment import EPRConfig, augment
-from .balance import ETA_DEFAULT, MU_DEFAULT, check_eta, check_mu
+from .balance import ETA_DEFAULT, MU_DEFAULT
 from .graph import FORMATS, EdgeSplit, SignedGraph, build_graph, load_edge_list, split_edges
 from .sgnn import TrainConfig, concat, train
 
@@ -31,7 +31,11 @@ REPORT_HEADER = (
 
 @dataclass
 class ExperimentConfig:
-    """Everything one evaluation needs: data, pipeline switches, and targets."""
+    """Everything one evaluation needs: data, pipeline switches, and targets.
+
+    The targets are checked by the EPRConfig they build. Every run replaces
+    train.seed with base_seed + run.
+    """
 
     dataset: str
     input_format: str = "signed"
@@ -50,12 +54,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.input_format!r}")
         if self.augmentation not in ("none", "sigaug"):
             raise ValueError(f"unknown augmentation {self.augmentation!r}")
-        check_mu(self.mu)
-        if not 0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must be in [0, 1]")
-        check_eta(self.eta)
+        EPRConfig(theta_target=self.theta, delta_target=self.delta, mu=self.mu, eta=self.eta)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.base_seed < 0:

@@ -125,9 +125,6 @@ class ModelParams:
         layers = len(arrays) // 2
         return cls(list(arrays[:layers]), list(arrays[layers:2 * layers]), arrays[-1])
 
-    def copy(self) -> "ModelParams":
-        return ModelParams.from_arrays([a.copy() for a in self.arrays()])
-
 
 @dataclass
 class EmbeddingPair:
@@ -424,7 +421,7 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(x.shape[1], cfg.embed_dim, cfg.layers, rng)
     if init is not None:
-        params = init.copy()  # warm start; rng stream position stays identical
+        params = init  # warm start; rng stream position stays identical
     tensors = _GraphTensors(g)
     edges = _edge_rows(sup)
     pool = _null_pool(edges, sup.n)
@@ -472,9 +469,7 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
     def value_at(vec):
         p = ModelParams.from_arrays([part.reshape(a.shape)
                                      for part, a in zip(np.split(vec, cuts), arrays)])
-        pair, _ = _forward_cached(tensors, p, x)
-        ce, hinge, _, _ = _loss_grads(concat(pair), rows, p.theta, cfg.lam, weights)
-        return ce + hinge + _reg(p, cfg.weight_decay)
+        return _grad_step(tensors, p, x, rows, weights, cfg)[0]
 
     picks = rng.choice(flat.size, size=min(60, flat.size), replace=False)
     worst = 0.0

@@ -6,13 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sigaug as sg
-from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, CONTINUE, DIAG_SENTINEL,
-                            NOT_GATED, STOP, AugmentationState, LogEntry, PerturbationLog,
-                            _ranked_pairs, edge_probabilities)
+from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, CONTINUE, NOT_GATED, STOP,
+                            AugmentationState, LogEntry, PerturbationLog, _ranked_pairs,
+                            edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
 
 from augment_reference import reference_augment
 from conftest import random_signed_graph
+
+# a value below every score, for the hand-built matrices' unread entries
+DIAG_SENTINEL = -1e30
 
 
 def trained_pair(g, seed=0, epochs=30):
@@ -49,13 +52,12 @@ class TestEdgeProbabilities:
         # which is the documented anomaly of the formula
         assert probs.mneg[0, 1] == pytest.approx(-1.0)
 
-    def test_symmetric_and_diag_masked(self):
+    def test_symmetric_and_finite(self):
         rng = np.random.default_rng(1)
         pair = sg.EmbeddingPair(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
         probs = sg.edge_probabilities(pair)
         assert np.array_equal(probs.mpos, probs.mpos.T)
         assert np.array_equal(probs.mneg, probs.mneg.T)
-        assert np.all(np.diag(probs.mpos) == DIAG_SENTINEL)
         assert np.all(np.isfinite(probs.mpos)) and np.all(np.isfinite(probs.mneg))
 
     def test_zero_norm_row_guarded(self, caplog):
@@ -180,7 +182,7 @@ class TestEPRConfig:
         with pytest.raises(ValueError):
             sg.EPRConfig(theta_target=1.0, delta_target=0.5, mu=0.95)
         for theta in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="theta_target must be positive and finite"):
+            with pytest.raises(ValueError, match="theta must be positive and finite"):
                 sg.EPRConfig(theta_target=theta, delta_target=0.5, mu=0.7)
 
 

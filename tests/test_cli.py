@@ -71,6 +71,12 @@ class TestUsage:
         assert proc.returncode == EXIT_USAGE
         assert "invalid" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_sweep_has_no_augmentation_key(self, congress_path):
+        # a sweep always runs sigaug; without it every cell would be one baseline
+        proc = run_cli("sweep", "--dataset", str(congress_path), "--augmentation", "none")
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert "unrecognized arguments: --augmentation" in proc.stderr
+
 
 class TestBalanceCmd:
     def test_balanced_triangle_kept(self, tmp_path):
@@ -132,6 +138,28 @@ class TestTrainAugmentCmds:
         log_lines = (tmp_path / "aug.log").read_text().splitlines()
         assert log_lines and len(log_lines[0].split()) == 7
 
+    def test_zero_delta_writes_an_empty_log(self, tmp_path, congress_path):
+        with congress_path.open("rb") as fh:
+            g = sg.build_graph(sg.load_edge_list(fh, "signed"))
+        emb = tmp_path / "model.emb"
+        sg.save_embeddings(sg.train(g, sg.TrainConfig(epochs=1, embed_dim=4,
+                                                      feature_dim=4)).embeddings, emb)
+        log = tmp_path / "aug.log"
+        proc = run_cli("augment", "--dataset", str(congress_path), "--embeddings", str(emb),
+                       "--delta", "0", "--log", str(log), "--quiet")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert log.read_bytes() == b""
+        assert len(proc.stdout.splitlines()) == g.num_edges
+
+    def test_graph_without_edges_refused(self, tmp_path):
+        dataset = tmp_path / "loops.txt"
+        dataset.write_text("a a 1\nb b -1\n")  # self-loops only: two nodes, no edge
+        emb = tmp_path / "loops.emb"
+        emb.write_text("0 0.1 0.2\n1 0.3 0.4\n")
+        proc = run_cli("augment", "--dataset", str(dataset), "--embeddings", str(emb),
+                       "--quiet")
+        assert proc.returncode == EXIT_COMPONENT and proc.stdout == ""
+        assert "augment failed: cannot augment a graph without edges" in proc.stderr
 
     @pytest.mark.parametrize("emb_text,where", [
         ("0 0.1 0.2\nx 0.3 0.4\n2 0.5 0.6\n3 0.7 0.8\n", "bad.emb:2:"),  # non-integer node id
@@ -219,7 +247,7 @@ class TestExitCodes:
         (["evaluate", "--lambda", "nan"], "lam must be"),
         (["evaluate", "--weight-decay", "nan"], "weight_decay must be"),
         (["sweep", "--theta-grid", "1,nan"], "theta must be"),
-        (["augment", "--theta", "inf", "--embeddings", "model.emb"], "theta_target must be"),
+        (["augment", "--theta", "inf", "--embeddings", "model.emb"], "theta must be"),
         (["train", "--learning-rate", "inf"], "learning_rate must be"),
         (["balance", "--mu", "nan"], "mu must be"),
         (["train", "--seed", "-1"], "seed must be"),
@@ -236,6 +264,12 @@ class TestExitCodes:
         proc = run_cli(*args, "--dataset", str(tmp_path / "missing.txt"), "--quiet")
         assert proc.returncode == EXIT_IO, proc.stderr
         assert "input error" in proc.stderr and message in proc.stderr
+
+    @pytest.mark.parametrize("sub", list(_KEYS))
+    def test_missing_dataset_named(self, sub):
+        proc = run_cli(sub, "--quiet")
+        assert proc.returncode == EXIT_IO and proc.stdout == ""
+        assert proc.stderr == "sigaug: input error: no --dataset given\n"
 
     @pytest.mark.parametrize("sub", ["stats", "evaluate"])
     def test_non_utf8_dataset(self, tmp_path, sub):

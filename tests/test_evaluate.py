@@ -236,6 +236,22 @@ class TestRunExperiment:
                 build()
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("theta", 0.0, "theta must be positive and finite"),
+        ("theta", math.nan, "theta must be positive and finite"),
+        ("theta", math.inf, "theta must be positive and finite"),
+        ("delta", -0.1, "delta must be in [0, 1]"),
+        ("delta", 1.5, "delta must be in [0, 1]")])
+    def test_targets_refused_with_one_message(self, field, value, message):
+        # EPRConfig owns the target checks; ExperimentConfig's fields share their names
+        targets = {"theta": 1.0, "delta": 0.5, field: value}
+        for build in (lambda: ExperimentConfig(dataset="x", **targets),
+                      lambda: sg.EPRConfig(theta_target=targets["theta"],
+                                           delta_target=targets["delta"], mu=0.7)):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == message
+
 
 class TestSweep:
     def test_single_cell_matches_run_experiment(self, congress_path):
