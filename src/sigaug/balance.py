@@ -210,8 +210,12 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
     count matrices.
     """
     check_eta(eta)
-    from_u = _hops(pos_adj, neg_adj, u, eta // 2)
-    from_v = _hops(pos_adj, neg_adj, v, (eta - 1) // 2)
+    return _share(_hops(pos_adj, neg_adj, u, eta // 2),
+                  _hops(pos_adj, neg_adj, v, (eta - 1) // 2), eta)
+
+
+def _share(from_u: list, from_v: list, eta: int) -> Optional[float]:
+    """pair_utility's meet-in-the-middle join of the two endpoints' _hops lists."""
     num = 0
     den = 0
     for length in range(2, eta):
@@ -229,15 +233,22 @@ def compute_utilities(g: SignedGraph, eta: int = ETA_DEFAULT,
                       mu: float = MU_DEFAULT) -> UtilityScores:
     """Score the negative edges of g by balanced-cycle share, in g.edges() order.
 
-    This is what `sigaug balance` runs. Each edge is scored by pair_utility on
-    g's neighbor sets, so no n x n count matrix is built.
+    This is what `sigaug balance` runs. Each edge gets pair_utility's score on
+    g's neighbor sets, so no n x n count matrix is built. g.edges() is sorted
+    by u, so u's walk counts are grown once per run of edges that share it.
     """
     check_mu(mu)
     check_eta(eta)
     pos_adj = [g.pos_neighbors(u) for u in range(g.n)]
     neg_adj = [g.neg_neighbors(u) for u in range(g.n)]
-    scores = {(u, v): pair_utility(pos_adj, neg_adj, u, v, eta)
-              for u, v, s in g.edges() if s < 0}
+    scores = {}
+    last_u, from_u = None, None
+    for u, v, s in g.edges():
+        if s > 0:
+            continue
+        if u != last_u:
+            last_u, from_u = u, _hops(pos_adj, neg_adj, u, eta // 2)
+        scores[(u, v)] = _share(from_u, _hops(pos_adj, neg_adj, v, (eta - 1) // 2), eta)
     return UtilityScores(mu=mu, scores=scores)
 
 

@@ -10,8 +10,10 @@ weighted 3-class logistic loss over node pairs plus two hinge terms separating
 positive/negative neighbors from non-adjacent pairs; gradients are derived by
 hand and validated against central finite differences. Inside the trainer a
 sample set is one int64 array of (u, v, class) rows, class indexing CLASSES.
-The loss reaches Z only through per-row gradients on each row's two endpoints,
-so dZ is one product of a sparse node-by-row incidence matrix with them.
+The loss works at node level: the classifier projects each node's embedding
+once, and the gradients reach Z through sparse products with node-by-row
+incidence and node-by-node hinge-weight matrices, never through a per-row
+copy of the pair features.
 """
 
 from __future__ import annotations
@@ -304,28 +306,36 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     """Classifier + hinge values with gradients w.r.t. Z and theta.
 
     Returns (ce, hinge, dZ, dTheta); `hinge` already carries the lam factor.
-    Regularization is handled by the callers.
+    Regularization is handled by the callers. A row's pair feature is
+    [Z_i || Z_j] with i < j, so its logits are P[i] + Q[j] for the node
+    projections P = Z theta_1^T and Q = Z theta_2^T. The logit gradients are
+    scattered onto the nodes as G_i and G_j, one (n x 3) sum per endpoint, so
+    dTheta = [G_i^T Z, G_j^T Z] and the CE part of dZ is G_i theta_1 + G_j theta_2.
+    The hinge terms reach Z only through the rows' squared distances: with W
+    holding 2 * (d hinge / d dist) at (i, j), their part of dZ is the Laplacian
+    product (D - W - W^T) Z, D the diagonal of W's row plus column sums.
     """
     n, d = Z.shape
     count = len(rows)
     ii, jj = np.sort(rows[:, :2], axis=1).T
-    feats = np.hstack([Z[ii], Z[jj]])
-    ce, dTheta, dfeats = 0.0, np.zeros_like(theta), np.zeros_like(feats)
+    ce, dTheta, dZ = 0.0, np.zeros_like(theta), np.zeros_like(Z)
     if count:
         yy = rows[:, 2]
         ww = weights[yy]
-        logits = feats @ theta.T
+        logits = (Z @ theta[:, :d].T)[ii] + (Z @ theta[:, d:].T)[jj]
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=1, keepdims=True)
         picked = np.clip(probs[np.arange(count), yy], 1e-300, None)
         ce = float((ww * -np.log(picked)).sum() / count)
-        grad_logits = probs.copy()
+        grad_logits = probs  # probs has no further reader
         grad_logits[np.arange(count), yy] -= 1.0
         grad_logits *= (ww / count)[:, None]
-        dTheta = grad_logits.T @ feats
-        dfeats = grad_logits @ theta
-    diff = feats[:, :d] - feats[:, d:]
+        gi, gj = (sp.csr_matrix((np.ones(count), (end, np.arange(count))), shape=(n, count))
+                  @ grad_logits for end in (ii, jj))
+        dTheta = np.hstack((gi.T @ Z, gj.T @ Z))
+        dZ = gi @ theta[:, :d] + gj @ theta[:, d:]
+    diff = Z[ii] - Z[jj]
     dist = (diff * diff).sum(axis=1)
     hinge, coef = 0.0, np.zeros(count)  # coef: d hinge / d dist per row
     for pairs, flip, name in zip(_hinge_pairs(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
@@ -338,11 +348,10 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
         hinge += lam * float(np.maximum(margin, 0.0).mean())
         c = (lam / len(pairs)) * flip * (margin > 0.0)
         coef += np.bincount(e, c, minlength=count) - np.bincount(k, c, minlength=count)
-    # per-row gradients onto their endpoints: CE halves on ii and on jj, hinge on ii minus jj
-    cols = np.r_[:3 * count, 2 * count:3 * count]  # each hinge column holds ii and jj
-    incidence = sp.csr_matrix((np.repeat([1.0, 1.0, 1.0, -1.0], count),
-                               (np.concatenate((ii, jj, ii, jj)), cols)), shape=(n, 3 * count))
-    dZ = incidence @ np.vstack((dfeats[:, :d], dfeats[:, d:], (2.0 * coef)[:, None] * diff))
+    w = 2.0 * coef  # d hinge / d Z_i = w (Z_i - Z_j) on row (i, j), and its negative on j
+    W = sp.csr_matrix((w, (ii, jj)), shape=(n, n))
+    deg = np.bincount(ii, w, minlength=n) + np.bincount(jj, w, minlength=n)
+    dZ += deg[:, None] * Z - W @ Z - W.T @ Z
     return ce, hinge, dZ, dTheta
 
 

@@ -6,11 +6,13 @@ returns Python lists of (u, v, label) tuples and tests adjacency one pair at a
 time with `SignedGraph.has_edge`, so a faster library path cannot change it.
 The library's rows must give the same null draws for equal seeds, the same
 hinge triples in the same order (the library keeps them as pairs of sample
-rows), the same class weights, and bit-equal loss values and gradients with
-respect to theta. The gradient with respect to Z is equal within 1e-12
-relative to its largest entry: the library sums it in another order, as one
-sparse product over sample rows instead of the per-term `np.add.at` scatters
-below.
+rows), the same class weights and a bit-equal hinge value. The classifier
+loss is equal within 1e-12 relative, and the gradients with respect to Z and
+theta within 1e-12 of their largest entries: the library works at node level
+(each node projected once, logit gradients scattered onto nodes, the hinge
+gradient as one Laplacian product), so it sums in another order than the
+per-row pair features and per-term `np.add.at` scatters below. `train` run on
+this `_loss_grads` gives the library's loss trace and embeddings within 1e-12.
 
 `loss` is the full objective value for tuple samples, evaluated by the
 library's loss on the rows those tuples convert to; the hand-computed values
