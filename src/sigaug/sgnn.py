@@ -11,9 +11,10 @@ positive/negative neighbors from non-adjacent pairs; gradients are derived by
 hand and validated against central finite differences. Inside the trainer a
 sample set is one int64 array of (u, v, class) rows, class indexing CLASSES.
 The loss works at node level: the classifier projects each node's embedding
-once, and the gradients reach Z through sparse products with node-by-row
-incidence and node-by-node hinge-weight matrices, never through a per-row
-copy of the pair features.
+once, its logit gradients are scattered onto the nodes by bincount, and the
+hinge gradient reaches Z through one sparse node-by-node weight matrix, never
+through a per-row copy of the pair features; the rows' squared distances are
+taken in fixed row blocks.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ _NULL_POOL_CUTOFF = 200_000
 # rejection passes before giving up: a pass keeps the free-pair share of its
 # 2 * count draws, so graphs with well over 1/32 of their pairs free finish
 _NULL_DRAW_PASSES = 16
+# sample rows per block of the loss's row distances: each block's (rows x d)
+# temporaries stay at 128 KiB for d = 64, and a row's sum does not depend on it
+_ROW_BLOCK = 256
 
 
 @dataclass
@@ -309,11 +313,13 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     Regularization is handled by the callers. A row's pair feature is
     [Z_i || Z_j] with i < j, so its logits are P[i] + Q[j] for the node
     projections P = Z theta_1^T and Q = Z theta_2^T. The logit gradients are
-    scattered onto the nodes as G_i and G_j, one (n x 3) sum per endpoint, so
-    dTheta = [G_i^T Z, G_j^T Z] and the CE part of dZ is G_i theta_1 + G_j theta_2.
-    The hinge terms reach Z only through the rows' squared distances: with W
-    holding 2 * (d hinge / d dist) at (i, j), their part of dZ is the Laplacian
-    product (D - W - W^T) Z, D the diagonal of W's row plus column sums.
+    scattered onto the nodes as G_i and G_j, one (n x 3) bincount per endpoint
+    (it adds the rows in sample order), so dTheta = [G_i^T Z, G_j^T Z] and the
+    CE part of dZ is G_i theta_1 + G_j theta_2. The hinge terms reach Z only
+    through the rows' squared distances, computed _ROW_BLOCK rows at a time so
+    that no (rows x d) array is built: with W holding 2 * (d hinge / d dist) at
+    (i, j), their part of dZ is the Laplacian product (D - W - W^T) Z, D the
+    diagonal of W's row plus column sums.
     """
     n, d = Z.shape
     count = len(rows)
@@ -331,12 +337,17 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
         grad_logits = probs  # probs has no further reader
         grad_logits[np.arange(count), yy] -= 1.0
         grad_logits *= (ww / count)[:, None]
-        gi, gj = (sp.csr_matrix((np.ones(count), (end, np.arange(count))), shape=(n, count))
-                  @ grad_logits for end in (ii, jj))
+        gi, gj = (np.column_stack([np.bincount(end, col, minlength=n) for col in grad_logits.T])
+                  for end in (ii, jj))
         dTheta = np.hstack((gi.T @ Z, gj.T @ Z))
         dZ = gi @ theta[:, :d] + gj @ theta[:, d:]
-    diff = Z[ii] - Z[jj]
-    dist = (diff * diff).sum(axis=1)
+    dist = np.empty(count)
+    for b in range(0, count, _ROW_BLOCK):
+        blk = slice(b, b + _ROW_BLOCK)
+        diff = Z[ii[blk]]
+        diff -= Z[jj[blk]]
+        diff *= diff
+        diff.sum(axis=1, out=dist[blk])
     hinge, coef = 0.0, np.zeros(count)  # coef: d hinge / d dist per row
     for pairs, flip, name in zip(_hinge_pairs(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
         if not len(pairs):
@@ -417,7 +428,8 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
     epoch's samples are one int array of (u, v, class) rows. An augmented graph
     is trained with supervision from the unperturbed one so synthetic edges
     steer propagation but never become labels. Returns the final parameters,
-    final embeddings and the per-epoch loss trace.
+    final embeddings and the per-epoch loss trace; raises ValueError at the
+    first epoch whose objective is not finite.
     """
     sup = samples_from if samples_from is not None else g
     if sup.n != g.n:
@@ -442,6 +454,9 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
             weights = _class_weights(rows)
         value, grads = _grad_step(tensors, params, x, rows, weights, cfg,
                                   warn_missing=epoch == 0)
+        if not math.isfinite(value):
+            raise ValueError(f"training diverged: the objective is {value} at epoch "
+                             f"{epoch + 1} of {cfg.epochs}")
         trace.append(value)
         params = ModelParams.from_arrays([a - lr * ga for a, ga in zip(params.arrays(), grads)])
     pair, _ = _forward_cached(tensors, params, x)

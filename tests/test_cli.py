@@ -151,6 +151,14 @@ class TestTrainAugmentCmds:
         assert log.read_bytes() == b""
         assert len(proc.stdout.splitlines()) == g.num_edges
 
+    def test_diverged_training_is_a_component_failure(self, tmp_path, congress_path):
+        out = tmp_path / "model"
+        proc = run_cli("train", "--dataset", str(congress_path), "--epochs", "3",
+                       "--lambda", "1e300", "--output", str(out), "--quiet")
+        assert proc.returncode == EXIT_COMPONENT
+        assert "train failed: training diverged: the objective is inf at epoch 2" in proc.stderr
+        assert not out.with_suffix(".emb").exists() and not out.with_suffix(".params").exists()
+
     def test_graph_without_edges_refused(self, tmp_path):
         dataset = tmp_path / "loops.txt"
         dataset.write_text("a a 1\nb b -1\n")  # self-loops only: two nodes, no edge

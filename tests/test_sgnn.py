@@ -248,6 +248,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="nodes"):
             sg.train(g, sg.TrainConfig(epochs=1), samples_from=sg.SignedGraph(2, [(0, 1, 1)]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_diverged_objective_refused_at_its_epoch(self, congress_graph):
+        # the first step from lam = 1e300 moves the weights to about 7e296, whose
+        # squares overflow the second epoch's regularization term
+        with pytest.raises(ValueError, match=r"diverged: the objective is inf at epoch 2 of 3"):
+            sg.train(congress_graph, sg.TrainConfig(epochs=3, lam=1e300))
+
 
 def _tuples(rows):
     return [(u, v, CLASSES[c]) for u, v, c in rows.tolist()]
@@ -356,6 +363,41 @@ class TestTrainMatchesReference:
         self.check(monkeypatch, _sparse_graph(0, n=1000, m=3200), sg.TrainConfig(epochs=5))
 
 
+class TestLossMatchesPlainReference:
+    """The loss against trainer_reference's plain version, which scatters the logit
+    gradients through csr incidence matrices and forms one (S x d) difference of
+    the rows' endpoints: equal bits, in the loss and in whole training runs."""
+
+    @pytest.fixture(params=["congress", "sparse_n1000"])
+    def graph(self, request):
+        if request.param == "congress":
+            return request.getfixturevalue("congress_graph")
+        return _sparse_graph(0, n=1000, m=3200)
+
+    def test_loss_grads(self, graph):
+        rng = np.random.default_rng(1)
+        edges = _edge_rows(graph)
+        nulls = _draw_nulls(edges, graph.n, _null_pool(edges, graph.n), len(edges), rng)
+        rows = np.concatenate((edges, nulls))
+        Z, theta = rng.normal(size=(graph.n, 64)), rng.uniform(-0.5, 0.5, size=(3, 128))
+        weights = _class_weights(rows)
+        got = _loss_grads(Z, rows, theta, 5.0, weights)
+        want = ref.plain_loss_grads(Z, rows, theta, 5.0, weights)
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+    def test_train(self, monkeypatch, graph):
+        cfg = sg.TrainConfig(epochs=25 if graph.n < 1000 else 5)
+        got = sg.train(graph, cfg)
+        with monkeypatch.context() as m:
+            m.setattr("sigaug.sgnn._loss_grads", ref.plain_loss_grads)
+            want = sg.train(graph, cfg)
+        assert got.loss_trace == want.loss_trace
+        assert np.array_equal(sg.concat(got.embeddings), sg.concat(want.embeddings))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.params.arrays(), want.params.arrays(), strict=True))
+
+
 def test_rejection_sampling_refuses_a_nearly_complete_graph():
     # n=640 has 204,480 pairs, too many to list; with all but 11 of them edges a
     # rejection pass keeps about 22 of its 409k draws, so 204,469 nulls would take
@@ -372,10 +414,11 @@ def test_rejection_sampling_refuses_a_nearly_complete_graph():
 class TestLossMemory:
     def test_no_hinge_term_by_dim_temporary(self):
         # a sample set shaped like the n=1000 benchmark graph's train split: about
-        # 3.2k edge rows plus as many nulls, d = 64; the call needs about 8 MB, one
-        # float64 array with a row per hinge term and d columns adds over 20 MB, and
-        # per-row (S, 2d) pair features, their gradients and a (3S, d) stack of
-        # row gradients would peak at about 31 MB
+        # 3.2k edge rows plus as many nulls, d = 64; the call needs about 3 MB, one
+        # (S, d) difference of the rows' endpoints with its two gathers adds about
+        # 5 MB, one float64 array with a row per hinge term and d columns over
+        # 20 MB, and per-row (S, 2d) pair features, their gradients and a (3S, d)
+        # stack of row gradients would peak at about 31 MB
         g = _sparse_graph(0, n=1000, m=3200)
         edges = _edge_rows(g)
         rng = np.random.default_rng(0)
@@ -389,7 +432,7 @@ class TestLossMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 5e6
 
 
 class TestGradientCheck:

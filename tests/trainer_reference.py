@@ -17,6 +17,11 @@ this `_loss_grads` gives the library's loss trace and embeddings within 1e-12.
 `loss` is the full objective value for tuple samples, evaluated by the
 library's loss on the rows those tuples convert to; the hand-computed values
 in the loss tests go through it.
+
+`plain_loss_grads` is the library's node-level loss as first written: the
+logit gradients scattered through two (n x S) csr incidence matrices and the
+rows' distances taken from one (S x d) difference of their endpoints. It sums
+in the library's order, so the library's loss must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ import logging
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from sigaug import sgnn
 from sigaug.graph import SignedGraph
-from sigaug.sgnn import _NULL_POOL_CUTOFF, CLASSES
+from sigaug.sgnn import _NULL_POOL_CUTOFF, CLASSES, _hinge_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -121,6 +127,47 @@ def _loss_grads(Z, samples, theta, lam, weights, warn_missing=True):
         np.add.at(dZ, k, (coef * flip * 2.0)[:, None] * dk)
     return ce, hinge, dZ, dTheta
 
+
+def plain_loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
+    """sgnn._loss_grads with csr incidence scatters and one (S x d) difference."""
+    n, d = Z.shape
+    count = len(rows)
+    ii, jj = np.sort(rows[:, :2], axis=1).T
+    ce, dTheta, dZ = 0.0, np.zeros_like(theta), np.zeros_like(Z)
+    if count:
+        yy = rows[:, 2]
+        ww = weights[yy]
+        logits = (Z @ theta[:, :d].T)[ii] + (Z @ theta[:, d:].T)[jj]
+        logits -= logits.max(axis=1, keepdims=True)
+        expl = np.exp(logits)
+        probs = expl / expl.sum(axis=1, keepdims=True)
+        picked = np.clip(probs[np.arange(count), yy], 1e-300, None)
+        ce = float((ww * -np.log(picked)).sum() / count)
+        grad_logits = probs
+        grad_logits[np.arange(count), yy] -= 1.0
+        grad_logits *= (ww / count)[:, None]
+        gi, gj = (sp.csr_matrix((np.ones(count), (end, np.arange(count))), shape=(n, count))
+                  @ grad_logits for end in (ii, jj))
+        dTheta = np.hstack((gi.T @ Z, gj.T @ Z))
+        dZ = gi @ theta[:, :d] + gj @ theta[:, d:]
+    diff = Z[ii] - Z[jj]
+    dist = (diff * diff).sum(axis=1)
+    hinge, coef = 0.0, np.zeros(count)
+    for pairs, flip, name in zip(_hinge_pairs(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
+        if not len(pairs):
+            if warn_missing:
+                logger.warning("no %s hinge pairs in sample set; term contributes 0", name)
+            continue
+        e, k = pairs.T
+        margin = flip * (dist[e] - dist[k])
+        hinge += lam * float(np.maximum(margin, 0.0).mean())
+        c = (lam / len(pairs)) * flip * (margin > 0.0)
+        coef += np.bincount(e, c, minlength=count) - np.bincount(k, c, minlength=count)
+    w = 2.0 * coef
+    W = sp.csr_matrix((w, (ii, jj)), shape=(n, n))
+    deg = np.bincount(ii, w, minlength=n) + np.bincount(jj, w, minlength=n)
+    dZ += deg[:, None] * Z - W @ Z - W.T @ Z
+    return ce, hinge, dZ, dTheta
 
 
 def loss(Z, samples, params, cfg) -> float:
