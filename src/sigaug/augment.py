@@ -1,12 +1,14 @@
 """Selective signed-graph augmenter.
 
-Turns branch embeddings into edge-propensity matrices, then repeatedly perturbs
-the extreme entries: the best non-edge is added and the worst existing edge
-removed, per sign. The matrices are fixed for the run and a spent pair never
-returns, so each (sign, action) slot's picks are its candidates in one fixed
-order, walked from the front. The remove pools (the original edges) are sorted
-up front. The add pools span all n^2/2 pairs, of which a run reads few, so
-they are ranked lazily, a chunk of the best remaining pairs at a time.
+Scores node pairs by the branch embeddings' edge propensities, then repeatedly
+perturbs the extreme pairs: the best non-edge is added and the worst existing
+edge removed, per sign. The propensities are computed one fixed block of rows at
+a time (`_propensity_rows`), and no n x n matrix is kept. They are fixed for the
+run and a spent pair never returns, so each (sign, action) slot's picks are its
+candidates in one fixed order, walked from the front, and each pick carries its
+value into the log. The remove pools (the original edges) are sorted up front.
+The add pools span all n^2/2 pairs, of which a run reads few, so they are ranked
+lazily, a chunk of the best remaining pairs at a time.
 Negative candidates pass through the edge-utility filter, a one-pair walk
 count (`balance.pair_utility`) evaluated on the current working graph,
 and `LogEntry.performed` is the one place its verdict decides: additions need
@@ -16,10 +18,11 @@ positive to negative perturbations toward theta_target and stops once the
 perturbed-edge share reaches delta_target.
 
 Finally the two perturbed adjacencies are fused back into one signed graph.
-`fuse` is the general rule, with a tie-break for pairs present in both. Within
-`augment` no pair ever is: additions of both signs take original non-edges,
-never the same pair twice, and removals only take original edges of their own
-sign, so the working sets stay disjoint and fusion is their union.
+`fuse` is the general rule, with a tie-break for pairs present in both; it reads
+the dense matrices of `edge_probabilities`. Within `augment` no pair ever is in
+both: additions of both signs take original non-edges, never the same pair
+twice, and removals only take original edges of their own sign, so the working
+sets stay disjoint and fusion is their union.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,14 +51,15 @@ NOT_GATED = "n/a"
 _RECIPROCAL_GUARD = 1e-8
 _RATIO_TOL = 1e-9
 
-# add-pool ranking: rows per block of one pass, and pairs ranked by the first refill
+# rows per propensity block, and pairs ranked by an add pool's first refill
 _ROW_BLOCK = 128
 _FIRST_CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class ProbabilityMatrices:
-    """Edge-propensity matrices per sign; only pairs u < v are ever read."""
+    """Dense edge-propensity matrices per sign, for `fuse`; only pairs u < v are
+    ever read. `augment` reads the same values block by block instead."""
 
     mpos: np.ndarray
     mneg: np.ndarray
@@ -137,41 +142,79 @@ class AugmentedGraph:
     thresholds_unmet: bool = False
 
 
-def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
-    """Cosine scores per branch: mpos = Zp Zp^T, mneg = 1 / (Zn Zn^T).
+def _blocks(n: int):
+    """The fixed row blocks (r0, r1) of an n-node propensity matrix.
 
-    Rows are L2-normalized first; a row whose norm overflows is divided by its
-    largest magnitude before that. The reciprocal keeps its sign; magnitudes
-    below 1e-8 are clamped to +-1e-8 (zeros to +1e-8) before dividing, in
-    place, so mneg stays finite. Zero-norm rows yield zero similarity (with a
-    warning) and fall under the same guard. Both matrices are exactly
-    symmetric: numpy computes `z @ z.T` as one symmetric rank-k update (syrk),
-    which fills one triangle and mirrors it. The diagonals hold each node's
-    score with itself, which no pool reads: candidates are pairs u < v.
+    Every reader cuts at these rows: BLAS may round an entry of a product
+    differently in a block of another shape, and the values must not depend on
+    who reads them.
     """
+    return ((r0, min(r0 + _ROW_BLOCK, n)) for r0 in range(0, n, _ROW_BLOCK))
 
-    def normalize(z):
-        with np.errstate(over="ignore"):  # an overflowed norm is handled below
-            norms = np.linalg.norm(z, axis=1, keepdims=True)
-        huge = ~np.isfinite(norms[:, 0])
-        if huge.any():  # bring those rows into range
-            z = z.copy()
-            z[huge] /= np.abs(z[huge]).max(axis=1, keepdims=True)
-            norms[huge] = np.linalg.norm(z[huge], axis=1, keepdims=True)
-        bad = norms[:, 0] < 1e-300
-        if bad.any():
-            logger.warning("%d zero-norm embedding rows; similarities guarded", int(bad.sum()))
-        safe = np.where(norms > 0, norms, 1.0)
-        return z / safe
 
-    zp = normalize(np.asarray(pair.zpos, dtype=np.float64))
-    zn = normalize(np.asarray(pair.zneg, dtype=np.float64))
-    mneg = zn @ zn.T
-    small = (mneg < _RECIPROCAL_GUARD) & (mneg > -_RECIPROCAL_GUARD)
-    mneg[small] = np.where(mneg[small] < 0, -_RECIPROCAL_GUARD, _RECIPROCAL_GUARD)
-    np.divide(1.0, mneg, out=mneg)
-    mpos = zp @ zp.T
-    return ProbabilityMatrices(mpos=mpos, mneg=mneg)
+def _normalize(z: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm; a row whose norm overflows is divided by its
+    largest magnitude first, and a zero-norm row stays zero (with a warning)."""
+    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowed norm is handled below
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    huge = ~np.isfinite(norms[:, 0])
+    if huge.any():  # bring those rows into range
+        z = z.copy()
+        z[huge] /= np.abs(z[huge]).max(axis=1, keepdims=True)
+        norms[huge] = np.linalg.norm(z[huge], axis=1, keepdims=True)
+    bad = norms[:, 0] < 1e-300
+    if bad.any():
+        logger.warning("%d zero-norm embedding rows; similarities guarded", int(bad.sum()))
+    safe = np.where(norms > 0, norms, 1.0)
+    return z / safe
+
+
+def _propensity_rows(pair: EmbeddingPair):
+    """The one definition of a propensity: `rows(sign, r0, r1)`, the scores of
+    nodes r0:r1 against every node, an (r1 - r0) x n array.
+
+    Rows of both branches are normalized once (`_normalize`). A block is
+    `zu[r0:r1] @ zu.T`, full width: cosine similarities for sign +1, and for
+    sign -1 their reciprocals. The reciprocal keeps its sign; magnitudes below
+    1e-8 are clamped to +-1e-8 (zeros to +1e-8) before dividing, in place, so
+    the block stays finite. Readers call it with the boundaries of `_blocks`.
+    """
+    z = {1: _normalize(pair.zpos), -1: _normalize(pair.zneg)}
+
+    def rows(sign: int, r0: int, r1: int) -> np.ndarray:
+        zu = z[sign]
+        block = zu[r0:r1] @ zu.T
+        if sign < 0:
+            small = (block < _RECIPROCAL_GUARD) & (block > -_RECIPROCAL_GUARD)
+            block[small] = np.where(block[small] < 0, -_RECIPROCAL_GUARD, _RECIPROCAL_GUARD)
+            np.divide(1.0, block, out=block)
+        return block
+
+    return rows
+
+
+def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
+    """Cosine scores per branch as dense matrices: mpos = Zp Zp^T, mneg = 1 / (Zn Zn^T).
+
+    The entries are those of `_propensity_rows`, bit for bit: each row block
+    fills its upper triangle, and the lower triangle is mirrored from it block
+    by block, so both matrices are exactly symmetric. A zero-norm row yields
+    zero similarity and falls under the reciprocal guard. The diagonals hold
+    each node's score with itself, which no pool reads: candidates are pairs
+    u < v.
+    """
+    rows = _propensity_rows(pair)
+    n = pair.zpos.shape[0]
+    mats = {1: np.empty((n, n)), -1: np.empty((n, n))}
+    for r0, r1 in _blocks(n):
+        lower = np.tril_indices(r1 - r0, -1)
+        for sign, m in mats.items():
+            m[r0:r1, r0:] = rows(sign, r0, r1)[:, r0:]
+            m[r0:r1, :r0] = m[:r0, r0:r1].T
+            square = m[r0:r1, r0:r1]
+            square[lower] = square.T[lower]
+    return ProbabilityMatrices(mpos=mats[1], mneg=mats[-1])
 
 
 def _ratio_error(pos: int, neg: int, theta: float) -> float:
@@ -200,69 +243,88 @@ def _top(vals: np.ndarray, k: int) -> np.ndarray:
     return vals if vals.size <= k else np.partition(vals, vals.size - k)[vals.size - k:]
 
 
-def _ranked_pairs(values: np.ndarray):
-    """Upper-triangle keys u * n + v of an n x n matrix, highest value first
-    and ties in key order: the order of a stable sort by descending value.
+def _ranked_pairs(block, n: int):
+    """Upper-triangle pairs (u * n + v, value) of the n x n matrix whose rows
+    r0:r1 are block(r0, r1), highest value first and ties in key order: the
+    order of a stable sort by descending value.
 
-    Ranked lazily, a chunk at a time. One pass over fixed row blocks keeps
-    each block's top `chunk` values among the entries not yet ranked; the
-    chunk-th largest of those is the new threshold. A second pass collects
-    every unranked entry at or above it, so a tie run goes in whole, and
-    yields them stable-sorted by value. Each refill doubles the chunk, so no
-    array of all n^2/2 pairs is built unless the pool is walked that far.
-    Values must not be NaN.
+    Ranked lazily, a chunk at a time. Each refill computes every row block of
+    `_blocks` once and keeps its top `chunk` entries among those not yet ranked;
+    the chunk-th largest kept value is the new threshold. Every unranked entry
+    at or above it is ranked in this refill, so a tie run goes in whole. Only a
+    block whose own cut equals the threshold can hold such entries beyond the
+    ones it kept, and only that block is computed again. Each refill doubles the
+    chunk, so no array of all n^2/2 pairs is built unless the pool is walked
+    that far. Values must not be NaN.
     """
-    n = values.shape[0]
     chunk = _FIRST_CHUNK
     below = math.inf  # every entry ranked so far is >= below, every other one < below
 
-    def unranked():
-        """(first row, block, mask of its unranked upper entries) per row block."""
-        for r0 in range(0, n - 1, _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, n - 1)
-            block = values[r0:r1, r0 + 1:]
-            upper = np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
-            yield r0, block, upper & (block < below)
+    def unranked(r0, r1):
+        """Keys and values of the block's upper entries not yet ranked."""
+        vals = block(r0, r1)
+        mask = (np.arange(n) > np.arange(r0, r1)[:, None]) & (vals < below)
+        return np.flatnonzero(mask) + r0 * n, vals[mask]
 
-    while n > 1:
-        tops = np.concatenate([_top(block[mask], chunk) for _r0, block, mask in unranked()])
+    while True:
+        kept = []  # per block: (r0, r1, keys, values, cut); cut None if nothing was left out
+        for r0, r1 in _blocks(n):
+            keys, vals = unranked(r0, r1)
+            cut = None
+            if vals.size > chunk:
+                top = np.argpartition(vals, vals.size - chunk)[vals.size - chunk:]
+                keys, vals = keys[top], vals[top]
+                cut = vals.min()
+            kept.append((r0, r1, keys, vals, cut))
+        tops = np.concatenate([vals for _r0, _r1, _keys, vals, _cut in kept])
         if tops.size == 0:
             return
         kth = _top(tops, chunk).min()
-        keys, vals = [], []
-        for r0, block, mask in unranked():
-            mask &= block >= kth
-            rows, cols = np.nonzero(mask)
-            keys.append((rows + r0) * n + (cols + r0 + 1))
-            vals.append(block[mask])
-        keys, vals = np.concatenate(keys), np.concatenate(vals)
-        yield from keys[np.argsort(-vals, kind="stable")]
+        ranked_keys, ranked_vals = [], []
+        for r0, r1, keys, vals, cut in kept:
+            if cut == kth:  # a tie run crosses the block's cut
+                keys, vals = unranked(r0, r1)
+            at_least = vals >= kth
+            ranked_keys.append(keys[at_least])
+            ranked_vals.append(vals[at_least])
+        keys, vals = np.concatenate(ranked_keys), np.concatenate(ranked_vals)
+        order = np.lexsort((keys, -vals))
+        yield from zip(keys[order].tolist(), vals[order].tolist())
         below = kth
         chunk *= 2
+
+
+def _edge_values(block, n: int, keys: np.ndarray) -> np.ndarray:
+    """Values of the pairs with sorted row-major keys, read from the row blocks."""
+    u, v = np.divmod(keys, n)
+    vals = np.empty(keys.size)
+    for r0, r1 in _blocks(n):
+        lo, hi = np.searchsorted(u, (r0, r1))
+        if lo < hi:
+            vals[lo:hi] = block(r0, r1)[u[lo:hi] - r0, v[lo:hi]]
+    return vals
 
 
 class AugmentationState:
     """Mutable working state of one augmentation run (single-owner).
 
-    The candidates of each (sign, action) slot form one pool, each ranked in
-    one fixed order: add pools hold every upper-triangle pair, highest value
-    first, ranked lazily by `_ranked_pairs`; remove pools hold the original
-    edges of their sign, lowest value first, sorted here. Both orders break
-    ties by row-major key, as an argmax/argmin scan would. Walking the pools
-    equals rescanning the remaining candidates before every action because
-    the values never change during a run and a pair that leaves a pool never
-    comes back. `taken` holds the original edges plus every pair already
-    picked; add pools skip those pairs. Remove pools never need to: no other
-    slot can take an original edge.
+    `rows(sign, r0, r1)` gives the propensities of nodes r0:r1 against every
+    node (`_propensity_rows`). The candidates of each (sign, action) slot form
+    one pool of (key, value) pairs, each ranked in one fixed order: add pools
+    hold every upper-triangle pair, highest value first, ranked lazily by
+    `_ranked_pairs`; remove pools hold the original edges of their sign,
+    lowest value first, sorted here. Both orders break ties by row-major key,
+    as an argmax/argmin scan would. Walking the pools equals rescanning the
+    remaining candidates before every action because the values never change
+    during a run and a pair that leaves a pool never comes back. `taken` holds
+    the original edges plus every pair already picked; add pools skip those
+    pairs. Remove pools never need to: no other slot can take an original edge.
     """
 
-    def __init__(self, g: SignedGraph, probs: ProbabilityMatrices, cfg: EPRConfig):
+    def __init__(self, g: SignedGraph, rows, cfg: EPRConfig):
         n = g.n
-        if probs.mpos.shape != (n, n) or probs.mneg.shape != (n, n):
-            raise ValueError("probability matrices do not match the graph size")
         self.n = n
         self.cfg = cfg
-        self.probs = probs
         self.original_edge_count = g.num_edges
         self.pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
         self.neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
@@ -270,18 +332,21 @@ class AugmentationState:
         # pairs as row-major flat keys u * n + v, u < v; g.edges() is in that order
         self.taken = {u * n + v for u, v, _ in g.edges()}
         self.pools = {}
-        for sign, values in ((1, probs.mpos), (-1, probs.mneg)):
+        for sign in (1, -1):
+            block = partial(rows, sign)
             edges = np.array([u * n + v for u, v, s in g.edges() if s == sign], dtype=np.intp)
-            self.pools[sign, ADD] = _ranked_pairs(values)
-            self.pools[sign, REMOVE] = iter(edges[np.argsort(values.take(edges), kind="stable")])
+            vals = _edge_values(block, n, edges)
+            order = np.argsort(vals, kind="stable")
+            self.pools[sign, ADD] = _ranked_pairs(block, n)
+            self.pools[sign, REMOVE] = zip(edges[order].tolist(), vals[order].tolist())
 
     def _pick(self, sign: int, action: str):
-        """The slot's best pair not yet taken, or None once its pool is empty."""
-        for key in self.pools[sign, action]:
-            key = int(key)
+        """The slot's best pair not yet taken, as (u, v, value), or None once its
+        pool is empty."""
+        for key, value in self.pools[sign, action]:
             if action == REMOVE or key not in self.taken:
                 self.taken.add(key)
-                return divmod(key, self.n)
+                return (*divmod(key, self.n), value)
         return None
 
     def _steer_allows(self, sign: int) -> bool:
@@ -305,7 +370,8 @@ def perturb_step(state: AugmentationState) -> int:
     stop signal to the driver.
 
     Each slot takes the next pair of its pool in its fixed order: the pair a fresh
-    argmax/argmin scan would pick (AugmentationState says why). Positive
+    argmax/argmin scan would pick (AugmentationState says why). The pair's
+    value comes with it from the pool and is the entry's probability. Positive
     actions are ungated. Negative candidates pass through the utility filter
     on the current working graph, and the logged entry's `performed` decides
     whether the change is applied: an addition only when the filter keeps the
@@ -317,16 +383,15 @@ def perturb_step(state: AugmentationState) -> int:
     for sign, action in _SLOTS:
         if not state._steer_allows(sign):
             continue
-        probs = state.probs.mpos if sign > 0 else state.probs.mneg
         pick = state._pick(sign, action)
         if pick is None:
             continue
-        u, v = pick
+        u, v, value = pick
         verdict = NOT_GATED
         if sign < 0:
             util = pair_utility(state.pos_adj, state.neg_adj, u, v, cfg.eta)
             verdict = filter_edge(util, cfg.mu)
-        entry = LogEntry(action, sign, u, v, float(probs[u, v]), verdict)
+        entry = LogEntry(action, sign, u, v, value, verdict)
         if entry.performed:
             adj = state.pos_adj if sign > 0 else state.neg_adj
             change = set.add if action == ADD else set.discard
@@ -372,8 +437,9 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
     """
     if g.num_edges == 0:
         raise ValueError("cannot augment a graph without edges")
-    probs = edge_probabilities(pair)
-    state = AugmentationState(g, probs, cfg)
+    if pair.zpos.shape[0] != g.n:
+        raise ValueError("embeddings do not match the graph size")
+    state = AugmentationState(g, _propensity_rows(pair), cfg)
     unmet = False
     while epr_check(state.log, cfg, state.original_edge_count) == CONTINUE:
         if perturb_step(state) == 0:

@@ -367,10 +367,14 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
 
 
 def _reg(params: ModelParams, weight_decay: float) -> float:
-    """L2 regularization value, summed over params.arrays() in order."""
+    """L2 regularization value, summed over params.arrays() in order.
+
+    A diverging run overflows it to inf silently: `train` reports that itself.
+    """
     reg = 0.0
-    for a in params.arrays():
-        reg += weight_decay * float((a * a).sum())
+    with np.errstate(over="ignore"):
+        for a in params.arrays():
+            reg += weight_decay * float((a * a).sum())
     return reg
 
 

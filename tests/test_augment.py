@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, CONTINUE, NOT_GATED, STOP,
-                            AugmentationState, LogEntry, PerturbationLog, _ranked_pairs,
-                            edge_probabilities)
+                            AugmentationState, LogEntry, PerturbationLog, _propensity_rows,
+                            _ranked_pairs, edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
 
 from augment_reference import reference_augment
@@ -16,6 +16,11 @@ from conftest import random_signed_graph
 
 # a value below every score, for the hand-built matrices' unread entries
 DIAG_SENTINEL = -1e30
+
+
+def matrix_rows(probs):
+    """Hand-built matrices as a propensity block source: rows(sign, r0, r1)."""
+    return lambda sign, r0, r1: (probs.mpos if sign > 0 else probs.mneg)[r0:r1]
 
 
 def trained_pair(g, seed=0, epochs=30):
@@ -88,6 +93,39 @@ class TestEdgeProbabilities:
         for got, want in ((huge.mpos, unit.mpos), (huge.mneg, unit.mneg)):
             assert np.allclose(got, want, rtol=1e-15, atol=1e-15)
             assert np.array_equal(got[1:, 1:], want[1:, 1:])  # other rows keep their bits
+
+
+class TestPropensityRows:
+    """The lazy row blocks against the dense matrices, bit for bit."""
+
+    @staticmethod
+    def special_pair(n, d=4):
+        z = np.random.default_rng(n).normal(size=(2, n, d))
+        for zb in z:
+            zb[0] = 0.0  # zero-norm row
+            if n > 2:
+                zb[1] = [1.0, 0.0, 0.0, 0.0]
+                zb[2] = [-1e-9, 1.0, 0.0, 0.0]  # its similarity with row 1 is clamped
+            if n > 3:
+                zb[n - 1] = 1e200  # the squared norm overflows
+        return sg.EmbeddingPair(z[0], z[1])
+
+    @pytest.mark.parametrize("n", [1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                   2 * _ROW_BLOCK + 37])
+    def test_every_upper_pair_equals_edge_probabilities(self, n):
+        pair = self.special_pair(n)
+        probs = edge_probabilities(pair)
+        rows = _propensity_rows(pair)
+        for sign, m in ((1, probs.mpos), (-1, probs.mneg)):
+            for r0 in range(0, n, _ROW_BLOCK):
+                r1 = min(r0 + _ROW_BLOCK, n)
+                block = rows(sign, r0, r1)
+                assert block.shape == (r1 - r0, n)
+                upper = np.arange(n) > np.arange(r0, r1)[:, None]
+                assert np.array_equal(block[upper], m[r0:r1][upper])
+                assert np.array_equal(block[upper], m.T[r0:r1][upper])
+        if n > 2:
+            assert probs.mneg[1, 2] == -1e8 and probs.mneg[0, 1] == 1e8
 
 
 class TestEdgeProbabilitiesMemory:
@@ -194,8 +232,8 @@ class TestPerturbStep:
         mpos[2, 5] = mpos[5, 2] = 0.95  # non-edge pair with the global max
         np.fill_diagonal(mpos, DIAG_SENTINEL)
         probs = sg.ProbabilityMatrices(mpos, mneg)
-        state = AugmentationState(g, probs, sg.EPRConfig(theta_target=9.0,
-                                                         delta_target=1.0, mu=0.7))
+        state = AugmentationState(g, matrix_rows(probs), sg.EPRConfig(theta_target=9.0,
+                                                                      delta_target=1.0, mu=0.7))
         sg.perturb_step(state)
         first = state.log.entries[0]
         assert (first.action, first.sign, first.u, first.v) == (ADD, 1, 2, 5)
@@ -213,8 +251,8 @@ class TestPerturbStep:
         np.fill_diagonal(mpos, DIAG_SENTINEL)
         np.fill_diagonal(mneg, DIAG_SENTINEL)
         probs = sg.ProbabilityMatrices(mpos, mneg)
-        state = AugmentationState(g, probs, sg.EPRConfig(theta_target=1 / 9,
-                                                         delta_target=1.0, mu=0.7))
+        state = AugmentationState(g, matrix_rows(probs), sg.EPRConfig(theta_target=1 / 9,
+                                                                      delta_target=1.0, mu=0.7))
         sg.perturb_step(state)
         entry = next(e for e in state.log.entries if e.sign < 0 and e.action == ADD)
         assert (entry.u, entry.v, entry.euf_verdict) == (0, 1, DISCARD)
@@ -228,7 +266,7 @@ class TestPerturbStep:
             mneg = mpos[::-1] + mpos[::-1].T
             np.fill_diagonal(mpos, DIAG_SENTINEL)
             np.fill_diagonal(mneg, DIAG_SENTINEL)
-            state = AugmentationState(g, sg.ProbabilityMatrices(mpos, mneg),
+            state = AugmentationState(g, matrix_rows(sg.ProbabilityMatrices(mpos, mneg)),
                                       sg.EPRConfig(theta_target=theta, delta_target=1.0,
                                                    mu=0.7))
             counts = []
@@ -403,9 +441,14 @@ class TestRankedPairs:
     """The lazy add-pool ranking, walked to exhaustion, against one full stable sort."""
 
     @staticmethod
-    def assert_ranked(values):
-        got = np.fromiter(_ranked_pairs(values), dtype=np.intp)
-        assert np.array_equal(got, stable_ranking(values))
+    def ranked(values):
+        return list(_ranked_pairs(lambda r0, r1: values[r0:r1], values.shape[0]))
+
+    def assert_ranked(self, values):
+        got = self.ranked(values)
+        keys = np.array([key for key, _value in got], dtype=np.intp)
+        assert np.array_equal(keys, stable_ranking(values))
+        assert [value for _key, value in got] == values.take(keys).tolist()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2 * _ROW_BLOCK + 40),
            decimals=st.sampled_from([0, 1, 3]))
@@ -434,26 +477,45 @@ class TestRankedPairs:
         self.assert_ranked(np.random.default_rng(4).normal(size=(n, n)))
 
     def test_one_and_two_nodes(self):
-        assert list(_ranked_pairs(np.zeros((1, 1)))) == []
-        assert list(_ranked_pairs(np.zeros((2, 2)))) == [1]
+        assert self.ranked(np.zeros((1, 1))) == []
+        assert self.ranked(np.zeros((2, 2))) == [(1, 0.0)]
+
+
+def benchmark_shaped_inputs():
+    """A graph shaped like the n=1000, m=4000 benchmark graph, random embeddings
+    and the benchmark's targets."""
+    rng = np.random.default_rng(0)
+    n = 1000
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(4000, 2)).tolist()
+             if p[0] != p[1]}
+    g = sg.SignedGraph(n, [(u, v, -1 if rng.random() < 0.2 else 1) for u, v in sorted(pairs)])
+    pair = sg.EmbeddingPair(*rng.normal(size=(2, n, 64)))
+    return g, pair, sg.EPRConfig(theta_target=1 / 9, delta_target=0.12, mu=0.7)
 
 
 class TestPoolMemory:
     def test_no_all_pairs_array(self):
-        # shaped like the n=1000, m=4000 benchmark graph; one int64 array over all
-        # n^2/2 upper pairs is 4 MB, and ranking both add pools in full needs about
-        # 17 MB where the lazy pools need about 5.5 MB
-        rng = np.random.default_rng(0)
-        n = 1000
-        pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(4000, 2)).tolist()
-                 if p[0] != p[1]}
-        g = sg.SignedGraph(n, [(u, v, -1 if rng.random() < 0.2 else 1) for u, v in sorted(pairs)])
-        probs = edge_probabilities(sg.EmbeddingPair(*rng.normal(size=(2, n, 64))))
-        cfg = sg.EPRConfig(theta_target=1 / 9, delta_target=0.12, mu=0.7)
+        # one int64 array over all n^2/2 upper pairs is 4 MB, and ranking both add
+        # pools in full needs about 17 MB where the lazy pools need about 5.5 MB
+        g, pair, cfg = benchmark_shaped_inputs()
         tracemalloc.start()
         try:
-            state = AugmentationState(g, probs, cfg)
+            state = AugmentationState(g, _propensity_rows(pair), cfg)
             assert all(state._pick(sign, action) is not None for sign, action in _SLOTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestAugmentMemory:
+    def test_no_n_by_n_matrix(self):
+        # the two n x n propensity matrices alone take 16 MB here; a whole run
+        # on row blocks peaks at about 6.4 MB
+        g, pair, cfg = benchmark_shaped_inputs()
+        tracemalloc.start()
+        try:
+            sg.augment(g, pair, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

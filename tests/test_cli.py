@@ -157,6 +157,7 @@ class TestTrainAugmentCmds:
                        "--lambda", "1e300", "--output", str(out), "--quiet")
         assert proc.returncode == EXIT_COMPONENT
         assert "train failed: training diverged: the objective is inf at epoch 2" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         assert not out.with_suffix(".emb").exists() and not out.with_suffix(".params").exists()
 
     def test_graph_without_edges_refused(self, tmp_path):
