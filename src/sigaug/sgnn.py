@@ -14,7 +14,10 @@ The loss works at node level: the classifier projects each node's embedding
 once, its logit gradients are scattered onto the nodes by bincount, and the
 hinge gradient reaches Z through one sparse node-by-node weight matrix, never
 through a per-row copy of the pair features; the rows' squared distances are
-taken in fixed row blocks.
+taken in fixed row blocks. `train` builds what no epoch changes once per call:
+the propagation operators, the layer-0 inputs [x || R+ x] and [x || R- x], the
+supervision's edge rows and the null pool; an epoch draws only its "?" rows.
+`forward` and `gradient_check` build the layer-0 inputs with the same helper.
 """
 
 from __future__ import annotations
@@ -217,16 +220,22 @@ class _GraphTensors:
         return (sp.diags(inv) @ mat).tocsr()
 
 
-def _forward_cached(tensors: _GraphTensors, params: ModelParams, x: np.ndarray):
-    hp = hn = None
+def _layer0(tensors: _GraphTensors, x: np.ndarray):
+    """Layer 0's inputs [x || R+ x] and [x || R- x], one per branch.
+
+    They depend only on the graph and the features, not on the weights, so each
+    caller builds them once and passes them to every forward.
+    """
+    return np.hstack([x, tensors.rp1 @ x]), np.hstack([x, tensors.rn1 @ x])
+
+
+def _forward_cached(tensors: _GraphTensors, params: ModelParams, x0):
+    """The layer stack from the layer-0 inputs `x0` of _layer0: the final
+    embeddings and each layer's (catp, catn, hp, hn) for _backward."""
+    catp, catn = x0
     cache = []
     for l in range(params.layers):
-        if l == 0:
-            ap = tensors.rp1 @ x
-            an = tensors.rn1 @ x
-            catp = np.hstack([x, ap])
-            catn = np.hstack([x, an])
-        else:
+        if l > 0:
             ap = tensors.rpd @ hp + tensors.rnd @ hn
             an = tensors.rpd @ hn + tensors.rnd @ hp
             catp = np.hstack([hp, ap])
@@ -242,7 +251,8 @@ def forward(g: SignedGraph, params: ModelParams, x: np.ndarray) -> EmbeddingPair
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n, params.feature_dim):
         raise ValueError(f"feature shape {x.shape} != {(g.n, params.feature_dim)}")
-    pair, _ = _forward_cached(_GraphTensors(g), params, x)
+    tensors = _GraphTensors(g)
+    pair, _ = _forward_cached(tensors, params, _layer0(tensors, x))
     return pair
 
 
@@ -408,9 +418,10 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
     return np.column_stack((pairs, np.full(len(pairs), _NULL, dtype=np.int64)))
 
 
-def _grad_step(tensors, params, x, rows, weights, cfg, warn_missing=True):
-    """One full-batch evaluation: loss value and the gradients in params.arrays() order."""
-    pair, cache = _forward_cached(tensors, params, x)
+def _grad_step(tensors, params, x0, rows, weights, cfg, warn_missing=True):
+    """One full-batch evaluation from the layer-0 inputs `x0`: loss value and the
+    gradients in params.arrays() order."""
+    pair, cache = _forward_cached(tensors, params, x0)
     ce, hinge, dZ, dTheta = _loss_grads(concat(pair), rows, params.theta, cfg.lam, weights,
                                         warn_missing=warn_missing)
     h = params.half_dim
@@ -431,9 +442,17 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
     epoch as uniformly random pairs non-adjacent in it, |edges| of them. An
     epoch's samples are one int array of (u, v, class) rows. An augmented graph
     is trained with supervision from the unperturbed one so synthetic edges
-    steer propagation but never become labels. Returns the final parameters,
-    final embeddings and the per-epoch loss trace; raises ValueError at the
-    first epoch whose objective is not finite.
+    steer propagation but never become labels. `init` warm-starts from given
+    parameters, which must have cfg's feature_dim, embed_dim and layers.
+
+    What does not change between epochs is built once per call: the
+    propagation operators, the layer-0 inputs [x || R+ x] and [x || R- x], the
+    supervision's edge rows and, on graphs small enough to list them, the pool
+    of non-adjacent pairs the "?" rows are drawn from.
+
+    Returns the final parameters, final embeddings and the per-epoch loss
+    trace; raises ValueError before the first epoch if `init` does not match
+    cfg, and at the first epoch whose objective is not finite.
     """
     sup = samples_from if samples_from is not None else g
     if sup.n != g.n:
@@ -442,12 +461,16 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
         raise ValueError("training requires at least one positive edge")
     if sup.num_neg == 0:
         raise ValueError("training requires at least one negative edge")
-    x = synth_features(g.n, cfg.feature_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(x.shape[1], cfg.embed_dim, cfg.layers, rng)
+    params = init_params(cfg.feature_dim, cfg.embed_dim, cfg.layers, rng)
     if init is not None:
+        for name in ("feature_dim", "embed_dim", "layers"):
+            if getattr(init, name) != getattr(cfg, name):
+                raise ValueError(f"init has {name}={getattr(init, name)}, "
+                                 f"cfg has {name}={getattr(cfg, name)}")
         params = init  # warm start; rng stream position stays identical
     tensors = _GraphTensors(g)
+    x0 = _layer0(tensors, synth_features(g.n, cfg.feature_dim, cfg.seed))
     edges = _edge_rows(sup)
     pool = _null_pool(edges, sup.n)
     lr = cfg.learning_rate
@@ -456,14 +479,14 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
         rows = np.concatenate((edges, _draw_nulls(edges, sup.n, pool, len(edges), rng)))
         if epoch == 0:  # every epoch draws the same number of samples per class
             weights = _class_weights(rows)
-        value, grads = _grad_step(tensors, params, x, rows, weights, cfg,
+        value, grads = _grad_step(tensors, params, x0, rows, weights, cfg,
                                   warn_missing=epoch == 0)
         if not math.isfinite(value):
             raise ValueError(f"training diverged: the objective is {value} at epoch "
                              f"{epoch + 1} of {cfg.epochs}")
         trace.append(value)
         params = ModelParams.from_arrays([a - lr * ga for a, ga in zip(params.arrays(), grads)])
-    pair, _ = _forward_cached(tensors, params, x)
+    pair, _ = _forward_cached(tensors, params, x0)
     return TrainResult(params=params, embeddings=pair, loss_trace=trace)
 
 
@@ -483,12 +506,13 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
     params = ModelParams(params.wpos, params.wneg,
                          rng.uniform(-0.5, 0.5, size=params.theta.shape))
     tensors = _GraphTensors(g)
+    x0 = _layer0(tensors, x)
     edges = _edge_rows(g)
     rows = np.concatenate((edges, _draw_nulls(edges, g.n, _null_pool(edges, g.n),
                                               max(g.num_edges, 1), rng)))
     weights = _class_weights(rows)
 
-    _, grads = _grad_step(tensors, params, x, rows, weights, cfg)
+    _, grads = _grad_step(tensors, params, x0, rows, weights, cfg)
     analytic = np.concatenate([a.ravel() for a in grads])
     arrays = params.arrays()
     flat = np.concatenate([a.ravel() for a in arrays])
@@ -497,7 +521,7 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
     def value_at(vec):
         p = ModelParams.from_arrays([part.reshape(a.shape)
                                      for part, a in zip(np.split(vec, cuts), arrays)])
-        return _grad_step(tensors, p, x, rows, weights, cfg)[0]
+        return _grad_step(tensors, p, x0, rows, weights, cfg)[0]
 
     picks = rng.choice(flat.size, size=min(60, flat.size), replace=False)
     worst = 0.0

@@ -1,12 +1,14 @@
-"""The benchmark's correctness check as a tier-1 test.
+"""The benchmark's correctness checks as tier-1 tests.
 
-Each workload of benchmark/worker.py runs once at seed 0 in this process, and
-its output lines must match the stored reference benchmark/reference/*-seed0.txt
+Each workload of benchmark/worker.py runs at seed 0 in this process, and its
+output lines must match the stored reference benchmark/reference/*-seed0.txt
 under the benchmark's own comparison (floats within 1e-12, everything else
-exactly). The generated graph goes to a temporary directory; nothing under
-benchmark/ is written.
+exactly). A second pass runs with the worker's tracing installed, and must
+pass the traced run's consistency check as well. The generated graph goes to a
+temporary directory; nothing under benchmark/ is written.
 """
 
+import importlib
 import pathlib
 import sys
 
@@ -15,28 +17,34 @@ import pytest
 import sigaug as sg
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
+WORKLOADS = ["congress-sweep", "synth1k-gate"]
+
+# every name worker.install_tracing replaces, each restored after the traced pass
+# (sigaug.augment is the function, so the modules are looked up by name)
+TRACED = [(importlib.import_module(module), name) for module, names in (
+    ("sigaug.evaluate", ("split_edges", "train", "augment", "predict_test_edges", "auc",
+                         "classification_metrics")),
+    ("sigaug.augment", ("edge_probabilities", "perturb_step", "pair_utility", "fuse")),
+) for name in names]
 
 
 @pytest.fixture(scope="module")
 def bench():
-    """The benchmark's gen_graph, run and worker modules, imported without bytecode."""
+    """The benchmark's gen_graph, run, spans and worker modules, imported without bytecode."""
     sys.path.insert(0, str(BENCH))
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        import gen_graph
-        import run
-        import worker
+        return tuple(importlib.import_module(name)
+                     for name in ("gen_graph", "run", "spans", "worker"))
     finally:
         sys.dont_write_bytecode = write_bytecode
         sys.path.remove(str(BENCH))
-    return gen_graph, run, worker
 
 
-@pytest.mark.parametrize("workload", ["congress-sweep", "synth1k-gate"])
-def test_seed0_pass_matches_stored_reference(bench, workload, tmp_path):
-    gen_graph, run, worker = bench
-    spec = worker.WORKLOADS[workload]
+def _load(bench, spec, tmp_path):
+    """The workload's dataset path and graph, built as the worker builds them."""
+    gen_graph, _, _, worker = bench
     if spec["dataset"] is None:
         edges = gen_graph.generate(0)
         gen_graph.check(edges)
@@ -47,6 +55,32 @@ def test_seed0_pass_matches_stored_reference(bench, workload, tmp_path):
     with open(dataset, "rb") as fh:
         graph = sg.build_graph(sg.load_edge_list(fh, "signed"))
     assert (graph.n, graph.num_edges, graph.num_neg) == (spec["nodes"], spec["edges"], spec["neg"])
-    lines = worker.run_pass(sg, spec, str(dataset), 0, graph)
+    return str(dataset), graph
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seed0_pass_matches_stored_reference(bench, workload, tmp_path):
+    _, run, _, worker = bench
+    spec = worker.WORKLOADS[workload]
+    dataset, graph = _load(bench, spec, tmp_path)
+    lines = worker.run_pass(sg, spec, dataset, 0, graph)
+    want = (run.REFERENCE / f"{workload}-seed0.txt").read_text().splitlines()
+    assert run.compare_lines(lines, want) is None
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seed0_traced_pass_is_consistent(bench, workload, tmp_path, monkeypatch):
+    _, run, spans, worker = bench
+    spec = worker.WORKLOADS[workload]
+    dataset, graph = _load(bench, spec, tmp_path)
+    for module, name in TRACED:
+        monkeypatch.setattr(module, name, getattr(module, name))
+    rec = spans.Recorder()
+    worker.install_tracing(rec)
+    with rec.span("bench.pass"):
+        lines = worker.run_pass(sg, spec, dataset, 0, graph)
+    child = {"all_closed": rec.all_closed(), "spans": rec.spans,
+             "layers": spans.layer_metrics(rec.spans)}
+    assert run.trace_problems(spec, child) == []
     want = (run.REFERENCE / f"{workload}-seed0.txt").read_text().splitlines()
     assert run.compare_lines(lines, want) is None

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 import sigaug as sg
 import trainer_reference as ref
 from sigaug.sgnn import (CLASSES, _draw_nulls, _edge_rows, _GraphTensors, _class_weights,
-                         _grad_step, _hinge_pairs, _loss_grads, _null_pool, init_params)
+                         _grad_step, _hinge_pairs, _layer0, _loss_grads, _null_pool,
+                         init_params)
 
 from conftest import random_signed_graph
 
@@ -237,7 +239,8 @@ class TestTrain:
         counts = [g.num_pos, g.num_neg, g.num_edges]  # "+", "-", "?"
         weights = np.array([sum(counts) / (3 * k) for k in counts])
         nulls = _draw_nulls(edges, g.n, _null_pool(edges, g.n), g.num_edges, rng)
-        _, grads = _grad_step(tensors, params0, x, np.concatenate((edges, nulls)), weights, cfg)
+        _, grads = _grad_step(tensors, params0, _layer0(tensors, x),
+                              np.concatenate((edges, nulls)), weights, cfg)
         step = np.concatenate([(a - b).ravel() for a, b in
                                zip(res.params.arrays(), params0.arrays())])
         grad = np.concatenate([a.ravel() for a in grads])
@@ -254,6 +257,65 @@ class TestTrain:
         # squares overflow the second epoch's regularization term
         with pytest.raises(ValueError, match=r"diverged: the objective is inf at epoch 2 of 3"):
             sg.train(congress_graph, sg.TrainConfig(epochs=3, lam=1e300))
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name,value", [("feature_dim", 6), ("embed_dim", 8), ("layers", 3)])
+    def test_init_must_match_cfg(self, name, value):
+        g = small_graph()
+        cfg = sg.TrainConfig(epochs=1, embed_dim=6, feature_dim=5)
+        init = init_params(cfg.feature_dim, cfg.embed_dim, cfg.layers, np.random.default_rng(0))
+        other = dataclasses.replace(cfg, **{name: value})
+        with pytest.raises(ValueError, match=rf"init has {name}={getattr(cfg, name)}, "
+                                             rf"cfg has {name}={value}"):
+            sg.train(g, other, init=init)
+
+    def test_matching_init_trains_bit_identically(self):
+        # the parameters a cold start draws for this seed, handed in as init
+        g = small_graph()
+        cfg = sg.TrainConfig(epochs=5, embed_dim=6, feature_dim=5, seed=3)
+        init = init_params(cfg.feature_dim, cfg.embed_dim, cfg.layers,
+                           np.random.default_rng(cfg.seed))
+        got, want = sg.train(g, cfg, init=init), sg.train(g, cfg)
+        assert got.loss_trace == want.loss_trace
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.params.arrays(), want.params.arrays(), strict=True))
+        assert np.array_equal(sg.concat(got.embeddings), sg.concat(want.embeddings))
+
+
+class TestLayer0Inputs:
+    """The layer-0 inputs depend only on the graph and the features, so every entry
+    point builds them once, through the one helper train uses."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(tensors, x):
+            calls.append(x.shape)
+            return _layer0(tensors, x)
+
+        monkeypatch.setattr("sigaug.sgnn._layer0", counted)
+        return calls
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_once_per_train(self, calls, epochs):
+        g = small_graph()
+        cfg = sg.TrainConfig(epochs=epochs, embed_dim=6, feature_dim=5)
+        base = sg.train(g, cfg)
+        assert len(calls) == 1
+        propagate = sg.SignedGraph(g.n, g.edges()[1:])  # a retrain's graph differs from g
+        sg.train(propagate, cfg, samples_from=g, init=base.params)
+        assert len(calls) == 2
+
+    def test_once_per_gradient_check_and_forward(self, calls):
+        g = small_graph(seed=31, n=10)
+        cfg = sg.TrainConfig(embed_dim=8, feature_dim=6)
+        sg.gradient_check(g, cfg)
+        assert len(calls) == 1
+        params = init_params(6, 8, 2, np.random.default_rng(0))
+        sg.forward(g, params, sg.synth_features(g.n, 6, 0))
+        assert len(calls) == 2
 
 
 def _tuples(rows):
