@@ -10,10 +10,12 @@ value into the log. The remove pools (the original edges) are sorted up front.
 The add pools span all n^2/2 pairs, of which a run reads few, so they are ranked
 lazily, a chunk of the best remaining pairs at a time.
 Negative candidates pass through the edge-utility filter, a one-pair walk
-count (`balance.pair_utility`) evaluated on the current working graph,
-and `LogEntry.performed` is the one place its verdict decides: additions need
-a keep verdict, removals a discard verdict (high-utility negatives are
-retained, noise negatives go). A regulator steers the running ratio of
+count (`balance.pair_utility`) evaluated on the current working graph: set
+intersections of the pair's neighbor sets count its walks of lengths 2 and 3,
+and only longer walks (eta 5 and 6) grow walk-count dicts.
+`LogEntry.performed` is the one place its verdict decides: additions need a
+keep verdict, removals a discard verdict (high-utility negatives are retained,
+noise negatives go). A regulator steers the running ratio of
 positive to negative perturbations toward theta_target and stops once the
 perturbed-edge share reaches delta_target.
 

@@ -8,6 +8,11 @@ and bounds the expected message entropy after perturbation
 Counting semantics are walk-based: the length-n matrices are built from
 adjacency products, so for n >= 4 they include degenerate back-and-forth walks.
 The enumeration oracle reproduces exactly the same semantics.
+
+One pair's counts (`pair_utility`) come from its neighbor sets: walks of
+lengths 2 and 3 from set intersections taken from the endpoint of lower
+degree, and longer walks from walk counts grown out of both endpoints that
+meet in the middle.
 """
 
 from __future__ import annotations
@@ -191,6 +196,35 @@ def _dot(a: dict, b: dict) -> int:
     return sum(cnt * b.get(w, 0) for w, cnt in a.items())
 
 
+def _short_walks(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
+                 eta: int) -> tuple[int, int]:
+    """(odd, all) counts of the walks u -> v of lengths 2..min(3, eta - 1).
+
+    Each count is a sum of set intersection sizes, taken from the endpoint of
+    lower degree a towards the other, b: a length-2 walk is a common neighbor
+    of a and b, and a length-3 walk is a neighbor w of a followed by a common
+    neighbor of w and b. A walk's parity is that of its negative edges, so a
+    first step a -> w over a negative edge swaps even and odd. Walk counts are
+    symmetric, so either orientation gives the same integers.
+    """
+    a, b = u, v
+    if len(pos_adj[a]) + len(neg_adj[a]) > len(pos_adj[b]) + len(neg_adj[b]):
+        a, b = b, a
+    pos_a, neg_a, pos_b, neg_b = pos_adj[a], neg_adj[a], pos_adj[b], neg_adj[b]
+    even = len(pos_a & pos_b) + len(neg_a & neg_b)
+    odd = len(pos_a & neg_b) + len(neg_a & pos_b)
+    if eta > 3:
+        for w in pos_a:
+            pos_w, neg_w = pos_adj[w], neg_adj[w]
+            even += len(pos_w & pos_b) + len(neg_w & neg_b)
+            odd += len(pos_w & neg_b) + len(neg_w & pos_b)
+        for w in neg_a:
+            pos_w, neg_w = pos_adj[w], neg_adj[w]
+            odd += len(pos_w & pos_b) + len(neg_w & neg_b)
+            even += len(pos_w & neg_b) + len(neg_w & pos_b)
+    return odd, odd + even
+
+
 def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
                  eta: int = ETA_DEFAULT) -> Optional[float]:
     """Balanced-cycle share of the pair (u, v) on neighbor-set adjacency.
@@ -202,28 +236,35 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
     count matrix. The candidate edge itself is not assumed present. Returns
     None when the pair sits in no cycle at all (zero denominator).
 
-    The walks meet in the middle: walk counts by end node and sign parity
-    grow ceil((eta-1)/2) hops from u and floor((eta-1)/2) hops from v, and a
-    length-L walk u -> v splits at its node w after ceil(L/2) hops. Its parity
-    is the sum of the two halves' parities (odd = even*odd + odd*even). The
-    counts are exact integers, so the share is the same float as from the
-    count matrices.
+    Walks of lengths 2 and 3 are counted by set intersections, taken from the
+    endpoint of lower degree (`_short_walks`). Longer walks (eta 5 and 6) meet
+    in the middle: walk counts by end node and sign parity grow eta // 2 hops
+    from u and (eta - 1) // 2 hops from v, and a length-L walk u -> v splits
+    at its node w after ceil(L/2) hops. Its parity is the sum of the two
+    halves' parities (odd = even*odd + odd*even). The counts are exact
+    integers, so the share is the same float as from the count matrices.
     """
     check_eta(eta)
-    return _share(_hops(pos_adj, neg_adj, u, eta // 2),
-                  _hops(pos_adj, neg_adj, v, (eta - 1) // 2), eta)
+    return _share(pos_adj, neg_adj, u, v, eta, _long_hops(pos_adj, neg_adj, u, eta))
 
 
-def _share(from_u: list, from_v: list, eta: int) -> Optional[float]:
-    """pair_utility's meet-in-the-middle join of the two endpoints' _hops lists."""
-    num = 0
-    den = 0
-    for length in range(2, eta):
-        even_u, odd_u = from_u[(length + 1) // 2]
-        even_v, odd_v = from_v[length // 2]
-        odd = _dot(even_u, odd_v) + _dot(odd_u, even_v)
-        num += odd
-        den += odd + _dot(even_u, even_v) + _dot(odd_u, odd_v)
+def _long_hops(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, eta: int):
+    """u's half of the meet-in-the-middle join, or None when eta <= 4 needs none."""
+    return _hops(pos_adj, neg_adj, u, eta // 2) if eta > 4 else None
+
+
+def _share(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int, eta: int,
+           from_u: Optional[list]) -> Optional[float]:
+    """pair_utility's score of (u, v), given u's `_long_hops`."""
+    num, den = _short_walks(pos_adj, neg_adj, u, v, eta)
+    if from_u is not None:
+        from_v = _hops(pos_adj, neg_adj, v, (eta - 1) // 2)
+        for length in range(4, eta):
+            even_u, odd_u = from_u[(length + 1) // 2]
+            even_v, odd_v = from_v[length // 2]
+            odd = _dot(even_u, odd_v) + _dot(odd_u, even_v)
+            num += odd
+            den += odd + _dot(even_u, even_v) + _dot(odd_u, odd_v)
     if den == 0:
         return None
     return num / den
@@ -235,7 +276,8 @@ def compute_utilities(g: SignedGraph, eta: int = ETA_DEFAULT,
 
     This is what `sigaug balance` runs. Each edge gets pair_utility's score on
     g's neighbor sets, so no n x n count matrix is built. g.edges() is sorted
-    by u, so u's walk counts are grown once per run of edges that share it.
+    by u, so for eta >= 5 u's walk counts are grown once per run of edges that
+    share it.
     """
     check_mu(mu)
     check_eta(eta)
@@ -247,8 +289,8 @@ def compute_utilities(g: SignedGraph, eta: int = ETA_DEFAULT,
         if s > 0:
             continue
         if u != last_u:
-            last_u, from_u = u, _hops(pos_adj, neg_adj, u, eta // 2)
-        scores[(u, v)] = _share(from_u, _hops(pos_adj, neg_adj, v, (eta - 1) // 2), eta)
+            last_u, from_u = u, _long_hops(pos_adj, neg_adj, u, eta)
+        scores[(u, v)] = _share(pos_adj, neg_adj, u, v, eta, from_u)
     return UtilityScores(mu=mu, scores=scores)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, CONTINUE, NOT
                             _ranked_pairs, edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
 
-from augment_reference import reference_augment
+from augment_reference import reference_augment, reference_pair_utility
 from conftest import random_signed_graph
 
 # a value below every score, for the hand-built matrices' unread entries
@@ -520,3 +521,27 @@ class TestAugmentMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestGateOnAugmentCalls:
+    @pytest.mark.parametrize("eta", [4, 5])
+    def test_every_call_matches_frontier_walk(self, monkeypatch, eta):
+        # the gate as augment calls it, on the live working sets of a benchmark-shaped
+        # run: η=4 counts by set intersections alone, η=5 also joins the hop dicts
+        g, pair, cfg = benchmark_shaped_inputs()
+        cfg = sg.EPRConfig(cfg.theta_target, cfg.delta_target, cfg.mu, eta=eta)
+        module = importlib.import_module("sigaug.augment")
+        pair_utility = module.pair_utility
+        got, expected = [], []
+
+        def checked(pos_adj, neg_adj, u, v, eta):
+            util = pair_utility(pos_adj, neg_adj, u, v, eta)
+            got.append(util)
+            expected.append(reference_pair_utility(pos_adj, neg_adj, u, v, eta))
+            return util
+
+        monkeypatch.setattr(module, "pair_utility", checked)
+        sg.augment(g, pair, cfg)
+        assert len(got) > 100
+        # list equality requires None in the same places too
+        assert got == expected

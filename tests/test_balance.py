@@ -25,6 +25,17 @@ UNBALANCED_TRI = [(0, 1, 1), (1, 2, 1), (0, 2, -1)]
 BALANCED_TRI = [(0, 1, 1), (1, 2, -1), (0, 2, -1)]
 
 
+def hub_graph():
+    """Node 0 joined by both signs to the 24 nodes 1..24, each of degree 3: pairs
+    of them close triangles through 0, and each also meets one of the nodes
+    25..29, which closes 4-cycles through 0. Every negative edge of 0 has the
+    lower-degree endpoint as its v."""
+    edges = [(0, v, -1 if v % 3 == 0 else 1) for v in range(1, 25)]
+    edges += [(v, v + 1, -1 if v % 4 == 1 else 1) for v in range(1, 25, 2)]
+    edges += [(v, 25 + v % 5, -1 if v % 7 == 0 else 1) for v in range(1, 25)]
+    return sg.SignedGraph(30, edges)
+
+
 class TestCountCycles:
     def test_unbalanced_triangle_negative_edge(self):
         counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(3, UNBALANCED_TRI)), 3)
@@ -205,6 +216,22 @@ class TestPairUtility:
                             edge_utility(counts, u, v) == edge_utility(oracle, u, v), \
                             (eta, u, v)
 
+    def test_hub_pairs_in_both_orientations(self):
+        # pairs of the hub and a low-degree node, with their edge present and absent
+        g = hub_graph()
+        graphs = [(g, range(1, 30))] + [
+            (sg.SignedGraph(30, [e for e in g.edges() if e[:2] != (0, v)]), [v])
+            for v in range(1, 25)]
+        for h, others in graphs:
+            pos_adj = [set(h.pos_neighbors(u)) for u in range(h.n)]
+            neg_adj = [set(h.neg_neighbors(u)) for u in range(h.n)]
+            for eta in range(3, 7):
+                counts = sg.count_cycles(*sg.split_adjacency(h), eta)
+                for v in others:
+                    assert sg.pair_utility(pos_adj, neg_adj, 0, v, eta) == \
+                        sg.pair_utility(pos_adj, neg_adj, v, 0, eta) == \
+                        edge_utility(counts, 0, v), (eta, v, h.num_edges)
+
     def test_eta_guardrail(self):
         with pytest.raises(ValueError):
             sg.pair_utility([set()], [set()], 0, 0, 2)
@@ -241,6 +268,12 @@ class TestComputeUtilities:
     @pytest.mark.parametrize("eta", range(3, 7))
     def test_matches_count_matrices_on_congress(self, congress_graph, eta):
         self.assert_matches_count_matrices(congress_graph, eta)
+
+    @pytest.mark.parametrize("eta", range(3, 7))
+    def test_matches_count_matrices_on_hub_graph(self, eta):
+        # u's walk counts are reused along the hub's run of edges, whose v is
+        # the endpoint of lower degree
+        self.assert_matches_count_matrices(hub_graph(), eta)
 
     def test_eta_checked_without_negative_edges(self):
         with pytest.raises(ValueError, match="eta"):
