@@ -7,8 +7,9 @@ a time (`_propensity_rows`), and no n x n matrix is kept. They are fixed for the
 run and a spent pair never returns, so each (sign, action) slot's picks are its
 candidates in one fixed order, walked from the front, and each pick carries its
 value into the log. The remove pools (the original edges) are sorted up front.
-The add pools span all n^2/2 pairs, of which a run reads few, so they are ranked
-lazily, a chunk of the best remaining pairs at a time.
+The add pools span all n^2/2 pairs, of which a run reads few, so each row block
+is ranked lazily on its own, a chunk of its best remaining pairs at a time, and
+the blocks are merged.
 Negative candidates pass through the edge-utility filter, a one-pair walk
 count (`balance.pair_utility`) evaluated on the current working graph: set
 intersections of the pair's neighbor sets count its walks of lengths 2 and 3,
@@ -29,6 +30,7 @@ sets stay disjoint and fusion is their union.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -53,9 +55,9 @@ NOT_GATED = "n/a"
 _RECIPROCAL_GUARD = 1e-8
 _RATIO_TOL = 1e-9
 
-# rows per propensity block, and pairs ranked by an add pool's first refill
+# rows per propensity block, and pairs ranked by a row block's first refill
 _ROW_BLOCK = 128
-_FIRST_CHUNK = 1024
+_FIRST_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -240,9 +242,39 @@ def epr_check(log: PerturbationLog, cfg: EPRConfig, original_edge_count: int) ->
     return CONTINUE
 
 
-def _top(vals: np.ndarray, k: int) -> np.ndarray:
-    """The k largest of vals, unordered (all of them if there are fewer)."""
-    return vals if vals.size <= k else np.partition(vals, vals.size - k)[vals.size - k:]
+def _block_best(block, n: int, r0: int, r1: int, after, k: int):
+    """Keys u * n + v and values of the best k upper-triangle pairs of rows r0:r1
+    that come after `after`, the last (value, key) taken, in pool order: value
+    descending, then key. They come sorted, and so does every pair tied with
+    the k-th, so the cut is exact."""
+    value, key = after
+    vals = block(r0, r1)
+    later = vals < value
+    tied = np.flatnonzero(vals == value)
+    later.flat[tied] = tied > key - r0 * n
+    later &= np.arange(n) > np.arange(r0, r1)[:, None]
+    keys, vals = np.flatnonzero(later) + r0 * n, vals[later]
+    if vals.size > k:
+        top = vals >= np.partition(vals, vals.size - k)[vals.size - k]
+        keys, vals = keys[top], vals[top]
+    order = np.lexsort((keys, -vals))[:k]
+    return keys[order], vals[order]
+
+
+def _block_pairs(block, n: int, r0: int, r1: int):
+    """The upper-triangle pairs (key, value) of rows r0:r1 in pool order, ranked a
+    chunk at a time. The chunk doubles from `_FIRST_CHUNK` up to
+    max(n, `_FIRST_CHUNK`) pairs, so a block waiting between refills holds at
+    most that many; its temporaries live in `_block_best` only."""
+    after = (math.inf, -1)
+    chunk = _FIRST_CHUNK
+    while True:
+        keys, vals = _block_best(block, n, r0, r1, after, chunk)
+        if keys.size == 0:
+            return
+        after = vals[-1], keys[-1]
+        yield from zip(keys.tolist(), vals.tolist())
+        chunk = min(2 * chunk, max(n, _FIRST_CHUNK))
 
 
 def _ranked_pairs(block, n: int):
@@ -250,50 +282,14 @@ def _ranked_pairs(block, n: int):
     r0:r1 are block(r0, r1), highest value first and ties in key order: the
     order of a stable sort by descending value.
 
-    Ranked lazily, a chunk at a time. Each refill computes every row block of
-    `_blocks` once and keeps its top `chunk` entries among those not yet ranked;
-    the chunk-th largest kept value is the new threshold. Every unranked entry
-    at or above it is ranked in this refill, so a tie run goes in whole. Only a
-    block whose own cut equals the threshold can hold such entries beyond the
-    ones it kept, and only that block is computed again. Each refill doubles the
-    chunk, so no array of all n^2/2 pairs is built unless the pool is walked
-    that far. Values must not be NaN.
+    Each row block of `_blocks` is ranked lazily on its own (`_block_pairs`),
+    and the blocks are merged on (-value, key). Keys are unique, so that order
+    is strict and the merge equals one stable sort of all pairs. No array of
+    all n^2/2 pairs is built, however far the pool is walked. Values must not
+    be NaN.
     """
-    chunk = _FIRST_CHUNK
-    below = math.inf  # every entry ranked so far is >= below, every other one < below
-
-    def unranked(r0, r1):
-        """Keys and values of the block's upper entries not yet ranked."""
-        vals = block(r0, r1)
-        mask = (np.arange(n) > np.arange(r0, r1)[:, None]) & (vals < below)
-        return np.flatnonzero(mask) + r0 * n, vals[mask]
-
-    while True:
-        kept = []  # per block: (r0, r1, keys, values, cut); cut None if nothing was left out
-        for r0, r1 in _blocks(n):
-            keys, vals = unranked(r0, r1)
-            cut = None
-            if vals.size > chunk:
-                top = np.argpartition(vals, vals.size - chunk)[vals.size - chunk:]
-                keys, vals = keys[top], vals[top]
-                cut = vals.min()
-            kept.append((r0, r1, keys, vals, cut))
-        tops = np.concatenate([vals for _r0, _r1, _keys, vals, _cut in kept])
-        if tops.size == 0:
-            return
-        kth = _top(tops, chunk).min()
-        ranked_keys, ranked_vals = [], []
-        for r0, r1, keys, vals, cut in kept:
-            if cut == kth:  # a tie run crosses the block's cut
-                keys, vals = unranked(r0, r1)
-            at_least = vals >= kth
-            ranked_keys.append(keys[at_least])
-            ranked_vals.append(vals[at_least])
-        keys, vals = np.concatenate(ranked_keys), np.concatenate(ranked_vals)
-        order = np.lexsort((keys, -vals))
-        yield from zip(keys[order].tolist(), vals[order].tolist())
-        below = kth
-        chunk *= 2
+    return heapq.merge(*(_block_pairs(block, n, r0, r1) for r0, r1 in _blocks(n)),
+                       key=lambda pair: (-pair[1], pair[0]))
 
 
 def _edge_values(block, n: int, keys: np.ndarray) -> np.ndarray:
@@ -313,9 +309,9 @@ class AugmentationState:
     `rows(sign, r0, r1)` gives the propensities of nodes r0:r1 against every
     node (`_propensity_rows`). The candidates of each (sign, action) slot form
     one pool of (key, value) pairs, each ranked in one fixed order: add pools
-    hold every upper-triangle pair, highest value first, ranked lazily by
-    `_ranked_pairs`; remove pools hold the original edges of their sign,
-    lowest value first, sorted here. Both orders break ties by row-major key,
+    hold every upper-triangle pair, highest value first, ranked lazily per row
+    block and merged by `_ranked_pairs`; remove pools hold the original edges
+    of their sign, lowest value first, sorted here. Both orders break ties by row-major key,
     as an argmax/argmin scan would. Walking the pools equals rescanning the
     remaining candidates before every action because the values never change
     during a run and a pair that leaves a pool never comes back. `taken` holds

@@ -82,9 +82,6 @@ class SignedGraph:
         key = (u, v) if u < v else (v, u)
         return self._sign.get(key, 0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.sign(u, v) != 0
-
     def pos_neighbors(self, u: int) -> frozenset:
         return self._pos[u]
 

@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -461,16 +462,18 @@ class TestRankedPairs:
     def test_all_equal(self):
         self.assert_ranked(np.full((_ROW_BLOCK + 5, _ROW_BLOCK + 5), 0.25))
 
-    def test_tie_run_straddles_first_chunk(self):
-        n = 80
-        assert n * (n - 1) // 2 > _FIRST_CHUNK + 50
+    @pytest.mark.parametrize("n", [80, 2 * _ROW_BLOCK + 37])
+    def test_tie_run_straddles_first_chunk(self, n):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(n, n))
-        # distinct values by a random rank, then one tie run across the first refill
+        # distinct values by a random rank, then one tie run across the first
+        # refill of the last row block (at n=80 the only one)
         upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
-        rank = rng.permutation(upper.size)
-        rank[(rank >= _FIRST_CHUNK - 50) & (rank < _FIRST_CHUNK + 50)] = _FIRST_CHUNK - 50
-        values.flat[upper] = -rank.astype(np.float64)
+        values.flat[upper] = -rng.permutation(upper.size).astype(np.float64)
+        last = upper[upper >= (n - 1) // _ROW_BLOCK * _ROW_BLOCK * n]
+        assert last.size > _FIRST_CHUNK + 50
+        run = last[np.argsort(-values.take(last))][_FIRST_CHUNK - 50:_FIRST_CHUNK + 50]
+        values.flat[run] = values.flat[run[0]]
         self.assert_ranked(values)
 
     def test_rows_not_a_multiple_of_the_block(self):
@@ -497,7 +500,7 @@ def benchmark_shaped_inputs():
 class TestPoolMemory:
     def test_no_all_pairs_array(self):
         # one int64 array over all n^2/2 upper pairs is 4 MB, and ranking both add
-        # pools in full needs about 17 MB where the lazy pools need about 5.5 MB
+        # pools in full peaks at about 29 MB where the lazy pools need about 5.6 MB
         g, pair, cfg = benchmark_shaped_inputs()
         tracemalloc.start()
         try:
@@ -508,11 +511,24 @@ class TestPoolMemory:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_pool_walked_to_exhaustion(self):
+        # gathering all n^2/2 pairs in one refill peaks at about 11 MB here
+        n = 600
+        rows = _propensity_rows(sg.EmbeddingPair(*np.random.default_rng(0).normal(size=(2, n, 16))))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _pair in _ranked_pairs(partial(rows, 1), n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == n * (n - 1) // 2
+        assert peak < 5e6
+
 
 class TestAugmentMemory:
     def test_no_n_by_n_matrix(self):
         # the two n x n propensity matrices alone take 16 MB here; a whole run
-        # on row blocks peaks at about 6.4 MB
+        # on row blocks peaks at about 5.6 MB
         g, pair, cfg = benchmark_shaped_inputs()
         tracemalloc.start()
         try:

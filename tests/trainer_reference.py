@@ -3,7 +3,7 @@
 This is the trainer's sample handling as first written, kept as the slow
 oracle for the library's int (u, v, class) rows. Each function takes and
 returns Python lists of (u, v, label) tuples and tests adjacency one pair at a
-time with `SignedGraph.has_edge`, so a faster library path cannot change it.
+time with `SignedGraph.sign`, so a faster library path cannot change it.
 The library's rows must give the same null draws for equal seeds, the same
 hinge triples in the same order (the library keeps them as pairs of sample
 rows), the same class weights and a bit-equal hinge value. The classifier
@@ -188,7 +188,7 @@ def _null_pool(g: SignedGraph):
     if total - g.num_edges == 0:
         return []
     if total <= _NULL_POOL_CUTOFF:
-        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.sign(u, v) == 0]
     return None
 
 
@@ -203,7 +203,7 @@ def _draw_nulls(g: SignedGraph, pool, count: int, rng):
     while len(out) < count:
         cand = rng.integers(0, g.n, size=(2 * count, 2))
         for u, v in cand:
-            if u == v or g.has_edge(int(u), int(v)):
+            if u == v or g.sign(int(u), int(v)) != 0:
                 continue
             a, b = (int(u), int(v)) if u < v else (int(v), int(u))
             out.append((a, b, "?"))
