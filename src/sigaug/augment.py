@@ -45,9 +45,6 @@ from .sgnn import EmbeddingPair
 
 logger = logging.getLogger(__name__)
 
-CONTINUE = "continue"
-STOP = "stop"
-
 ADD = "add"
 REMOVE = "remove"
 NOT_GATED = "n/a"
@@ -230,16 +227,15 @@ def _ratio_ok(pos: int, neg: int, theta: float) -> bool:
     return _ratio_error(pos, neg, theta) <= 1.0 + _RATIO_TOL
 
 
-def epr_check(log: PerturbationLog, cfg: EPRConfig, original_edge_count: int) -> str:
-    """Stop once the perturbed share reaches delta_target and the realized
-    sign ratio sits within one edge of theta_target."""
+def epr_check(log: PerturbationLog, cfg: EPRConfig, original_edge_count: int) -> bool:
+    """Whether both regulator targets are met: the perturbed share has reached
+    delta_target and the realized sign ratio sits within one edge of
+    theta_target."""
     if original_edge_count <= 0:
         raise ValueError("original_edge_count must be positive")
     share = log.total_kept / original_edge_count
-    if share >= cfg.delta_target - _RATIO_TOL and _ratio_ok(log.pos_kept, log.neg_kept,
-                                                            cfg.theta_target):
-        return STOP
-    return CONTINUE
+    return share >= cfg.delta_target - _RATIO_TOL and _ratio_ok(log.pos_kept, log.neg_kept,
+                                                                cfg.theta_target)
 
 
 def _block_best(block, n: int, r0: int, r1: int, after, k: int):
@@ -439,7 +435,7 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
         raise ValueError("embeddings do not match the graph size")
     state = AugmentationState(g, _propensity_rows(pair), cfg)
     unmet = False
-    while epr_check(state.log, cfg, state.original_edge_count) == CONTINUE:
+    while not epr_check(state.log, cfg, state.original_edge_count):
         if perturb_step(state) == 0:
             unmet = True
             break

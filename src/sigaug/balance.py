@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph
+from .graph import SignedGraph, split_adjacency
 
 KEEP = "keep"
 DISCARD = "discard"
@@ -87,24 +87,9 @@ def check_mu(mu) -> None:
         raise ValueError(f"mu must be in [0, {MU_MAX}], got {mu}")
 
 
-def _check_adjacency_inputs(apos, aneg, eta):
-    apos = sp.csr_matrix(apos, dtype=np.int64)
-    aneg = sp.csr_matrix(aneg, dtype=np.int64)
-    if apos.shape != aneg.shape or apos.shape[0] != apos.shape[1]:
-        raise ValueError(f"adjacency shapes differ or are not square: {apos.shape} vs {aneg.shape}")
-    check_eta(eta)
-    for name, m in (("positive", apos), ("negative", aneg)):
-        if (m != m.T).nnz != 0:
-            raise ValueError(f"{name} adjacency is not symmetric")
-        if m.nnz and not np.all(m.data == 1):
-            raise ValueError(f"{name} adjacency must be 0/1")
-    if apos.multiply(aneg).nnz != 0:
-        raise ValueError("positive and negative adjacency supports overlap")
-    return apos, aneg
-
-
-def count_cycles(apos, aneg, eta: int = ETA_DEFAULT) -> CycleCountSet:
-    """Signed walk-closure counting via the adjacency-product recursion.
+def count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> CycleCountSet:
+    """Signed walk-closure counting of g via the adjacency-product recursion on
+    its `split_adjacency` matrices.
 
     Base case (length-2 walks): cb(3) = Apos*Aneg + Aneg*Apos and
     cu(3) = Apos^2 + Aneg^2. Each further step appends one edge: a positive
@@ -117,7 +102,8 @@ def count_cycles(apos, aneg, eta: int = ETA_DEFAULT) -> CycleCountSet:
     count the same walks per pair with pair_utility. This all-pairs form is
     the one the enumeration oracle checks.
     """
-    ap, an = _check_adjacency_inputs(apos, aneg, eta)
+    check_eta(eta)
+    ap, an = split_adjacency(g)
     cb = {3: ap @ an + an @ ap}
     cu = {3: ap @ ap + an @ an}
     for k in range(4, eta + 1):

@@ -14,9 +14,6 @@ from .balance import ETA_DEFAULT, MU_DEFAULT
 from .graph import FORMATS, EdgeSplit, SignedGraph, build_graph, load_edge_list, split_edges
 from .sgnn import TrainConfig, concat, train
 
-POS_LABEL = "pos"
-NEG_LABEL = "neg"
-
 # largest (mu, theta, delta) grid a sweep accepts
 MAX_CELLS = 200
 
@@ -106,16 +103,15 @@ class MetricReport:
         return "\n".join(rows)
 
 
-def auc(scores, labels) -> float:
-    """Probability that a random positive-labeled score beats a random
-    negative-labeled one, ties counted half (rank-statistic form)."""
+def auc(scores, signs) -> float:
+    """Probability that a random positive edge's score beats a random negative
+    edge's, ties counted half (rank-statistic form); signs > 0 are positive."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = list(labels)
-    if len(scores) != len(labels) or len(labels) == 0:
-        raise ValueError("scores and labels must be equal-length and non-empty")
-    pos = np.array([lab == POS_LABEL for lab in labels])
+    pos = np.asarray(signs) > 0
+    if len(scores) != len(pos) or len(pos) == 0:
+        raise ValueError("scores and signs must be equal-length and non-empty")
     n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
+    n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc needs both classes present")
     # tie-averaged ranks: a run of equal scores shares the mean of its positions
@@ -125,25 +121,26 @@ def auc(scores, labels) -> float:
 
 
 def classification_metrics(pred, truth) -> dict:
-    """Per-class precision/recall/F1 with the 0/0 -> 0 convention."""
-    pred = list(pred)
-    truth = list(truth)
+    """Per-class precision/recall/F1 of +-1 predictions against +-1 signs, with
+    the 0/0 -> 0 convention. Every value is a Python float."""
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
     if len(pred) != len(truth):
         raise ValueError("pred and truth lengths differ")
-    if not pred:
+    if not len(pred):
         raise ValueError("empty prediction list")
 
     def prf(cls):
-        tp = sum(1 for p, t in zip(pred, truth) if p == cls and t == cls)
-        fp = sum(1 for p, t in zip(pred, truth) if p == cls and t != cls)
-        fn = sum(1 for p, t in zip(pred, truth) if p != cls and t == cls)
+        tp = int(np.sum((pred == cls) & (truth == cls)))
+        fp = int(np.sum((pred == cls) & (truth != cls)))
+        fn = int(np.sum((pred != cls) & (truth == cls)))
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
         return prec, rec, f1
 
-    pos_p, pos_r, pos_f1 = prf(POS_LABEL)
-    neg_p, neg_r, neg_f1 = prf(NEG_LABEL)
+    pos_p, pos_r, pos_f1 = prf(1)
+    neg_p, neg_r, neg_f1 = prf(-1)
     return {
         "f1_binary_avg": (pos_f1 + neg_f1) / 2.0,
         "neg_precision": neg_p,
@@ -154,18 +151,17 @@ def classification_metrics(pred, truth) -> dict:
 
 
 def predict_test_edges(Z: np.ndarray, classifier: np.ndarray, test):
-    """Score held-out edges: softmax positive-class probability renormalized
-    over {pos, neg} on the pair feature [Z_min || Z_max]."""
-    test = list(test)
-    if not test:
+    """Score held-out edges (u, v, sign): (scores, signs), float64 softmax
+    positive-class probabilities renormalized over {pos, neg} on the pair
+    feature [Z_min || Z_max], and the edges' +-1 signs."""
+    rows = np.array(test, dtype=np.int64).reshape(-1, 3)
+    if not len(rows):
         raise ValueError("empty test set")
-    ii = np.array([min(u, v) for u, v, _ in test])
-    jj = np.array([max(u, v) for u, v, _ in test])
-    feats = np.hstack([Z[ii], Z[jj]])
+    ends = np.sort(rows[:, :2], axis=1)
+    feats = np.hstack([Z[ends[:, 0]], Z[ends[:, 1]]])
     logits = feats @ classifier.T
-    scores = [_expit(t) for t in (logits[:, 0] - logits[:, 1]).tolist()]
-    labels = [POS_LABEL if s > 0 else NEG_LABEL for _, _, s in test]
-    return scores, labels
+    scores = np.array([_expit(t) for t in (logits[:, 0] - logits[:, 1]).tolist()])
+    return scores, rows[:, 2]
 
 
 def _expit(t: float) -> float:
@@ -201,10 +197,9 @@ def _run_once(split: EdgeSplit, cfg: ExperimentConfig, seed: int):
         aux = {"thresholds_unmet": float(aug.thresholds_unmet),
                "test_pair_hits": float(hits)}
     Z = concat(result.embeddings)
-    scores, labels = predict_test_edges(Z, result.params.theta, split.test)
-    preds = [POS_LABEL if s >= 0.5 else NEG_LABEL for s in scores]
-    metrics = classification_metrics(preds, labels)
-    metrics["auc"] = auc(scores, labels)
+    scores, signs = predict_test_edges(Z, result.params.theta, split.test)
+    metrics = classification_metrics(np.where(scores >= 0.5, 1, -1), signs)
+    metrics["auc"] = auc(scores, signs)
     return metrics, aux
 
 

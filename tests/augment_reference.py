@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from sigaug.augment import (_RATIO_TOL, ADD, CONTINUE, NOT_GATED, REMOVE, LogEntry,
+from sigaug.augment import (_RATIO_TOL, ADD, NOT_GATED, REMOVE, LogEntry,
                             PerturbationLog, _ratio_error, _ratio_ok, edge_probabilities,
                             epr_check, fuse)
 from sigaug.balance import DISCARD, KEEP, check_eta, filter_edge
@@ -185,7 +185,7 @@ def reference_augment(g, pair, cfg):
     probs = edge_probabilities(pair)
     state = ReferenceState(g, probs, cfg)
     unmet = False
-    while epr_check(state.log, cfg, state.original_edge_count) == CONTINUE:
+    while not epr_check(state.log, cfg, state.original_edge_count):
         reference_perturb_step(state)
         if state.last_round_actions == 0:
             unmet = True

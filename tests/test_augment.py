@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sigaug as sg
-from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, CONTINUE, NOT_GATED, STOP,
+from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, NOT_GATED,
                             AugmentationState, LogEntry, PerturbationLog, _propensity_rows,
                             _ranked_pairs, edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
@@ -192,20 +192,20 @@ class TestEprCheck:
 
     def test_stop_example(self):
         cfg = sg.EPRConfig(theta_target=1 / 9, delta_target=0.6, mu=0.7)
-        assert sg.epr_check(self.fake_log(6, 54), cfg, 100) == STOP
+        assert sg.epr_check(self.fake_log(6, 54), cfg, 100) is True
 
     def test_empty_log_continues(self):
         cfg = sg.EPRConfig(theta_target=1 / 9, delta_target=0.6, mu=0.7)
-        assert sg.epr_check(PerturbationLog(), cfg, 100) == CONTINUE
+        assert sg.epr_check(PerturbationLog(), cfg, 100) is False
 
     def test_delta_zero_stops_immediately(self):
         cfg = sg.EPRConfig(theta_target=1 / 9, delta_target=0.0, mu=0.7)
-        assert sg.epr_check(PerturbationLog(), cfg, 100) == STOP
+        assert sg.epr_check(PerturbationLog(), cfg, 100) is True
 
     def test_ratio_must_be_within_one_edge(self):
         cfg = sg.EPRConfig(theta_target=1 / 9, delta_target=0.1, mu=0.7)
         # share satisfied but ratio far off: 20 positive, 0 negative
-        assert sg.epr_check(self.fake_log(20, 0), cfg, 100) == CONTINUE
+        assert sg.epr_check(self.fake_log(20, 0), cfg, 100) is False
 
     def test_bad_edge_count(self):
         cfg = sg.EPRConfig(theta_target=1.0, delta_target=0.5, mu=0.7)

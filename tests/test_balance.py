@@ -38,58 +38,39 @@ def hub_graph():
 
 class TestCountCycles:
     def test_unbalanced_triangle_negative_edge(self):
-        counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(3, UNBALANCED_TRI)), 3)
+        counts = sg.count_cycles(sg.SignedGraph(3, UNBALANCED_TRI), 3)
         assert counts.cb[3][0, 2] == 0 and counts.cu[3][0, 2] == 1
 
     def test_balanced_triangle_negative_edge(self):
-        counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(3, BALANCED_TRI)), 3)
+        counts = sg.count_cycles(sg.SignedGraph(3, BALANCED_TRI), 3)
         assert counts.cb[3][1, 2] == 1 and counts.cu[3][1, 2] == 0
 
     def test_edgeless(self):
-        counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(5)), 4)
+        counts = sg.count_cycles(sg.SignedGraph(5), 4)
         for k in (3, 4):
             assert counts.c[k].nnz == 0
 
-    def test_dimension_mismatch(self):
-        apos, _ = sg.split_adjacency(sg.SignedGraph(3, UNBALANCED_TRI))
-        _, aneg = sg.split_adjacency(sg.SignedGraph(4))
-        with pytest.raises(ValueError, match="shape"):
-            sg.count_cycles(apos, aneg, 3)
-
     def test_eta_guardrail(self):
-        apos, aneg = sg.split_adjacency(sg.SignedGraph(3, UNBALANCED_TRI))
+        g = sg.SignedGraph(3, UNBALANCED_TRI)
         for eta in (2, 7, 3.5):
             with pytest.raises(ValueError, match="eta"):
-                sg.count_cycles(apos, aneg, eta)
-
-    def test_asymmetric_rejected(self):
-        bad = np.zeros((3, 3), dtype=np.int64)
-        bad[0, 1] = 1
-        with pytest.raises(ValueError, match="symmetric"):
-            sg.count_cycles(bad, np.zeros((3, 3), dtype=np.int64), 3)
-
-    def test_overlapping_supports_rejected(self):
-        m = np.zeros((3, 3), dtype=np.int64)
-        m[0, 1] = m[1, 0] = 1
-        with pytest.raises(ValueError, match="overlap"):
-            sg.count_cycles(m, m, 3)
+                sg.count_cycles(g, eta)
 
     def test_all_positive_base_case(self):
         # with no negative edges the odd-walk matrix vanishes and the even one
         # is exactly the squared adjacency
         rng = np.random.default_rng(7)
         g = random_signed_graph(rng, 10, 0.4, 0.0)
-        apos, aneg = sg.split_adjacency(g)
-        counts = sg.count_cycles(apos, aneg, 3)
+        counts = sg.count_cycles(g, 3)
         assert counts.cb[3].nnz == 0
-        dense = apos.toarray()
+        dense = sg.split_adjacency(g)[0].toarray()
         assert np.array_equal(counts.cu[3].toarray(), dense @ dense)
 
     def test_sum_identity_and_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_signed_graph(rng, 10, 0.4, 0.4)
-            counts = sg.count_cycles(*sg.split_adjacency(g), 4)
+            counts = sg.count_cycles(g, 4)
             for k in (3, 4):
                 assert ((counts.cb[k] + counts.cu[k]) != counts.c[k]).nnz == 0
                 assert (counts.cb[k] != counts.cb[k].T).nnz == 0
@@ -102,7 +83,7 @@ class TestCountCycles:
             g = random_signed_graph(rng, n, float(rng.choice([0.1, 0.3, 0.5])),
                                     float(rng.choice([0.1, 0.3, 0.5])))
             eta = int(rng.choice([3, 4]))
-            assert counts_equal(sg.count_cycles(*sg.split_adjacency(g), eta),
+            assert counts_equal(sg.count_cycles(g, eta),
                                 sg.oracle_count_cycles(g, eta))
 
 
@@ -117,7 +98,7 @@ class TestOracle:
         counts = sg.oracle_count_cycles(c4, 4)
         assert counts.cb[4][0, 3] == 3 and counts.cu[4][0, 3] == 1
         assert counts.cb[3][0, 3] == 0 and counts.cu[3][0, 3] == 0
-        assert counts_equal(counts, sg.count_cycles(*sg.split_adjacency(c4), 4))
+        assert counts_equal(counts, sg.count_cycles(c4, 4))
 
     def test_empty_graph(self):
         counts = sg.oracle_count_cycles(sg.SignedGraph(4), 4)
@@ -126,23 +107,23 @@ class TestOracle:
 
 class TestEdgeUtility:
     def test_balanced_only_edge(self):
-        counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(3, BALANCED_TRI)), 4)
+        counts = sg.count_cycles(sg.SignedGraph(3, BALANCED_TRI), 4)
         assert edge_utility(counts, 1, 2) == 1.0
 
     def test_unbalanced_only_edge(self):
-        counts = sg.count_cycles(*sg.split_adjacency(sg.SignedGraph(3, UNBALANCED_TRI)), 3)
+        counts = sg.count_cycles(sg.SignedGraph(3, UNBALANCED_TRI), 3)
         assert edge_utility(counts, 0, 2) == 0.0
 
     def test_isolated_edge_undefined_at_eta3(self):
         g = sg.SignedGraph(4, [(0, 1, -1), (2, 3, 1)])
-        counts = sg.count_cycles(*sg.split_adjacency(g), 3)
+        counts = sg.count_cycles(g, 3)
         assert edge_utility(counts, 0, 1) is None
 
     def test_isolated_edge_degenerate_walk_at_eta4(self):
         # walk semantics: at length 4 the edge closes over its own
         # back-and-forth walk (odd sign for a negative edge)
         g = sg.SignedGraph(4, [(0, 1, -1), (2, 3, 1)])
-        counts = sg.count_cycles(*sg.split_adjacency(g), 4)
+        counts = sg.count_cycles(g, 4)
         assert edge_utility(counts, 0, 1) == 1.0
         assert counts_equal(counts, sg.oracle_count_cycles(g, 4))
 
@@ -150,7 +131,7 @@ class TestEdgeUtility:
         rng = np.random.default_rng(17)
         for _ in range(10):
             g = random_signed_graph(rng, 9, 0.5, 0.4)
-            counts = sg.count_cycles(*sg.split_adjacency(g), 4)
+            counts = sg.count_cycles(g, 4)
             for u, v, _s in g.edges():
                 util = edge_utility(counts, u, v)
                 assert util is None or 0.0 <= util <= 1.0
@@ -185,7 +166,7 @@ class TestPairUtility:
         rng = np.random.default_rng(23)
         for _ in range(30):
             g = random_signed_graph(rng, 10, 0.4, 0.4)
-            counts = sg.count_cycles(*sg.split_adjacency(g), 4)
+            counts = sg.count_cycles(g, 4)
             pos_adj = [set(g.pos_neighbors(u)) for u in range(g.n)]
             neg_adj = [set(g.neg_neighbors(u)) for u in range(g.n)]
             for _ in range(10):
@@ -205,7 +186,7 @@ class TestPairUtility:
         pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
         neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
         for eta in range(3, 7):
-            counts = sg.count_cycles(*sg.split_adjacency(g), eta)
+            counts = sg.count_cycles(g, eta)
             oracle = sg.oracle_count_cycles(g, eta)
             for u in range(n):
                 for v in range(n):
@@ -226,7 +207,7 @@ class TestPairUtility:
             pos_adj = [set(h.pos_neighbors(u)) for u in range(h.n)]
             neg_adj = [set(h.neg_neighbors(u)) for u in range(h.n)]
             for eta in range(3, 7):
-                counts = sg.count_cycles(*sg.split_adjacency(h), eta)
+                counts = sg.count_cycles(h, eta)
                 for v in others:
                     assert sg.pair_utility(pos_adj, neg_adj, 0, v, eta) == \
                         sg.pair_utility(pos_adj, neg_adj, v, 0, eta) == \
@@ -252,7 +233,7 @@ class TestComputeUtilities:
 
     @staticmethod
     def assert_matches_count_matrices(g, eta):
-        counts = sg.count_cycles(*sg.split_adjacency(g), eta)
+        counts = sg.count_cycles(g, eta)
         expected = [((u, v), edge_utility(counts, u, v)) for u, v, s in g.edges() if s < 0]
         # list equality checks the edge order and the None places too
         assert list(sg.compute_utilities(g, eta).scores.items()) == expected

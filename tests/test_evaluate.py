@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.balance import ETA_MAX, ETA_MIN, check_eta, check_mu
-from sigaug.evaluate import (ExperimentConfig, MetricReport, NEG_LABEL, POS_LABEL,
-                             MAX_CELLS, run_experiment, sweep)
+from sigaug.evaluate import ExperimentConfig, MetricReport, MAX_CELLS, run_experiment, sweep
 from sigaug.sgnn import TrainConfig
 
 from conftest import parse_report
@@ -25,43 +24,43 @@ def tiny_experiment(congress_path, **kw):
 
 class TestAuc:
     def test_perfect_separation(self):
-        assert sg.auc([0.9, 0.8, 0.2, 0.1], ["pos", "pos", "neg", "neg"]) == 1.0
+        assert sg.auc([0.9, 0.8, 0.2, 0.1], [1, 1, -1, -1]) == 1.0
 
     def test_all_ties(self):
-        assert sg.auc([0.5, 0.5, 0.5, 0.5], ["pos", "neg", "pos", "neg"]) == 0.5
+        assert sg.auc([0.5, 0.5, 0.5, 0.5], [1, -1, 1, -1]) == 0.5
 
     def test_hand_counted_example(self):
-        assert sg.auc([0.9, 0.4, 0.6, 0.1], ["pos", "neg", "pos", "neg"]) == 1.0
+        assert sg.auc([0.9, 0.4, 0.6, 0.1], [1, -1, 1, -1]) == 1.0
         # swap one pair's order: 3 of 4 (pos, neg) pairs ranked correctly,
         # plus the swapped one contributes 0
-        assert sg.auc([0.9, 0.7, 0.6, 0.1], ["pos", "neg", "pos", "neg"]) == 0.75
+        assert sg.auc([0.9, 0.7, 0.6, 0.1], [1, -1, 1, -1]) == 0.75
 
     def test_single_class_refused(self):
         with pytest.raises(ValueError, match="both classes"):
-            sg.auc([0.4, 0.6], ["pos", "pos"])
+            sg.auc([0.4, 0.6], [1, 1])
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(3)
         scores = rng.normal(size=40)
-        labels = ["pos" if rng.random() < 0.5 else "neg" for _ in range(40)]
-        if "pos" not in labels:
-            labels[0] = "pos"
-        if "neg" not in labels:
-            labels[1] = "neg"
-        base = sg.auc(scores, labels)
-        assert sg.auc(np.exp(3 * scores), labels) == pytest.approx(base, abs=1e-12)
+        signs = [1 if rng.random() < 0.5 else -1 for _ in range(40)]
+        if 1 not in signs:
+            signs[0] = 1
+        if -1 not in signs:
+            signs[1] = -1
+        base = sg.auc(scores, signs)
+        assert sg.auc(np.exp(3 * scores), signs) == pytest.approx(base, abs=1e-12)
 
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_matches_pair_count_with_ties(self, rows):
         scores = [s / 4.0 for s, _ in rows]
-        labels = [POS_LABEL if p else NEG_LABEL for _, p in rows]
-        assume(POS_LABEL in labels and NEG_LABEL in labels)
-        pos = [s for s, lab in zip(scores, labels) if lab == POS_LABEL]
-        neg = [s for s, lab in zip(scores, labels) if lab == NEG_LABEL]
+        signs = [1 if p else -1 for _, p in rows]
+        assume(1 in signs and -1 in signs)
+        pos = [s for s, sign in zip(scores, signs) if sign > 0]
+        neg = [s for s, sign in zip(scores, signs) if sign < 0]
         wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
-        assert sg.auc(scores, labels) == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
+        assert sg.auc(scores, signs) == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -77,16 +76,15 @@ def test_import_leaves_scipy_stats_unloaded():
 
 class TestClassificationMetrics:
     def test_perfect(self):
-        m = sg.classification_metrics(["pos", "neg"], ["pos", "neg"])
+        m = sg.classification_metrics([1, -1], [1, -1])
         assert all(v == 1.0 for v in m.values())
 
     def test_all_positive_predictions(self):
-        m = sg.classification_metrics(["pos"] * 4, ["pos", "pos", "neg", "neg"])
+        m = sg.classification_metrics([1] * 4, [1, 1, -1, -1])
         assert m["neg_recall"] == 0.0 and m["neg_precision"] == 0.0 and m["neg_f1"] == 0.0
 
     def test_confusion_arithmetic(self):
-        m = sg.classification_metrics(["pos", "pos", "neg", "neg"],
-                                      ["pos", "neg", "neg", "neg"])
+        m = sg.classification_metrics([1, 1, -1, -1], [1, -1, -1, -1])
         assert m["neg_precision"] == 1.0
         assert m["neg_recall"] == pytest.approx(2 / 3)
         assert m["neg_f1"] == pytest.approx(0.8)
@@ -94,25 +92,30 @@ class TestClassificationMetrics:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            sg.classification_metrics(["pos"], ["pos", "neg"])
+            sg.classification_metrics([1], [1, -1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        pred = ["pos" if rng.random() < 0.6 else "neg" for _ in range(30)]
-        truth = ["pos" if rng.random() < 0.5 else "neg" for _ in range(30)]
+        pred = [1 if rng.random() < 0.6 else -1 for _ in range(30)]
+        truth = [1 if rng.random() < 0.5 else -1 for _ in range(30)]
         base = sg.classification_metrics(pred, truth)
         perm = rng.permutation(30)
         shuffled = sg.classification_metrics([pred[i] for i in perm],
                                              [truth[i] for i in perm])
         assert shuffled == base
 
+    def test_values_are_python_floats(self):
+        # a numpy scalar would print as np.float64(...) in the machine report
+        m = sg.classification_metrics(np.array([1, 1, -1, -1]), np.array([1, -1, -1, 1]))
+        assert all(type(v) is float for v in m.values())
+
 
 class TestPredictTestEdges:
     def test_symmetric_logits_give_half(self):
         Z = np.zeros((2, 4))
         theta = np.zeros((3, 8))
-        scores, labels = sg.predict_test_edges(Z, theta, [(0, 1, 1)])
-        assert scores == [0.5] and labels == [POS_LABEL]
+        scores, signs = sg.predict_test_edges(Z, theta, [(0, 1, 1)])
+        assert scores.tolist() == [0.5] and signs.tolist() == [1]
 
     def test_aligned_classifier_scores_high(self):
         Z = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -126,7 +129,7 @@ class TestPredictTestEdges:
         Z = rng.normal(size=(4, 2))
         theta = rng.normal(size=(3, 4))
         test = [(0, 1, 1), (3, 2, -1), (1, 3, 1)]
-        scores, labels = sg.predict_test_edges(Z, theta, test)
+        scores, signs = sg.predict_test_edges(Z, theta, test)
         for (u, v, s), got in zip(test, scores):
             i, j = min(u, v), max(u, v)
             f = list(Z[i]) + list(Z[j])
@@ -134,7 +137,7 @@ class TestPredictTestEdges:
             ln = sum(a * b for a, b in zip(theta[1], f))
             expected = 1.0 / (1.0 + math.exp(ln - lp))
             assert got == pytest.approx(expected, rel=1e-12)
-        assert labels == [POS_LABEL, NEG_LABEL, POS_LABEL]
+        assert signs.tolist() == [1, -1, 1]
 
     def test_empty_test_refused(self):
         with pytest.raises(ValueError):
@@ -152,7 +155,8 @@ class TestPredictTestEdges:
         theta = np.zeros((3, 2))
         theta[0, 0] = 1.0
         scores, _ = sg.predict_test_edges(Z, theta, [(i, k, 1) for i in range(k)])
-        assert np.array_equal(np.array(scores).view(np.int64), expit(t).view(np.int64))
+        assert scores.dtype == np.float64
+        assert np.array_equal(scores.view(np.int64), expit(t).view(np.int64))
 
 
 class TestMetricReport:
@@ -193,6 +197,12 @@ class TestRunExperiment:
     def test_sigaug_records_aux(self, congress_path):
         rep = run_experiment(tiny_experiment(congress_path, augmentation="sigaug"))
         assert "thresholds_unmet" in rep.aux and "test_pair_hits" in rep.aux
+
+    def test_report_holds_python_floats_only(self, congress_path):
+        rep = run_experiment(tiny_experiment(congress_path, augmentation="sigaug", runs=2))
+        for values in (*rep.per_run.values(), *rep.aux.values()):
+            assert all(type(v) is float for v in values)
+        assert not any("np." in line for line in rep.to_machine_lines())
 
     def test_errors_carry_run_index(self, tmp_path):
         bad = tmp_path / "no_negatives.txt"

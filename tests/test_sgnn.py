@@ -516,6 +516,15 @@ class TestGradientCheck:
         e2 = sg.gradient_check(g, cfg, epsilon=1e-5)
         assert e2 < max(4.0 * e1, 1e-6)
 
+    def test_missing_hinge_pairs_warn_once_per_check(self, caplog):
+        # the analytic step warns for each missing class; the 120
+        # finite-difference probes repeat the same batch and stay silent
+        g = sg.SignedGraph(3, [(0, 1, 1), (0, 2, -1), (1, 2, 1)])
+        cfg = sg.TrainConfig(embed_dim=4, feature_dim=3)
+        with caplog.at_level(logging.WARNING, logger="sigaug.sgnn"):
+            sg.gradient_check(g, cfg)
+        assert sum("hinge pairs" in r.getMessage() for r in caplog.records) == 2
+
     def test_epsilon_guardrail(self):
         g = small_graph()
         for eps in (1e-7, 1e-3):
