@@ -19,8 +19,6 @@ from .graph import (
     split_edges,
 )
 from .balance import (
-    CycleCountSet,
-    UtilityScores,
     compute_utilities,
     count_cycles,
     expected_entropy_after_perturbation,

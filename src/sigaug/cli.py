@@ -201,8 +201,7 @@ def _load_graph(cfg: dict):
 
 
 def _stats_lines(prefix: str, stats: dict) -> list:
-    return [f"{prefix}{k}={stats[k]!r}" if isinstance(stats[k], float) else f"{prefix}{k}={stats[k]}"
-            for k in ("n", "pos_edges", "neg_edges", "neg_ratio")]
+    return [f"{prefix}{k}={stats[k]!r}" for k in ("n", "pos_edges", "neg_edges", "neg_ratio")]
 
 
 def cmd_stats(cfg: dict) -> int:
@@ -217,16 +216,18 @@ def cmd_balance(cfg: dict) -> int:
     _checked(balance.check_eta, cfg["eta"])
     _checked(balance.check_mu, cfg["mu"])
     _records, g = _load_graph(cfg)
-    scores = balance.compute_utilities(g, eta=cfg["eta"], mu=cfg["mu"])
+    scores = balance.compute_utilities(g, eta=cfg["eta"])
     lines = []
-    for (u, v), util in sorted(scores.scores.items()):
+    for (u, v), util in scores.items():
         util_text = "undef" if util is None else repr(util)
         lines.append(f"{u} {v} {g.sign(u, v)} {util_text}")
+    kept = sum(1 for util in scores.values()
+               if balance.filter_edge(util, cfg["mu"]) == balance.KEEP)
     lines.append(f"mu={cfg['mu']!r}")
     lines.append(f"eta={cfg['eta']}")
-    lines.append(f"kept={scores.kept}")
-    lines.append(f"discarded={scores.discarded}")
-    lines.append(f"undefined={scores.undefined}")
+    lines.append(f"kept={kept}")
+    lines.append(f"discarded={len(scores) - kept}")
+    lines.append(f"undefined={sum(1 for util in scores.values() if util is None)}")
     _emit(lines, cfg["output"])
     return EXIT_OK
 

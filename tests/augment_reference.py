@@ -57,12 +57,14 @@ def reference_pair_utility(pos_adj, neg_adj, u, v, eta):
 
 def edge_utility(counts, u, v):
     """Share of balanced cycles among all cycles through the pair (u, v), summed
-    over lengths 3..eta of a CycleCountSet; None when the pair sits in no cycle."""
+    over the cycle lengths of the (cb, cu) count families; None when the pair
+    sits in no cycle."""
+    cb, cu = counts
     num = 0
     den = 0
-    for k in range(3, counts.eta + 1):
-        num += int(counts.cb[k][u, v])
-        den += int(counts.c[k][u, v])
+    for k in cb:
+        num += int(cb[k][u, v])
+        den += int(cb[k][u, v]) + int(cu[k][u, v])
     if den == 0:
         return None
     return num / den

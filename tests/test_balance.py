@@ -13,12 +13,10 @@ from conftest import random_signed_graph
 
 
 def counts_equal(a, b):
-    return all(
-        (a.cb[k] != b.cb[k]).nnz == 0
-        and (a.cu[k] != b.cu[k]).nnz == 0
-        and (a.c[k] != b.c[k]).nnz == 0
-        for k in range(3, a.eta + 1)
-    )
+    """Equal (cb, cu) count families: the same cycle lengths and equal matrices."""
+    (a_cb, a_cu), (b_cb, b_cu) = a, b
+    return a_cb.keys() == b_cb.keys() == a_cu.keys() == b_cu.keys() and all(
+        (a_cb[k] != b_cb[k]).nnz == 0 and (a_cu[k] != b_cu[k]).nnz == 0 for k in a_cb)
 
 
 UNBALANCED_TRI = [(0, 1, 1), (1, 2, 1), (0, 2, -1)]
@@ -38,17 +36,17 @@ def hub_graph():
 
 class TestCountCycles:
     def test_unbalanced_triangle_negative_edge(self):
-        counts = sg.count_cycles(sg.SignedGraph(3, UNBALANCED_TRI), 3)
-        assert counts.cb[3][0, 2] == 0 and counts.cu[3][0, 2] == 1
+        cb, cu = sg.count_cycles(sg.SignedGraph(3, UNBALANCED_TRI), 3)
+        assert cb[3][0, 2] == 0 and cu[3][0, 2] == 1
 
     def test_balanced_triangle_negative_edge(self):
-        counts = sg.count_cycles(sg.SignedGraph(3, BALANCED_TRI), 3)
-        assert counts.cb[3][1, 2] == 1 and counts.cu[3][1, 2] == 0
+        cb, cu = sg.count_cycles(sg.SignedGraph(3, BALANCED_TRI), 3)
+        assert cb[3][1, 2] == 1 and cu[3][1, 2] == 0
 
     def test_edgeless(self):
-        counts = sg.count_cycles(sg.SignedGraph(5), 4)
+        cb, cu = sg.count_cycles(sg.SignedGraph(5), 4)
         for k in (3, 4):
-            assert counts.c[k].nnz == 0
+            assert cb[k].nnz == 0 and cu[k].nnz == 0
 
     def test_eta_guardrail(self):
         g = sg.SignedGraph(3, UNBALANCED_TRI)
@@ -61,20 +59,24 @@ class TestCountCycles:
         # is exactly the squared adjacency
         rng = np.random.default_rng(7)
         g = random_signed_graph(rng, 10, 0.4, 0.0)
-        counts = sg.count_cycles(g, 3)
-        assert counts.cb[3].nnz == 0
+        cb, cu = sg.count_cycles(g, 3)
+        assert cb[3].nnz == 0
         dense = sg.split_adjacency(g)[0].toarray()
-        assert np.array_equal(counts.cu[3].toarray(), dense @ dense)
+        assert np.array_equal(cu[3].toarray(), dense @ dense)
 
     def test_sum_identity_and_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_signed_graph(rng, 10, 0.4, 0.4)
-            counts = sg.count_cycles(g, 4)
+            cb, cu = sg.count_cycles(g, 4)
+            ap, an = sg.split_adjacency(g)
+            unsigned = (ap + an).toarray().astype(np.int64)
             for k in (3, 4):
-                assert ((counts.cb[k] + counts.cu[k]) != counts.c[k]).nnz == 0
-                assert (counts.cb[k] != counts.cb[k].T).nnz == 0
-                assert (counts.cu[k] != counts.cu[k].T).nnz == 0
+                # the two families split the unsigned walk count (A+ + A-)^(k-1)
+                assert np.array_equal(cb[k].toarray() + cu[k].toarray(),
+                                      np.linalg.matrix_power(unsigned, k - 1))
+                assert (cb[k] != cb[k].T).nnz == 0
+                assert (cu[k] != cu[k].T).nnz == 0
 
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(13)
@@ -96,13 +98,14 @@ class TestOracle:
         # 4-cycle 0-1-2-3-0 with signs (+,+,+,-) on consecutive edges
         c4 = sg.SignedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)])
         counts = sg.oracle_count_cycles(c4, 4)
-        assert counts.cb[4][0, 3] == 3 and counts.cu[4][0, 3] == 1
-        assert counts.cb[3][0, 3] == 0 and counts.cu[3][0, 3] == 0
+        cb, cu = counts
+        assert cb[4][0, 3] == 3 and cu[4][0, 3] == 1
+        assert cb[3][0, 3] == 0 and cu[3][0, 3] == 0
         assert counts_equal(counts, sg.count_cycles(c4, 4))
 
     def test_empty_graph(self):
-        counts = sg.oracle_count_cycles(sg.SignedGraph(4), 4)
-        assert all(counts.c[k].nnz == 0 for k in (3, 4))
+        cb, cu = sg.oracle_count_cycles(sg.SignedGraph(4), 4)
+        assert all(cb[k].nnz == 0 and cu[k].nnz == 0 for k in (3, 4))
 
 
 class TestEdgeUtility:
@@ -221,22 +224,22 @@ class TestPairUtility:
 class TestComputeUtilities:
     def test_scores_negative_edges(self):
         g = sg.SignedGraph(3, BALANCED_TRI)
-        scores = sg.compute_utilities(g, eta=4, mu=0.7)
-        assert set(scores.scores) == {(1, 2), (0, 2)}
-        assert scores.kept == 2 and scores.discarded == 0
+        scores = sg.compute_utilities(g, eta=4)
+        assert set(scores) == {(1, 2), (0, 2)}
+        assert all(sg.filter_edge(util, 0.7) == KEEP for util in scores.values())
 
     def test_flags_zero_cycle_edges(self):
         g = sg.SignedGraph(4, [(0, 1, -1), (2, 3, 1)])
-        scores = sg.compute_utilities(g, eta=3, mu=0.7)
-        assert scores.undefined == 1 and scores.scores[(0, 1)] is None
-        assert sg.filter_edge(scores.scores[(0, 1)], scores.mu) == KEEP
+        scores = sg.compute_utilities(g, eta=3)
+        assert scores == {(0, 1): None}
+        assert sg.filter_edge(scores[(0, 1)], 0.7) == KEEP
 
     @staticmethod
     def assert_matches_count_matrices(g, eta):
         counts = sg.count_cycles(g, eta)
         expected = [((u, v), edge_utility(counts, u, v)) for u, v, s in g.edges() if s < 0]
         # list equality checks the edge order and the None places too
-        assert list(sg.compute_utilities(g, eta).scores.items()) == expected
+        assert list(sg.compute_utilities(g, eta).items()) == expected
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14), density=st.floats(0.0, 0.6),
            neg=st.floats(0.0, 1.0))

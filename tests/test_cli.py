@@ -6,9 +6,12 @@ from dataclasses import fields
 import pytest
 
 import sigaug as sg
+from sigaug.balance import KEEP
 from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        _experiment_config, format_config, parse_config_text, resolve_config)
+                        _experiment_config, format_config, main, parse_config_text,
+                        resolve_config)
 
+from augment_reference import edge_utility
 from conftest import parse_report
 
 
@@ -110,6 +113,24 @@ class TestBalanceCmd:
         assert line4.endswith("0.75")
         assert parse_kv(run3.stdout)["kept"] == "1"
         assert parse_kv(run4.stdout)["kept"] == "0"
+
+    @pytest.mark.parametrize("eta", range(3, 7))
+    def test_congress_report_line_for_line(self, congress_path, congress_graph, capsys, eta):
+        # every line rebuilt apart from the command: shares off the all-pairs
+        # count matrices, verdicts tallied with filter_edge
+        code = main(["balance", "--dataset", str(congress_path), "--mu", "0.7",
+                     "--eta", str(eta), "--quiet"])
+        assert code == EXIT_OK
+        counts = sg.count_cycles(congress_graph, eta)
+        utils = [((u, v), edge_utility(counts, u, v))
+                 for u, v, s in sorted(congress_graph.edges()) if s < 0]
+        kept = sum(1 for _edge, util in utils if sg.filter_edge(util, 0.7) == KEEP)
+        expected = [f"{u} {v} -1 {'undef' if util is None else repr(util)}"
+                    for (u, v), util in utils]
+        expected += ["mu=0.7", f"eta={eta}", f"kept={kept}",
+                     f"discarded={len(utils) - kept}",
+                     f"undefined={sum(1 for _edge, util in utils if util is None)}"]
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestTrainAugmentCmds:
