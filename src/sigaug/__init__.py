@@ -20,10 +20,8 @@ from .graph import (
 )
 from .balance import (
     compute_utilities,
-    count_cycles,
     expected_entropy_after_perturbation,
     filter_edge,
-    oracle_count_cycles,
     pair_utility,
 )
 from .sgnn import (

@@ -1,33 +1,36 @@
 """Structural-balance engine.
 
-Counts balanced/unbalanced signed walks closing through each node pair, scores
-edges by the share of balanced cycles they sit in, gates edges on that score,
-and bounds the expected message entropy after perturbation
+Scores node pairs by the share of balanced cycles they sit in, gates edges on
+that score, and bounds the expected message entropy after perturbation
 (`expected_entropy_after_perturbation`).
 
-Results are plain: `count_cycles` and its enumeration oracle return the count
-families (cb, cu) keyed by cycle length, and `compute_utilities` a
-{(u, v): share} dict that `filter_edge` turns into verdicts for a given mu.
+The share of a pair (u, v) is counted over the signed walks u -> v of lengths
+2..eta-1. A walk with an odd number of negative edges closes, together with a
+negative edge {u, v}, a balanced cycle one edge longer; a walk with an even
+number closes an unbalanced one. The share is odd walks over all walks, and
+None when there is no walk. Walks may revisit nodes, so from length 3 on they
+include degenerate back-and-forth walks (such as u -> v -> u -> v over the
+edge itself).
 
-Counting semantics are walk-based: the length-n matrices are built from
-adjacency products, so for n >= 4 they include degenerate back-and-forth walks.
-The enumeration oracle reproduces exactly the same semantics.
+`pair_utility` is the one walk counter: the augmenter's utility gate calls it
+on the working graph, and `compute_utilities` returns its scores over a
+graph's negative edges as a {(u, v): share} dict that `filter_edge` turns
+into verdicts for a given mu.
 
-One pair's counts (`pair_utility`) come from its neighbor sets: walks of
-lengths 2 and 3 from set intersections taken from the endpoint of lower
-degree, and longer walks from walk counts grown out of both endpoints that
-meet in the middle.
+One pair's counts come from its neighbor sets: walks of lengths 2 and 3 from
+set intersections taken from the endpoint of lower degree, and longer walks
+from walk counts grown out of both endpoints that meet in the middle.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import SignedGraph, split_adjacency
+from .graph import SignedGraph
 
 KEEP = "keep"
 DISCARD = "discard"
@@ -38,13 +41,10 @@ ETA_MIN = 3
 ETA_MAX = 6
 ETA_DEFAULT = 4
 
-# hard cap for the exhaustive enumeration oracle
-_ORACLE_MAX_NODES = 14
-
 
 def check_eta(eta) -> None:
     """Refuse a walk-length cap that is not an integer in [ETA_MIN, ETA_MAX]."""
-    if not isinstance(eta, int) or not ETA_MIN <= eta <= ETA_MAX:
+    if not isinstance(eta, numbers.Integral) or not ETA_MIN <= eta <= ETA_MAX:
         raise ValueError(f"eta must be an integer in [{ETA_MIN}, {ETA_MAX}], got {eta}")
 
 
@@ -52,71 +52,6 @@ def check_mu(mu) -> None:
     """Refuse a utility threshold outside [0, MU_MAX]."""
     if not 0.0 <= mu <= MU_MAX:
         raise ValueError(f"mu must be in [0, {MU_MAX}], got {mu}")
-
-
-def count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> tuple[dict, dict]:
-    """Signed walk-closure counts of every node pair of g, as (cb, cu).
-
-    cb[k][u, v] counts the length-(k-1) walks u -> v with an odd number of
-    negative edges: with a negative edge {u, v} they close balanced length-k
-    cycles. cu[k] counts the even-sign walks, which close unbalanced ones. Both
-    are keyed by cycle length k = 3..eta and hold symmetric int64 csr matrices;
-    cb[k] + cu[k] is the unsigned walk count (A+ + A-)^(k-1).
-
-    The recursion runs on g's `split_adjacency` matrices. Base case (length-2
-    walks): cb(3) = Apos*Aneg + Aneg*Apos and cu(3) = Apos^2 + Aneg^2. Each
-    further step appends one edge: a positive edge preserves walk sign, a
-    negative edge flips it, so cb(n) = cb(n-1)*Apos + cu(n-1)*Aneg and
-    cu(n) = cb(n-1)*Aneg + cu(n-1)*Apos. Diagonals are retained but carry no
-    meaning for edge scoring.
-
-    Not on the program's path: the matrices fill in as the walks grow (on the
-    n=1000 benchmark graph at eta=6, a 76 MB peak rise and about 0.45 s with
-    one BLAS thread on a 2-core VM), so compute_utilities and the augmenter's
-    gate score one pair at a time with pair_utility. This all-pairs form is
-    the one the enumeration oracle checks.
-    """
-    check_eta(eta)
-    ap, an = split_adjacency(g)
-    cb = {3: ap @ an + an @ ap}
-    cu = {3: ap @ ap + an @ an}
-    for k in range(4, eta + 1):
-        cb[k] = cb[k - 1] @ ap + cu[k - 1] @ an
-        cu[k] = cb[k - 1] @ an + cu[k - 1] @ ap
-    return cb, cu
-
-
-def oracle_count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> tuple[dict, dict]:
-    """Reference counter: (cb, cu) as count_cycles gives them, from explicit
-    enumeration of signed walks, no matrix products.
-
-    Walks may revisit nodes, matching the product semantics of count_cycles.
-    Refuses graphs with more than 14 nodes.
-    """
-    if g.n > _ORACLE_MAX_NODES:
-        raise ValueError(f"enumeration oracle refuses n={g.n} > {_ORACLE_MAX_NODES}")
-    check_eta(eta)
-    n = g.n
-    adj = [sorted([(w, 1) for w in g.pos_neighbors(u)] + [(w, -1) for w in g.neg_neighbors(u)])
-           for u in range(n)]
-    # counts[length][parity] with parity 1 = odd number of negative edges
-    counts = {length: (np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64))
-              for length in range(2, eta)}
-    max_len = eta - 1
-
-    def walk(start, node, length, neg_parity):
-        for nxt, s in adj[node]:
-            parity = neg_parity ^ (s < 0)
-            if length + 1 >= 2:
-                counts[length + 1][parity][start, nxt] += 1
-            if length + 1 < max_len:
-                walk(start, nxt, length + 1, parity)
-
-    for start in range(n):
-        walk(start, start, 0, 0)
-    cb = {k: sp.csr_matrix(counts[k - 1][1]) for k in range(3, eta + 1)}
-    cu = {k: sp.csr_matrix(counts[k - 1][0]) for k in range(3, eta + 1)}
-    return cb, cu
 
 
 def filter_edge(utility: Optional[float], mu: float) -> str:
@@ -189,11 +124,13 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
     """Balanced-cycle share of the pair (u, v) on neighbor-set adjacency.
 
     The one walk counter on the program's path: the augmenter's utility gate
-    and compute_utilities both score with it. It sums the pair's entries of
-    count_cycles' cb and cb + cu over lengths 3..eta, in local work, so a
-    candidate edge is scored against the current working graph without any
-    count matrix. The candidate edge itself is not assumed present. Returns
-    None when the pair sits in no cycle at all (zero denominator).
+    and compute_utilities both score with it. The share is the number of
+    signed walks u -> v of lengths 2..eta-1 with an odd number of negative
+    edges over the number of all of them, degenerate back-and-forth walks
+    included. The work is local, so a candidate edge is scored against the
+    current working graph without any count matrix. The candidate edge itself
+    is not assumed present. Returns None when the pair sits in no cycle at all
+    (no walk, zero denominator).
 
     Walks of lengths 2 and 3 are counted by set intersections, taken from the
     endpoint of lower degree (`_short_walks`). Longer walks (eta 5 and 6) meet
@@ -201,7 +138,7 @@ def pair_utility(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int,
     from u and (eta - 1) // 2 hops from v, and a length-L walk u -> v splits
     at its node w after ceil(L/2) hops. Its parity is the sum of the two
     halves' parities (odd = even*odd + odd*even). The counts are exact
-    integers, so the share is the same float as from the count matrices.
+    integers, so the share is the same float however the walks are counted.
     """
     check_eta(eta)
     return _share(pos_adj, neg_adj, u, v, eta, _long_hops(pos_adj, neg_adj, u, eta))
@@ -261,7 +198,8 @@ def expected_entropy_after_perturbation(p, delta: float) -> float:
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    # written so that a NaN anywhere in p fails it
+    if p.ndim != 1 or not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("p is not a probability distribution")
     pz = p[p > 0]
     h = float(-(pz * np.log(pz)).sum())

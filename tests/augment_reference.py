@@ -1,14 +1,15 @@
-"""Reference augmenter: the four-block perturbation round and the fused result.
+"""Reference augmenter and reference walk counters.
 
-This is the augmenter as first written, kept as the oracle for the library's
+The augmenter as first written, kept as the oracle for the library's
 `augment`. One block per (sign, action) slot, each with its own gate check,
 and the result built as two sparse adjacencies merged by `fuse`. It holds its
 own masks, selection and utility gate (`reference_pair_utility`, one frontier
 grown eta-1 hops out from u) so that a faster library path cannot change it.
 
-`edge_utility` reads the same share off the all-pairs walk counts of
-`count_cycles` or `oracle_count_cycles`; it is the oracle for the library's
-`pair_utility` and `compute_utilities`.
+The all-pairs walk counters live here too: `count_cycles`, the sparse product
+recursion, and `oracle_count_cycles`, its enumeration oracle. `edge_utility`
+reads a pair's share off either one's counts; it is the oracle for the
+library's one walk counter, `pair_utility`, and for `compute_utilities`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,74 @@ import scipy.sparse as sp
 from sigaug.augment import (_RATIO_TOL, ADD, NOT_GATED, REMOVE, LogEntry,
                             PerturbationLog, _ratio_error, _ratio_ok, edge_probabilities,
                             epr_check, fuse)
-from sigaug.balance import DISCARD, KEEP, check_eta, filter_edge
+from sigaug.balance import DISCARD, ETA_DEFAULT, KEEP, check_eta, filter_edge
+from sigaug.graph import SignedGraph, split_adjacency
+
+# hard cap for the exhaustive enumeration oracle
+_ORACLE_MAX_NODES = 14
+
+
+def count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> tuple[dict, dict]:
+    """Signed walk-closure counts of every node pair of g, as (cb, cu).
+
+    cb[k][u, v] counts the length-(k-1) walks u -> v with an odd number of
+    negative edges: with a negative edge {u, v} they close balanced length-k
+    cycles. cu[k] counts the even-sign walks, which close unbalanced ones. Both
+    are keyed by cycle length k = 3..eta and hold symmetric int64 csr matrices;
+    cb[k] + cu[k] is the unsigned walk count (A+ + A-)^(k-1).
+
+    The recursion runs on g's `split_adjacency` matrices. Base case (length-2
+    walks): cb(3) = Apos*Aneg + Aneg*Apos and cu(3) = Apos^2 + Aneg^2. Each
+    further step appends one edge: a positive edge preserves walk sign, a
+    negative edge flips it, so cb(n) = cb(n-1)*Apos + cu(n-1)*Aneg and
+    cu(n) = cb(n-1)*Aneg + cu(n-1)*Apos. Diagonals are retained but carry no
+    meaning for edge scoring.
+
+    The matrices fill in as the walks grow (on an n=1000, m=4000 graph at
+    eta=6, a 76 MB peak rise and about 0.45 s with one BLAS thread on a 2-core
+    VM), which is why the library scores one pair at a time with pair_utility.
+    """
+    check_eta(eta)
+    ap, an = split_adjacency(g)
+    cb = {3: ap @ an + an @ ap}
+    cu = {3: ap @ ap + an @ an}
+    for k in range(4, eta + 1):
+        cb[k] = cb[k - 1] @ ap + cu[k - 1] @ an
+        cu[k] = cb[k - 1] @ an + cu[k - 1] @ ap
+    return cb, cu
+
+
+def oracle_count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> tuple[dict, dict]:
+    """Reference counter: (cb, cu) as count_cycles gives them, from explicit
+    enumeration of signed walks, no matrix products.
+
+    Walks may revisit nodes, matching the product semantics of count_cycles.
+    Refuses graphs with more than 14 nodes.
+    """
+    if g.n > _ORACLE_MAX_NODES:
+        raise ValueError(f"enumeration oracle refuses n={g.n} > {_ORACLE_MAX_NODES}")
+    check_eta(eta)
+    n = g.n
+    adj = [sorted([(w, 1) for w in g.pos_neighbors(u)] + [(w, -1) for w in g.neg_neighbors(u)])
+           for u in range(n)]
+    # counts[length][parity] with parity 1 = odd number of negative edges
+    counts = {length: (np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64))
+              for length in range(2, eta)}
+    max_len = eta - 1
+
+    def walk(start, node, length, neg_parity):
+        for nxt, s in adj[node]:
+            parity = neg_parity ^ (s < 0)
+            if length + 1 >= 2:
+                counts[length + 1][parity][start, nxt] += 1
+            if length + 1 < max_len:
+                walk(start, nxt, length + 1, parity)
+
+    for start in range(n):
+        walk(start, start, 0, 0)
+    cb = {k: sp.csr_matrix(counts[k - 1][1]) for k in range(3, eta + 1)}
+    cu = {k: sp.csr_matrix(counts[k - 1][0]) for k in range(3, eta + 1)}
+    return cb, cu
 
 
 def reference_pair_utility(pos_adj, neg_adj, u, v, eta):

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -7,6 +8,11 @@ from sigaug.evaluate import METRIC_NAMES, MetricReport
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONGRESS = REPO / "data" / "congress_synthetic.txt"
+
+# the subprocess tests run `python -m sigaug`: give them this checkout's src/,
+# as pyproject's pytest pythonpath gives it to this process
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

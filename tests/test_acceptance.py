@@ -17,6 +17,7 @@ import pytest
 import sigaug as sg
 from sigaug.evaluate import ExperimentConfig, run_experiment
 
+from augment_reference import count_cycles, edge_utility, oracle_count_cycles
 from conftest import CONGRESS, random_signed_graph
 
 
@@ -45,15 +46,29 @@ def _acceptance_graphs():
         yield random_signed_graph(rng, n, density, neg_frac), eta
 
 
-@gate(1, "count_cycles equals the enumeration oracle on 200 random graphs in < 60 s")
+@gate(1, "count_cycles, pair_utility at every pair and compute_utilities on every negative "
+         "edge equal the enumeration oracle on 200 random graphs in < 60 s")
 def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
     for g, eta in _acceptance_graphs():
-        cb, cu = sg.count_cycles(g, eta)
-        oracle_cb, oracle_cu = sg.oracle_count_cycles(g, eta)
+        cb, cu = count_cycles(g, eta)
+        oracle = oracle_count_cycles(g, eta)
+        oracle_cb, oracle_cu = oracle
         for k in range(3, eta + 1):
             assert (cb[k] != oracle_cb[k]).nnz == 0
             assert (cu[k] != oracle_cu[k]).nnz == 0
+        # the program's counter at every ordered pair, edges and non-edges alike,
+        # since the gate scores candidate additions; == also requires None in
+        # the same places
+        pos_adj = [g.pos_neighbors(u) for u in range(g.n)]
+        neg_adj = [g.neg_neighbors(u) for u in range(g.n)]
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v:
+                    assert sg.pair_utility(pos_adj, neg_adj, u, v, eta) == \
+                        edge_utility(oracle, u, v), (eta, u, v)
+        expected = [((u, v), edge_utility(oracle, u, v)) for u, v, s in g.edges() if s < 0]
+        assert list(sg.compute_utilities(g, eta).items()) == expected
     assert time.monotonic() - start < 60.0
 
 
@@ -61,7 +76,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_sum_identity():
     # the total is the unsigned walk count (A+ + A-)^(k-1), computed apart
     for g, eta in _acceptance_graphs():
-        cb, cu = sg.count_cycles(g, eta)
+        cb, cu = count_cycles(g, eta)
         ap, an = sg.split_adjacency(g)
         unsigned = (ap + an).toarray().astype(np.int64)
         for k in range(3, eta + 1):

@@ -11,7 +11,7 @@ from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_US
                         _experiment_config, format_config, main, parse_config_text,
                         resolve_config)
 
-from augment_reference import edge_utility
+from augment_reference import count_cycles, edge_utility
 from conftest import parse_report
 
 
@@ -121,7 +121,7 @@ class TestBalanceCmd:
         code = main(["balance", "--dataset", str(congress_path), "--mu", "0.7",
                      "--eta", str(eta), "--quiet"])
         assert code == EXIT_OK
-        counts = sg.count_cycles(congress_graph, eta)
+        counts = count_cycles(congress_graph, eta)
         utils = [((u, v), edge_utility(counts, u, v))
                  for u, v, s in sorted(congress_graph.edges()) if s < 0]
         kept = sum(1 for _edge, util in utils if sg.filter_edge(util, 0.7) == KEEP)

@@ -223,11 +223,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(dataset="x", mu=0.95)
         # eta is refused when the config is built, before any training, even
-        # where no augmentation would use it
-        for eta in (ETA_MIN - 1, ETA_MAX + 1):
+        # where no augmentation would use it; any integer type is accepted in
+        # range, but not a bool or a float
+        for eta in (ETA_MIN - 1, ETA_MAX + 1, np.int64(ETA_MAX + 1), True, 4.0, 3.5):
             with pytest.raises(ValueError, match="eta must be an integer in"):
                 ExperimentConfig(dataset="x", augmentation="none", eta=eta)
         assert ExperimentConfig(dataset="x", eta=ETA_MAX).eta == ETA_MAX
+        assert ExperimentConfig(dataset="x", eta=np.int64(ETA_MIN)).eta == ETA_MIN
         with pytest.raises(ValueError, match="unknown format"):
             ExperimentConfig(dataset="x", input_format="csv")
         for theta in (math.nan, math.inf):
