@@ -14,9 +14,15 @@ The loss works at node level: the classifier projects each node's embedding
 once, its logit gradients are scattered onto the nodes by bincount, and the
 hinge gradient reaches Z through one sparse node-by-node weight matrix, never
 through a per-row copy of the pair features; the rows' squared distances are
-taken in fixed row blocks. `train` builds what no epoch changes once per call:
-the propagation operators, the layer-0 inputs [x || R+ x] and [x || R- x], the
-supervision's edge rows and the null pool; an epoch draws only its "?" rows.
+taken in fixed row blocks. The loss sorts once per epoch: a stable sort
+groups the null rows' endpoints by node, on the narrowest integer key that
+holds a node id (NumPy radix-sorts it for up to 65536 nodes), and each hinge
+pair's null rows are found from per-node offsets into that order, without a
+search. A row's endpoints are ordered, and the logits' row max taken, by
+elementwise min/max rather than by a sort or a reduction along a short axis.
+`train` builds what no epoch changes once per call: the propagation operators,
+the layer-0 inputs [x || R+ x] and [x || R- x], the supervision's edge rows
+and the null pool; an epoch draws only its "?" rows.
 `forward` and `gradient_check` build the layer-0 inputs with the same helper.
 """
 
@@ -295,21 +301,30 @@ def _class_weights(rows: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _hinge_pairs(rows: np.ndarray):
-    """Hinge terms as (edge row, null row) index pairs into `rows`: one (T, 2) array
-    for the "+" rows, one for the "-" rows; a term compares its rows' squared distances.
-    An edge row and a "?" row pair up whenever they share an endpoint, the anchor. Per
-    edge row (u, v) in sample order come pairs anchored at u, then at v, nulls in order."""
+def _hinge_pairs(rows: np.ndarray, n: int):
+    """Hinge terms as (edge row, null row) index pairs into `rows`, whose endpoints
+    are below n: one (T, 2) int64 array for the "+" rows, one for the "-" rows; a
+    term compares its rows' squared distances. An edge row and a "?" row pair up
+    whenever they share an endpoint, the anchor. Per edge row (u, v) in sample order
+    come pairs anchored at u, then at v, nulls in order.
+
+    The null rows' incidences are grouped by anchor with one stable sort, and an
+    endpoint's run in that order is found from per-node offsets: it starts at the
+    count of incidences at smaller nodes and is as long as the count at the node,
+    so no lookup searches the sorted anchors."""
     null = np.flatnonzero(rows[:, 2] == _NULL)
     anchors = rows[null, :2].ravel()  # null row (u, v) is incidences at u and at v
-    order = np.argsort(anchors, kind="stable")  # the stable sort keeps sample order
-    anchors, partners = anchors[order], null[order // 2]
+    # the stable sort keeps sample order within an anchor, so the permutation does
+    # not depend on the key's width; NumPy radix-sorts 8- and 16-bit keys
+    order = np.argsort(anchors.astype(np.min_scalar_type(n - 1)), kind="stable")
+    partners = null[order // 2]
+    cnt = np.bincount(anchors, minlength=n)
+    off = np.cumsum(cnt) - cnt
     out = []
     for cls in (0, 1):
         edge = np.flatnonzero(rows[:, 2] == cls)
         a = rows[edge, :2].ravel()
-        start = np.searchsorted(anchors, a, side="left")
-        count = np.searchsorted(anchors, a, side="right") - start
+        start, count = off[a], cnt[a]
         first = np.cumsum(count) - count  # where each anchor's run starts in the output
         k = partners[np.arange(count.sum()) + np.repeat(start - first, count)]
         out.append(np.column_stack((np.repeat(np.repeat(edge, 2), count), k)))
@@ -333,13 +348,13 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     """
     n, d = Z.shape
     count = len(rows)
-    ii, jj = np.sort(rows[:, :2], axis=1).T
+    ii, jj = np.minimum(rows[:, 0], rows[:, 1]), np.maximum(rows[:, 0], rows[:, 1])
     ce, dTheta, dZ = 0.0, np.zeros_like(theta), np.zeros_like(Z)
     if count:
         yy = rows[:, 2]
         ww = weights[yy]
         logits = (Z @ theta[:, :d].T)[ii] + (Z @ theta[:, d:].T)[jj]
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= np.maximum(np.maximum(logits[:, 0], logits[:, 1]), logits[:, 2])[:, None]
         expl = np.exp(logits)
         probs = expl / expl.sum(axis=1, keepdims=True)
         picked = np.clip(probs[np.arange(count), yy], 1e-300, None)
@@ -359,7 +374,7 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
         diff *= diff
         diff.sum(axis=1, out=dist[blk])
     hinge, coef = 0.0, np.zeros(count)  # coef: d hinge / d dist per row
-    for pairs, flip, name in zip(_hinge_pairs(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
+    for pairs, flip, name in zip(_hinge_pairs(rows, n), (1.0, -1.0), ("(+,?)", "(-,?)")):
         if not len(pairs):
             if warn_missing:
                 logger.warning("no %s hinge pairs in sample set; term contributes 0", name)
@@ -407,9 +422,10 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
         for _ in range(_NULL_DRAW_PASSES):
             if len(pairs) == count:
                 break
-            cand = np.sort(rng.integers(0, n, size=(2 * count, 2)), axis=1)
-            cand = cand[(cand[:, 0] != cand[:, 1]) & ~np.isin(cand[:, 0] * n + cand[:, 1], keys)]
-            pairs = np.concatenate((pairs, cand[:count - len(pairs)]))
+            raw = rng.integers(0, n, size=(2 * count, 2))
+            lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
+            keep = np.flatnonzero((lo != hi) & ~np.isin(lo * n + hi, keys))[:count - len(pairs)]
+            pairs = np.concatenate((pairs, np.column_stack((lo[keep], hi[keep]))))
         if len(pairs) < count:
             share = 1.0 - len(edges) / (n * (n - 1) // 2)
             raise ValueError(f"cannot draw {count} non-adjacent pairs in {_NULL_DRAW_PASSES} "

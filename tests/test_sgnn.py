@@ -8,9 +8,9 @@ import pytest
 
 import sigaug as sg
 import trainer_reference as ref
-from sigaug.sgnn import (CLASSES, _draw_nulls, _edge_rows, _GraphTensors, _class_weights,
-                         _grad_step, _hinge_pairs, _layer0, _loss_grads, _null_pool,
-                         init_params)
+from sigaug.sgnn import (_NULL, CLASSES, _draw_nulls, _edge_rows, _GraphTensors,
+                         _class_weights, _grad_step, _hinge_pairs, _layer0, _loss_grads,
+                         _null_pool, init_params)
 
 from conftest import random_signed_graph
 
@@ -356,7 +356,7 @@ class TestSamplePipelineMatchesReference:
             assert _tuples(nulls) == ref_nulls
         rows = np.concatenate((edges, nulls))
         samples = _tuples(edges) + ref_nulls
-        for pairs, ref_triples in zip(_hinge_pairs(rows), ref._hinge_triples(samples)):
+        for pairs, ref_triples in zip(_hinge_pairs(rows, g.n), ref._hinge_triples(samples)):
             assert _triples(rows, pairs) == ref_triples
         Z = rng.normal(size=(g.n, 6))
         theta = rng.uniform(-0.5, 0.5, size=(3, 12))
@@ -395,6 +395,45 @@ class TestSamplePipelineMatchesReference:
         pool = _null_pool(_edge_rows(g), g.n)
         assert pool.shape == (0, 2) and ref._null_pool(g) == []
         assert _draw_nulls(_edge_rows(g), g.n, pool, 6, np.random.default_rng(0)).shape == (0, 3)
+
+
+class TestHingePairsMatchesOracle:
+    """_hinge_pairs against trainer_reference's binary-search version on hand-built
+    rows. The endpoints reach n - 1, so a sort key one width too narrow for n
+    (8, 16 or 32 bits) would wrap and reorder the anchors."""
+
+    @staticmethod
+    def rows(n, edge_classes, nulls, seed=0):
+        rng = np.random.default_rng(seed)
+        # few distinct endpoints, so anchors repeat and their runs are long; n - 3
+        # appears only in edge rows: an endpoint with no null row
+        null_nodes = [0, 1, n // 2, n - 2, n - 1]
+        edge_nodes = null_nodes + [n - 3]
+        rows = [(*rng.choice(null_nodes, 2, replace=False), _NULL) for _ in range(nulls)]
+        rows += [(*rng.choice(edge_nodes, 2, replace=False), c)
+                 for c in rng.choice(edge_classes, 40)]
+        return np.array(rows, dtype=np.int64)[rng.permutation(len(rows))]
+
+    def check(self, rows, n):
+        got, want = _hinge_pairs(rows, n), ref.hinge_pairs(rows)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+        return got
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
+    def test_key_widths(self, n):
+        rows = self.rows(n, [0, 1], 40)
+        assert (rows[:, :2] == n - 3).any()
+        assert all(len(p) for p in self.check(rows, n))
+
+    def test_no_null_rows(self):
+        assert not any(len(p) for p in self.check(self.rows(300, [0, 1], 0), 300))
+
+    def test_no_negative_rows(self):
+        got = self.check(self.rows(300, [0], 40), 300)
+        assert len(got[0]) and not len(got[1])
 
 
 class TestTrainMatchesReference:
@@ -487,7 +526,7 @@ class TestLossMemory:
         rows = np.concatenate((edges, _draw_nulls(edges, g.n, None, len(edges), rng)))
         Z, theta = rng.normal(size=(g.n, 64)), rng.uniform(-0.5, 0.5, size=(3, 128))
         weights = _class_weights(rows)
-        assert sum(len(p) for p in _hinge_pairs(rows)) * 64 * 8 > 20e6
+        assert sum(len(p) for p in _hinge_pairs(rows, g.n)) * 64 * 8 > 20e6
         tracemalloc.start()
         try:
             _loss_grads(Z, rows, theta, 5.0, weights)

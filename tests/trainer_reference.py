@@ -19,9 +19,12 @@ library's loss on the rows those tuples convert to; the hand-computed values
 in the loss tests go through it.
 
 `plain_loss_grads` is the library's node-level loss as first written: the
-logit gradients scattered through two (n x S) csr incidence matrices and the
-rows' distances taken from one (S x d) difference of their endpoints. It sums
-in the library's order, so the library's loss must equal it bit for bit.
+logit gradients scattered through two (n x S) csr incidence matrices, the
+rows' distances taken from one (S x d) difference of their endpoints, the
+endpoints ordered by a row sort, the logits' row max by a reduction, and the
+hinge pairs from `hinge_pairs`, which finds each endpoint's run of null rows
+by binary search in the sorted anchors. It sums in the library's order, so
+the library's loss must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import scipy.sparse as sp
 
 from sigaug import sgnn
 from sigaug.graph import SignedGraph
-from sigaug.sgnn import _NULL_POOL_CUTOFF, CLASSES, _hinge_pairs
+from sigaug.sgnn import _NULL, _NULL_POOL_CUTOFF, CLASSES
 
 logger = logging.getLogger(__name__)
 
@@ -128,6 +131,27 @@ def _loss_grads(Z, samples, theta, lam, weights, warn_missing=True):
     return ce, hinge, dZ, dTheta
 
 
+def hinge_pairs(rows: np.ndarray):
+    """Hinge terms as (edge row, null row) index pairs into `rows`: one (T, 2) array
+    for the "+" rows, one for the "-" rows; a term compares its rows' squared distances.
+    An edge row and a "?" row pair up whenever they share an endpoint, the anchor. Per
+    edge row (u, v) in sample order come pairs anchored at u, then at v, nulls in order."""
+    null = np.flatnonzero(rows[:, 2] == _NULL)
+    anchors = rows[null, :2].ravel()  # null row (u, v) is incidences at u and at v
+    order = np.argsort(anchors, kind="stable")  # the stable sort keeps sample order
+    anchors, partners = anchors[order], null[order // 2]
+    out = []
+    for cls in (0, 1):
+        edge = np.flatnonzero(rows[:, 2] == cls)
+        a = rows[edge, :2].ravel()
+        start = np.searchsorted(anchors, a, side="left")
+        count = np.searchsorted(anchors, a, side="right") - start
+        first = np.cumsum(count) - count  # where each anchor's run starts in the output
+        k = partners[np.arange(count.sum()) + np.repeat(start - first, count)]
+        out.append(np.column_stack((np.repeat(np.repeat(edge, 2), count), k)))
+    return out
+
+
 def plain_loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     """sgnn._loss_grads with csr incidence scatters and one (S x d) difference."""
     n, d = Z.shape
@@ -153,7 +177,7 @@ def plain_loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     diff = Z[ii] - Z[jj]
     dist = (diff * diff).sum(axis=1)
     hinge, coef = 0.0, np.zeros(count)
-    for pairs, flip, name in zip(_hinge_pairs(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
+    for pairs, flip, name in zip(hinge_pairs(rows), (1.0, -1.0), ("(+,?)", "(-,?)")):
         if not len(pairs):
             if warn_missing:
                 logger.warning("no %s hinge pairs in sample set; term contributes 0", name)
