@@ -9,7 +9,11 @@ candidates in one fixed order, walked from the front, and each pick carries its
 value into the log. The remove pools (the original edges) are sorted up front.
 The add pools span all n^2/2 pairs, of which a run reads few, so each row block
 is ranked lazily on its own, a chunk of its best remaining pairs at a time, and
-the blocks are merged.
+the blocks are merged. Each (sign, row block) product is computed once at the
+start for both pools: the remove pool reads its edges' values from it and the
+add pool ranks its first chunk from it. A block is multiplied again only when
+its add pool refills, and the first chunks are ranked even when no round runs
+(delta 0).
 Negative candidates pass through the edge-utility filter, a one-pair walk
 count (`balance.pair_utility`) evaluated on the current working graph: set
 intersections of the pair's neighbor sets count its walks of lengths 2 and 3,
@@ -238,17 +242,17 @@ def epr_check(log: PerturbationLog, cfg: EPRConfig, original_edge_count: int) ->
                                                                 cfg.theta_target)
 
 
-def _block_best(block, n: int, r0: int, r1: int, after, k: int):
-    """Keys u * n + v and values of the best k upper-triangle pairs of rows r0:r1
-    that come after `after`, the last (value, key) taken, in pool order: value
-    descending, then key. They come sorted, and so does every pair tied with
-    the k-th, so the cut is exact."""
+def _block_best(vals: np.ndarray, n: int, r0: int, after, k: int):
+    """Keys u * n + v and values of the best k upper-triangle pairs of the row
+    block `vals`, rows r0:r0 + len(vals) of the matrix, that come after `after`,
+    the last (value, key) taken, in pool order: value descending, then key.
+    They come sorted, and so does every pair tied with the k-th, so the cut is
+    exact."""
     value, key = after
-    vals = block(r0, r1)
     later = vals < value
     tied = np.flatnonzero(vals == value)
     later.flat[tied] = tied > key - r0 * n
-    later &= np.arange(n) > np.arange(r0, r1)[:, None]
+    later &= np.arange(n) > np.arange(r0, r0 + len(vals))[:, None]
     keys, vals = np.flatnonzero(later) + r0 * n, vals[later]
     if vals.size > k:
         top = vals >= np.partition(vals, vals.size - k)[vals.size - k]
@@ -257,23 +261,27 @@ def _block_best(block, n: int, r0: int, r1: int, after, k: int):
     return keys[order], vals[order]
 
 
-def _block_pairs(block, n: int, r0: int, r1: int):
+def _first_chunk(vals: np.ndarray, n: int, r0: int):
+    """The best `_FIRST_CHUNK` pairs of the row block `vals` (`_block_best` from
+    the start of the pool): what `_block_pairs` yields before its first refill."""
+    return _block_best(vals, n, r0, (math.inf, -1), _FIRST_CHUNK)
+
+
+def _block_pairs(block, n: int, r0: int, r1: int, first):
     """The upper-triangle pairs (key, value) of rows r0:r1 in pool order, ranked a
-    chunk at a time. The chunk doubles from `_FIRST_CHUNK` up to
-    max(n, `_FIRST_CHUNK`) pairs, so a block waiting between refills holds at
-    most that many; its temporaries live in `_block_best` only."""
-    after = (math.inf, -1)
+    chunk at a time from the block's `_first_chunk`. The chunk doubles from
+    `_FIRST_CHUNK` up to max(n, `_FIRST_CHUNK`) pairs, so a block waiting between
+    refills holds at most that many; a refill multiplies the block again, and its
+    temporaries live in `_block_best` only."""
+    keys, vals = first
     chunk = _FIRST_CHUNK
-    while True:
-        keys, vals = _block_best(block, n, r0, r1, after, chunk)
-        if keys.size == 0:
-            return
-        after = vals[-1], keys[-1]
+    while keys.size:
         yield from zip(keys.tolist(), vals.tolist())
         chunk = min(2 * chunk, max(n, _FIRST_CHUNK))
+        keys, vals = _block_best(block(r0, r1), n, r0, (vals[-1], keys[-1]), chunk)
 
 
-def _ranked_pairs(block, n: int):
+def _ranked_pairs(block, n: int, firsts):
     """Upper-triangle pairs (u * n + v, value) of the n x n matrix whose rows
     r0:r1 are block(r0, r1), highest value first and ties in key order: the
     order of a stable sort by descending value.
@@ -281,22 +289,13 @@ def _ranked_pairs(block, n: int):
     Each row block of `_blocks` is ranked lazily on its own (`_block_pairs`),
     and the blocks are merged on (-value, key). Keys are unique, so that order
     is strict and the merge equals one stable sort of all pairs. No array of
-    all n^2/2 pairs is built, however far the pool is walked. Values must not
-    be NaN.
+    all n^2/2 pairs is built, however far the pool is walked. `firsts` holds
+    each block's `_first_chunk` in `_blocks` order, ranked by the caller from
+    the product it reads anyway. Values must not be NaN.
     """
-    return heapq.merge(*(_block_pairs(block, n, r0, r1) for r0, r1 in _blocks(n)),
+    return heapq.merge(*(_block_pairs(block, n, r0, r1, first)
+                         for (r0, r1), first in zip(_blocks(n), firsts)),
                        key=lambda pair: (-pair[1], pair[0]))
-
-
-def _edge_values(block, n: int, keys: np.ndarray) -> np.ndarray:
-    """Values of the pairs with sorted row-major keys, read from the row blocks."""
-    u, v = np.divmod(keys, n)
-    vals = np.empty(keys.size)
-    for r0, r1 in _blocks(n):
-        lo, hi = np.searchsorted(u, (r0, r1))
-        if lo < hi:
-            vals[lo:hi] = block(r0, r1)[u[lo:hi] - r0, v[lo:hi]]
-    return vals
 
 
 class AugmentationState:
@@ -313,6 +312,12 @@ class AugmentationState:
     during a run and a pair that leaves a pool never comes back. `taken` holds
     the original edges plus every pair already picked; add pools skip those
     pairs. Remove pools never need to: no other slot can take an original edge.
+
+    Each (sign, row block) product is computed once here, for both pools: the
+    remove pool reads its edges' values from it, and the add pool's first
+    chunk is ranked from it. A block is multiplied again only when its add
+    pool refills. So the first chunks are ranked even when no round runs
+    (delta_target = 0).
     """
 
     def __init__(self, g: SignedGraph, rows, cfg: EPRConfig):
@@ -329,9 +334,16 @@ class AugmentationState:
         for sign in (1, -1):
             block = partial(rows, sign)
             edges = np.array([u * n + v for u, v, s in g.edges() if s == sign], dtype=np.intp)
-            vals = _edge_values(block, n, edges)
+            u, v = np.divmod(edges, n)
+            vals = np.empty(edges.size)
+            firsts = []
+            for r0, r1 in _blocks(n):
+                values = block(r0, r1)
+                lo, hi = np.searchsorted(u, (r0, r1))
+                vals[lo:hi] = values[u[lo:hi] - r0, v[lo:hi]]
+                firsts.append(_first_chunk(values, n, r0))
             order = np.argsort(vals, kind="stable")
-            self.pools[sign, ADD] = _ranked_pairs(block, n)
+            self.pools[sign, ADD] = _ranked_pairs(block, n, firsts)
             self.pools[sign, REMOVE] = zip(edges[order].tolist(), vals[order].tolist())
 
     def _pick(self, sign: int, action: str):

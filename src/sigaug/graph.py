@@ -213,19 +213,14 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
 
 def split_adjacency(g: SignedGraph):
     """Decompose into symmetric 0/1 csr matrices (Apos, Aneg) with disjoint supports."""
-    prows, pcols = [], []
-    nrows, ncols = [], []
-    for u, v, s in g.edges():
-        if s == POS:
-            prows += [u, v]
-            pcols += [v, u]
-        else:
-            nrows += [u, v]
-            ncols += [v, u]
-    shape = (g.n, g.n)
-    apos = sp.csr_matrix((np.ones(len(prows), dtype=np.int64), (prows, pcols)), shape=shape)
-    aneg = sp.csr_matrix((np.ones(len(nrows), dtype=np.int64), (nrows, ncols)), shape=shape)
-    return apos, aneg
+    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 3)
+    mats = []
+    for sign in (POS, NEG):
+        u, v, _ = edges[edges[:, 2] == sign].T
+        ends = (np.concatenate((u, v)), np.concatenate((v, u)))
+        mats.append(sp.csr_matrix((np.ones(2 * len(u), dtype=np.int64), ends),
+                                  shape=(g.n, g.n)))
+    return tuple(mats)
 
 
 def graph_stats(g: SignedGraph) -> dict:

@@ -22,7 +22,9 @@ search. A row's endpoints are ordered, and the logits' row max taken, by
 elementwise min/max rather than by a sort or a reduction along a short axis.
 `train` builds what no epoch changes once per call: the propagation operators,
 the layer-0 inputs [x || R+ x] and [x || R- x], the supervision's edge rows
-and the null pool; an epoch draws only its "?" rows.
+and the null pool; an epoch draws only its "?" rows. The operators' csr arrays
+are written straight from the adjacency, and a rejection draw is looked up in
+the ascending edge keys after sorting only the draws.
 `forward` and `gradient_check` build the layer-0 inputs with the same helper.
 """
 
@@ -202,28 +204,37 @@ def init_params(feature_dim: int, embed_dim: int, layers: int, rng) -> ModelPara
 
 
 class _GraphTensors:
-    """Row-normalized propagation operators for one graph, built once."""
+    """Row-normalized propagation operators for one graph, built once.
+
+    They are written as csr arrays straight from the symmetric adjacency A,
+    whose rows' columns ascend, with no sparse product and no transpose. Their
+    entries sit in the order `sp.diags(1 / deg) @ A` and `.T.tocsr()` would
+    leave, and each product with them sums in that order: the forward operators
+    hold each row's columns descending, the transposes rpd_t and rnd_t hold A's
+    own columns.
+    """
 
     def __init__(self, g: SignedGraph):
         apos, aneg = split_adjacency(g)
-        apos = apos.astype(np.float64)
-        aneg = aneg.astype(np.float64)
-        degp = np.asarray(apos.sum(axis=1)).ravel()
-        degn = np.asarray(aneg.sum(axis=1)).ravel()
+        degp = np.diff(apos.indptr).astype(np.float64)
+        degn = np.diff(aneg.indptr).astype(np.float64)
         degt = degp + degn
-        self.rp1 = self._row_scale(apos, degp)
-        self.rn1 = self._row_scale(aneg, degn)
-        self.rpd = self._row_scale(apos, degt)
-        self.rnd = self._row_scale(aneg, degt)
-        self.rpd_t = self.rpd.T.tocsr()
-        self.rnd_t = self.rnd.T.tocsr()
+        self.rp1, self.rpd, self.rpd_t = self._scaled(apos, degp, degt)
+        self.rn1, self.rnd, self.rnd_t = self._scaled(aneg, degn, degt)
 
     @staticmethod
-    def _row_scale(mat, deg):
-        inv = np.zeros_like(deg)
-        nz = deg > 0
-        inv[nz] = 1.0 / deg[nz]
-        return (sp.diags(inv) @ mat).tocsr()
+    def _scaled(adj, deg, degt):
+        """diag(1 / deg) adj and diag(1 / degt) adj, each row's columns descending,
+        and the transpose of the second, adj diag(1 / degt), columns ascending."""
+        inv, invt = np.zeros_like(deg), np.zeros_like(degt)
+        np.divide(1.0, deg, out=inv, where=deg > 0)
+        np.divide(1.0, degt, out=invt, where=degt > 0)
+        row = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+        # entry p of a row spanning [s, e) moves to s + e - 1 - p
+        desc = adj.indices[adj.indptr[row] + adj.indptr[row + 1] - 1 - np.arange(adj.nnz)]
+        return (sp.csr_matrix((inv[row], desc, adj.indptr), shape=adj.shape),
+                sp.csr_matrix((invt[row], desc, adj.indptr), shape=adj.shape),
+                sp.csr_matrix((invt[adj.indices], adj.indices, adj.indptr), shape=adj.shape))
 
 
 def _layer0(tensors: _GraphTensors, x: np.ndarray):
@@ -404,16 +415,25 @@ def _reg(params: ModelParams, weight_decay: float) -> float:
 
 
 def _null_pool(edges: np.ndarray, n: int):
-    """Pairs not in `edges` as (P, 2) row-major rows, or None if too many to list."""
+    """Pairs not in `edges` as (P, 2) row-major rows, or None if too many to list.
+
+    `edges` must be rows in g.edges() order, as `_edge_rows` gives them: their
+    keys u * n + v then ascend, as do the listed pairs', and one search places
+    every edge among the pairs."""
     if n * (n - 1) // 2 > max(_NULL_POOL_CUTOFF, len(edges)):  # a complete graph lists none
         return None
     u, v = np.triu_indices(n, k=1)
-    free = ~np.isin(u * n + v, edges[:, 0] * n + edges[:, 1])
+    free = np.ones(len(u), dtype=bool)
+    free[np.searchsorted(u * n + v, edges[:, 0] * n + edges[:, 1])] = False
     return np.column_stack((u[free], v[free]))
 
 
 def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
-    """`count` uniformly random pairs not in `edges` (with replacement), as "?" rows."""
+    """`count` uniformly random pairs not in `edges` (with replacement), as "?" rows.
+
+    `edges` must be rows in g.edges() order, as `_edge_rows` gives them: their
+    keys u * n + v then ascend, and a rejection pass sorts only its draws and
+    looks them up in the keys (`_is_edge`)."""
     if pool is not None:
         pairs = pool[rng.integers(0, len(pool), size=count)] if len(pool) else pool
     else:
@@ -424,7 +444,7 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
                 break
             raw = rng.integers(0, n, size=(2 * count, 2))
             lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
-            keep = np.flatnonzero((lo != hi) & ~np.isin(lo * n + hi, keys))[:count - len(pairs)]
+            keep = np.flatnonzero((lo != hi) & ~_is_edge(keys, lo * n + hi))[:count - len(pairs)]
             pairs = np.concatenate((pairs, np.column_stack((lo[keep], hi[keep]))))
         if len(pairs) < count:
             share = 1.0 - len(edges) / (n * (n - 1) // 2)
@@ -432,6 +452,21 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
                              f"rejection passes: n={n}, {len(edges)} edges, "
                              f"free-pair share {share:.3g}")
     return np.column_stack((pairs, np.full(len(pairs), _NULL, dtype=np.int64)))
+
+
+def _is_edge(keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Whether each of `draws` is in the ascending `keys`, as np.isin would say.
+
+    The draws are searched in sorted order, so each search starts from the
+    previous one's result; a draw above the last key gets the index past the
+    end, which is clamped onto the last key."""
+    found = np.zeros(len(draws), dtype=bool)
+    if len(keys):
+        order = np.argsort(draws)
+        ranked = draws[order]
+        at = np.minimum(np.searchsorted(keys, ranked), len(keys) - 1)
+        found[order] = keys[at] == ranked
+    return found
 
 
 def _grad_step(tensors, params, x0, rows, weights, cfg, warn_missing=True):

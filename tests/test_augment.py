@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, NOT_GATED,
-                            AugmentationState, LogEntry, PerturbationLog, _propensity_rows,
-                            _ranked_pairs, edge_probabilities)
+                            AugmentationState, LogEntry, PerturbationLog, _blocks,
+                            _first_chunk, _propensity_rows, _ranked_pairs, edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
 
 from augment_reference import reference_augment, reference_pair_utility
@@ -439,12 +439,18 @@ def stable_ranking(values):
     return upper[np.argsort(-values.take(upper), kind="stable")]
 
 
+def ranked_pairs(block, n):
+    """_ranked_pairs from each row block's first chunk, as AugmentationState
+    ranks them from its one product per block."""
+    return _ranked_pairs(block, n, [_first_chunk(block(r0, r1), n, r0) for r0, r1 in _blocks(n)])
+
+
 class TestRankedPairs:
     """The lazy add-pool ranking, walked to exhaustion, against one full stable sort."""
 
     @staticmethod
     def ranked(values):
-        return list(_ranked_pairs(lambda r0, r1: values[r0:r1], values.shape[0]))
+        return list(ranked_pairs(lambda r0, r1: values[r0:r1], values.shape[0]))
 
     def assert_ranked(self, values):
         got = self.ranked(values)
@@ -517,7 +523,7 @@ class TestPoolMemory:
         rows = _propensity_rows(sg.EmbeddingPair(*np.random.default_rng(0).normal(size=(2, n, 16))))
         tracemalloc.start()
         try:
-            count = sum(1 for _pair in _ranked_pairs(partial(rows, 1), n))
+            count = sum(1 for _pair in ranked_pairs(partial(rows, 1), n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -397,6 +397,74 @@ class TestSamplePipelineMatchesReference:
         assert _draw_nulls(_edge_rows(g), g.n, pool, 6, np.random.default_rng(0)).shape == (0, 3)
 
 
+class TestGraphTensorsMatchesOracle:
+    """_GraphTensors' operators, written as csr arrays, against trainer_reference's
+    diagonal products and transposes: the same data, indices in entry order and
+    indptr, since each product with an operator sums in its entry order."""
+
+    GRAPHS = {
+        "isolated_nodes": lambda: sg.SignedGraph(10, [(0, 1, 1), (0, 2, 1), (0, 3, -1),
+                                                      (1, 2, -1), (1, 3, -1), (2, 3, 1),
+                                                      (5, 6, 1), (5, 8, 1), (6, 8, -1)]),
+        "positive_only": lambda: sg.SignedGraph(7, [(0, 1, 1), (1, 2, 1), (0, 5, 1), (3, 4, 1)]),
+        "negative_only": lambda: sg.SignedGraph(7, [(0, 1, -1), (1, 6, -1), (2, 5, -1)]),
+        "no_nodes": lambda: sg.SignedGraph(0),
+        "no_edges": lambda: sg.SignedGraph(5),
+        "benchmark_shaped_split": lambda: _sparse_graph(0, n=1000, m=3200),
+    }
+
+    def check(self, g):
+        got, want = _GraphTensors(g), ref.graph_tensors(g)
+        assert len(want) == 6
+        for name, w in want.items():
+            m = getattr(got, name)
+            assert m.shape == w.shape == (g.n, g.n)
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(m, attr), getattr(w, attr)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, attr)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_graphs(self, name):
+        self.check(self.GRAPHS[name]())
+
+    def test_congress(self, congress_graph):
+        self.check(congress_graph)
+
+
+class TestRejectionDrawsMatchIsin:
+    """The rejection path's search of sorted draws in the ascending edge keys
+    against trainer_reference's np.isin membership test, for equal seeds."""
+
+    @staticmethod
+    def check(edges, n, count, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the second draw checks that both streams stayed in step
+            got = _draw_nulls(edges, n, None, count, rng)
+            want = ref.draw_nulls_isin(edges, n, count, ref_rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draws_above_the_last_key(self, seed):
+        # edges only among nodes 0-40 of 700: the last key is at most 39 * 700 + 40,
+        # below about 89% of the pairs a draw can hit
+        g = sg.SignedGraph(700, random_signed_graph(np.random.default_rng(seed), 41).edges())
+        edges = _edge_rows(g)
+        assert _null_pool(edges, g.n) is None and edges[:, :2].max() <= 40
+        self.check(edges, g.n, len(edges), seed)
+
+    def test_no_edges(self):
+        edges = np.empty((0, 3), np.int64)
+        assert _null_pool(edges, 700) is None
+        assert self.check(edges, 700, 5, 0).shape == (5, 3)
+        assert math.isfinite(sg.gradient_check(sg.SignedGraph(700),
+                                               sg.TrainConfig(embed_dim=4, feature_dim=3)))
+
+    def test_pool_without_edges(self):
+        pool = _null_pool(np.empty((0, 3), np.int64), 5)
+        assert [tuple(p) for p in pool.tolist()] == ref._null_pool(sg.SignedGraph(5))
+
+
 class TestHingePairsMatchesOracle:
     """_hinge_pairs against trainer_reference's binary-search version on hand-built
     rows. The endpoints reach n - 1, so a sort key one width too narrow for n

@@ -25,6 +25,14 @@ endpoints ordered by a row sort, the logits' row max by a reduction, and the
 hinge pairs from `hinge_pairs`, which finds each endpoint's run of null rows
 by binary search in the sorted anchors. It sums in the library's order, so
 the library's loss must equal it bit for bit.
+
+`graph_tensors` builds the trainer's six propagation operators as first
+written: adjacency from per-edge Python lists, each row scaled by a sparse
+diagonal product, the transposes by `.T.tocsr()`. The library writes their
+csr arrays directly and must give the same data, indices (in entry order) and
+indptr. `draw_nulls_isin` is the rejection path's membership test as first
+written, `np.isin` against the edge keys; the library's draws must equal its
+draws for equal seeds.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ import scipy.sparse as sp
 
 from sigaug import sgnn
 from sigaug.graph import SignedGraph
-from sigaug.sgnn import _NULL, _NULL_POOL_CUTOFF, CLASSES
+from sigaug.graph import NEG, POS
+from sigaug.sgnn import _NULL, _NULL_DRAW_PASSES, _NULL_POOL_CUTOFF, CLASSES
 
 logger = logging.getLogger(__name__)
 
@@ -234,3 +243,43 @@ def _draw_nulls(g: SignedGraph, pool, count: int, rng):
             if len(out) == count:
                 break
     return out
+
+
+def graph_tensors(g: SignedGraph) -> dict:
+    """The operators rp1, rn1, rpd, rnd, rpd_t and rnd_t of sgnn._GraphTensors, by name."""
+    ends = {POS: ([], []), NEG: ([], [])}
+    for u, v, s in g.edges():
+        rows, cols = ends[s]
+        rows += [u, v]
+        cols += [v, u]
+    apos, aneg = (sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                                shape=(g.n, g.n)).astype(np.float64)
+                  for rows, cols in (ends[POS], ends[NEG]))
+    degp = np.asarray(apos.sum(axis=1)).ravel()
+    degn = np.asarray(aneg.sum(axis=1)).ravel()
+
+    def row_scale(mat, deg):
+        inv = np.zeros_like(deg)
+        nz = deg > 0
+        inv[nz] = 1.0 / deg[nz]
+        return (sp.diags(inv) @ mat).tocsr()
+
+    ops = {"rp1": row_scale(apos, degp), "rn1": row_scale(aneg, degn),
+           "rpd": row_scale(apos, degp + degn), "rnd": row_scale(aneg, degp + degn)}
+    ops["rpd_t"] = ops["rpd"].T.tocsr()
+    ops["rnd_t"] = ops["rnd"].T.tocsr()
+    return ops
+
+
+def draw_nulls_isin(edges: np.ndarray, n: int, count: int, rng) -> np.ndarray:
+    """sgnn._draw_nulls' rejection path with `np.isin` as its membership test."""
+    keys = edges[:, 0] * n + edges[:, 1]
+    pairs = np.empty((0, 2), dtype=np.int64)
+    for _ in range(_NULL_DRAW_PASSES):
+        if len(pairs) == count:
+            break
+        raw = rng.integers(0, n, size=(2 * count, 2))
+        lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
+        keep = np.flatnonzero((lo != hi) & ~np.isin(lo * n + hi, keys))[:count - len(pairs)]
+        pairs = np.concatenate((pairs, np.column_stack((lo[keep], hi[keep]))))
+    return np.column_stack((pairs, np.full(len(pairs), _NULL, dtype=np.int64)))

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the trainer stage by stage: per epoch, null sampling, forward, loss and backward.
+"""Time the trainer stage by stage: set-up, then per epoch sampling, forward, loss, backward.
 
 Usage (from the root of a checkout; one BLAS thread makes runs comparable):
 
@@ -13,16 +13,22 @@ ExperimentConfig's default test_fraction and TrainConfig(epochs, seed), as
 run_experiment's base train does.
 
 The script times one `sigaug.train` call. During that call it wraps the
-trainer's stage functions, which train looks up in its module at call time,
-with timers, and restores them afterwards:
+trainer's functions, which train looks up in its module at call time, with
+timers, and restores them afterwards. The per-train set-up, once per call
+(`setup_s`, by function):
+- `_GraphTensors`, the propagation operators;
+- `_layer0`, the layer-0 inputs;
+- `_edge_rows`, the supervision's edge rows;
+- `_null_pool`, the enumerated non-adjacent pairs, if listed.
+The epoch stages, once per epoch (`stage_s` in total, `epoch_stage_s` per call):
 - sampling: `_draw_nulls`, the epoch's "?" rows;
 - forward: `_forward_cached`, the layer stack;
 - loss: `_loss_grads`, the classifier and hinge loss with its gradients;
 - backward: `_backward`, backprop through the layer stack.
-`other_s` is the rest of `train_s`: the per-train setup, the class weights,
-the weight-decay terms, the parameter steps and the final forward. The JSON
-goes to --out, else to standard output, with the Python, NumPy and SciPy
-versions, the BLAS thread variables and the CPU count.
+`other_s` is the rest of `train_s`: the features, the class weights, the
+weight-decay terms, the parameter steps and the final forward. The JSON goes
+to --out, else to standard output, with the Python, NumPy and SciPy versions,
+the BLAS thread variables and the CPU count.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import gen_graph  # noqa: E402
 import sigaug as sg  # noqa: E402
 from sigaug import sgnn  # noqa: E402
 
+SETUP = ("_GraphTensors", "_layer0", "_edge_rows", "_null_pool")
 STAGES = {"sampling": "_draw_nulls", "forward": "_forward_cached", "loss": "_loss_grads",
           "backward": "_backward"}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -64,11 +71,14 @@ def _timed(fn, times: list):
 
 
 def timed_train(g, cfg):
-    """One sigaug.train call with its stages timed: (whole seconds, {stage: per-call seconds})."""
+    """One sigaug.train call with its set-up and stages timed: (whole seconds,
+    {set-up function: per-call seconds}, {stage: per-call seconds})."""
+    setup = {name: [] for name in SETUP}
     times = {stage: [] for stage in STAGES}
-    saved = {name: getattr(sgnn, name) for name in STAGES.values()}
-    for stage, name in STAGES.items():
-        setattr(sgnn, name, _timed(saved[name], times[stage]))
+    timers = {**setup, **{name: times[stage] for stage, name in STAGES.items()}}
+    saved = {name: getattr(sgnn, name) for name in timers}
+    for name, dts in timers.items():
+        setattr(sgnn, name, _timed(saved[name], dts))
     try:
         t0 = time.perf_counter()
         sg.train(g, cfg)
@@ -76,7 +86,7 @@ def timed_train(g, cfg):
     finally:
         for name, fn in saved.items():
             setattr(sgnn, name, fn)
-    return train_s, times
+    return train_s, setup, times
 
 
 def provenance() -> dict:
@@ -110,17 +120,19 @@ def main(argv=None) -> None:
     split = sg.split_edges(g, sg.ExperimentConfig.test_fraction, args.seed)
     cfg = sg.TrainConfig(epochs=args.epochs, seed=args.seed)
 
-    train_s, times = timed_train(split.train, cfg)
+    train_s, setup, times = timed_train(split.train, cfg)
     times["forward"].pop()  # the final embeddings' forward, after the last epoch
+    setup_s = {name: sum(dts) for name, dts in setup.items()}
     stage_s = {stage: sum(dts) for stage, dts in times.items()}
     result = {
         "graph": {"source": source, "n": g.n, "edges": g.num_edges,
                   "train_edges": split.train.num_edges},
         "epochs": cfg.epochs,
         "seed": args.seed,
+        "setup_s": setup_s,
         "stage_s": stage_s,
         "epoch_stage_s": times,
-        "other_s": train_s - sum(stage_s.values()),
+        "other_s": train_s - sum(setup_s.values()) - sum(stage_s.values()),
         "train_s": train_s,
         "provenance": provenance(),
     }
