@@ -9,6 +9,7 @@ has no field for (dataset, output, quiet, embeddings, log) have their own.
 `sweep` always runs sigaug. Exit codes: 0 success (also when the reader of
 standard output closes it early), 2 unreadable/invalid input files or a
 configuration value out of range, 3 component failure, 64 usage errors.
+A config file is read as UTF-8, with or without a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     file_values = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 file_values = parse_config_text(fh.read(), sub)
         except (OSError, ValueError) as exc:
             print(f"sigaug: config error: {exc}", file=sys.stderr)

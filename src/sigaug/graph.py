@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -13,6 +14,10 @@ POS = 1
 NEG = -1
 
 FORMATS = ("rating", "signed")
+
+# number fields in ASCII digits only: int() alone would also take "1_0" and "\u0661" (1)
+_WEIGHT = re.compile(r"[+-]?[0-9]+")
+_TIMESTAMP = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -114,22 +119,27 @@ def _split_fields(line: str) -> list[str]:
     return line.split()
 
 
-def _parse_int(field: str, lineno: int, what: str) -> int:
+def _parse_number(field: str, pattern: re.Pattern, lineno: int, what: str) -> int:
+    """The integer part of `field`, which `pattern` must match in full."""
     try:
-        return int(field)
-    except ValueError:
-        raise ParseError(lineno, f"non-numeric {what} {field!r}") from None
+        if pattern.fullmatch(field):
+            return int(field.partition(".")[0])
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(lineno, f"non-numeric {what} {field!r}")
 
 
 def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
     """Parse an edge-list stream into records.
 
     Each data line holds `source target weight [timestamp]`, comma- or
-    whitespace-separated; lines starting with '#' or '%' are comments. With
-    format="rating" the weight is an integer rating in [-10, 10]; with
-    format="signed" it must already be +1 or -1. A timestamp must be an integer
-    and is not kept. `source` may be a file object (text or binary), bytes, or
-    str content.
+    whitespace-separated; lines starting with '#' or '%' are comments. The
+    weight is an optionally signed run of ASCII digits: with format="rating" an
+    integer rating in [-10, 10], with format="signed" +1 or -1. A timestamp is
+    such an integer, optionally with a decimal fraction (as in SNAP's
+    Bitcoin-OTC file), and is not kept. `source` may be a file object (text or
+    binary), bytes, or str content, in UTF-8; a leading byte-order mark is
+    dropped.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
@@ -141,7 +151,7 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
             raise ParseError(data.count(b"\n", 0, exc.start) + 1,
                              f"not UTF-8 text ({exc.reason})") from None
     records = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, raw in enumerate(data.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("%"):
             continue
@@ -151,13 +161,13 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
         src, dst = fields[0], fields[1]
         if not src or not dst:
             raise ParseError(lineno, "empty node label")
-        rating = _parse_int(fields[2], lineno, "weight")
+        rating = _parse_number(fields[2], _WEIGHT, lineno, "weight")
         if format == "rating" and not -10 <= rating <= 10:
             raise ParseError(lineno, f"rating {rating} outside [-10, 10]")
         if format == "signed" and rating not in (POS, NEG):
             raise ParseError(lineno, f"sign {rating} not in {{+1, -1}}")
         if len(fields) == 4:
-            _parse_int(fields[3], lineno, "timestamp")
+            _parse_number(fields[3], _TIMESTAMP, lineno, "timestamp")
         records.append(RatingRecord(src, dst, rating))
     return records
 

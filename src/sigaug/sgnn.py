@@ -20,12 +20,14 @@ holds a node id (NumPy radix-sorts it for up to 65536 nodes), and each hinge
 pair's null rows are found from per-node offsets into that order, without a
 search. A row's endpoints are ordered, and the logits' row max taken, by
 elementwise min/max rather than by a sort or a reduction along a short axis.
-`train` builds what no epoch changes once per call: the propagation operators,
-the layer-0 inputs [x || R+ x] and [x || R- x], the supervision's edge rows
-and the null pool; an epoch draws only its "?" rows. The operators' csr arrays
-are written straight from the adjacency, and a rejection draw is looked up in
-the ascending edge keys after sorting only the draws.
-`forward` and `gradient_check` build the layer-0 inputs with the same helper.
+Each `train`, `gradient_check` and `forward` call builds one `_GraphTensors`
+from its graph and features: the layer-0 inputs [x || R+ x] and [x || R- x]
+and the two cross-branch operators, whose transposes are csc views of them
+that sum in the order a transposed copy would. `train` also builds the
+supervision's edge rows and the null pool once; an epoch draws only its "?"
+rows. The operators' csr arrays are written straight from the adjacency, and a
+rejection draw is looked up in the ascending edge keys after sorting only the
+draws.
 """
 
 from __future__ import annotations
@@ -204,28 +206,31 @@ def init_params(feature_dim: int, embed_dim: int, layers: int, rng) -> ModelPara
 
 
 class _GraphTensors:
-    """Row-normalized propagation operators for one graph, built once.
+    """What every forward and backward on one graph and feature matrix reads:
+    the layer-0 inputs x0 = ([x || R+ x], [x || R- x]), R+ and R- the
+    own-degree operators, and the deeper layers' operators rpd and rnd with
+    their transposes rpd_t and rnd_t.
 
-    They are written as csr arrays straight from the symmetric adjacency A,
-    whose rows' columns ascend, with no sparse product and no transpose. Their
-    entries sit in the order `sp.diags(1 / deg) @ A` and `.T.tocsr()` would
-    leave, and each product with them sums in that order: the forward operators
-    hold each row's columns descending, the transposes rpd_t and rnd_t hold A's
-    own columns.
+    rpd and rnd are csr arrays written straight from the symmetric adjacency A,
+    in the entry order `sp.diags(1 / deg) @ A` would leave (each row's columns
+    descending), and their products sum in that order. rpd_t and rnd_t are their
+    csc views: a csc product adds into each output row in ascending column
+    order, the order of A's own columns, as a csr copy of the transpose would.
     """
 
-    def __init__(self, g: SignedGraph):
+    def __init__(self, g: SignedGraph, x: np.ndarray):
         apos, aneg = split_adjacency(g)
         degp = np.diff(apos.indptr).astype(np.float64)
         degn = np.diff(aneg.indptr).astype(np.float64)
         degt = degp + degn
-        self.rp1, self.rpd, self.rpd_t = self._scaled(apos, degp, degt)
-        self.rn1, self.rnd, self.rnd_t = self._scaled(aneg, degn, degt)
+        rp1, self.rpd = self._scaled(apos, degp, degt)
+        rn1, self.rnd = self._scaled(aneg, degn, degt)
+        self.rpd_t, self.rnd_t = self.rpd.T, self.rnd.T
+        self.x0 = np.hstack([x, rp1 @ x]), np.hstack([x, rn1 @ x])
 
     @staticmethod
     def _scaled(adj, deg, degt):
-        """diag(1 / deg) adj and diag(1 / degt) adj, each row's columns descending,
-        and the transpose of the second, adj diag(1 / degt), columns ascending."""
+        """diag(1 / deg) adj and diag(1 / degt) adj, each row's columns descending."""
         inv, invt = np.zeros_like(deg), np.zeros_like(degt)
         np.divide(1.0, deg, out=inv, where=deg > 0)
         np.divide(1.0, degt, out=invt, where=degt > 0)
@@ -233,23 +238,13 @@ class _GraphTensors:
         # entry p of a row spanning [s, e) moves to s + e - 1 - p
         desc = adj.indices[adj.indptr[row] + adj.indptr[row + 1] - 1 - np.arange(adj.nnz)]
         return (sp.csr_matrix((inv[row], desc, adj.indptr), shape=adj.shape),
-                sp.csr_matrix((invt[row], desc, adj.indptr), shape=adj.shape),
-                sp.csr_matrix((invt[adj.indices], adj.indices, adj.indptr), shape=adj.shape))
+                sp.csr_matrix((invt[row], desc, adj.indptr), shape=adj.shape))
 
 
-def _layer0(tensors: _GraphTensors, x: np.ndarray):
-    """Layer 0's inputs [x || R+ x] and [x || R- x], one per branch.
-
-    They depend only on the graph and the features, not on the weights, so each
-    caller builds them once and passes them to every forward.
-    """
-    return np.hstack([x, tensors.rp1 @ x]), np.hstack([x, tensors.rn1 @ x])
-
-
-def _forward_cached(tensors: _GraphTensors, params: ModelParams, x0):
-    """The layer stack from the layer-0 inputs `x0` of _layer0: the final
-    embeddings and each layer's (catp, catn, hp, hn) for _backward."""
-    catp, catn = x0
+def _forward_cached(tensors: _GraphTensors, params: ModelParams):
+    """The layer stack from the layer-0 inputs tensors.x0: the final embeddings
+    and each layer's (catp, catn, hp, hn) for _backward."""
+    catp, catn = tensors.x0
     cache = []
     for l in range(params.layers):
         if l > 0:
@@ -268,8 +263,7 @@ def forward(g: SignedGraph, params: ModelParams, x: np.ndarray) -> EmbeddingPair
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n, params.feature_dim):
         raise ValueError(f"feature shape {x.shape} != {(g.n, params.feature_dim)}")
-    tensors = _GraphTensors(g)
-    pair, _ = _forward_cached(tensors, params, _layer0(tensors, x))
+    pair, _ = _forward_cached(_GraphTensors(g, x), params)
     return pair
 
 
@@ -469,10 +463,9 @@ def _is_edge(keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return found
 
 
-def _grad_step(tensors, params, x0, rows, weights, cfg, warn_missing=True):
-    """One full-batch evaluation from the layer-0 inputs `x0`: loss value and the
-    gradients in params.arrays() order."""
-    pair, cache = _forward_cached(tensors, params, x0)
+def _grad_step(tensors, params, rows, weights, cfg, warn_missing=True):
+    """One full-batch evaluation: loss value and the gradients in params.arrays() order."""
+    pair, cache = _forward_cached(tensors, params)
     ce, hinge, dZ, dTheta = _loss_grads(concat(pair), rows, params.theta, cfg.lam, weights,
                                         warn_missing=warn_missing)
     h = params.half_dim
@@ -496,8 +489,10 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
     steer propagation but never become labels. `init` warm-starts from given
     parameters, which must have cfg's feature_dim, embed_dim and layers.
 
-    What does not change between epochs is built once per call: the
-    propagation operators, the layer-0 inputs [x || R+ x] and [x || R- x], the
+    What does not change between epochs is built once per call: one
+    `_GraphTensors`, holding the layer-0 inputs [x || R+ x] and [x || R- x] and
+    the cross-branch operators (their transposes are csc views, which sum in
+    the same order as transposed copies, so every bit is kept), the
     supervision's edge rows and, on graphs small enough to list them, the pool
     of non-adjacent pairs the "?" rows are drawn from.
 
@@ -520,8 +515,7 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
                 raise ValueError(f"init has {name}={getattr(init, name)}, "
                                  f"cfg has {name}={getattr(cfg, name)}")
         params = init  # warm start; rng stream position stays identical
-    tensors = _GraphTensors(g)
-    x0 = _layer0(tensors, synth_features(g.n, cfg.feature_dim, cfg.seed))
+    tensors = _GraphTensors(g, synth_features(g.n, cfg.feature_dim, cfg.seed))
     edges = _edge_rows(sup)
     pool = _null_pool(edges, sup.n)
     lr = cfg.learning_rate
@@ -530,14 +524,13 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
         rows = np.concatenate((edges, _draw_nulls(edges, sup.n, pool, len(edges), rng)))
         if epoch == 0:  # every epoch draws the same number of samples per class
             weights = _class_weights(rows)
-        value, grads = _grad_step(tensors, params, x0, rows, weights, cfg,
-                                  warn_missing=epoch == 0)
+        value, grads = _grad_step(tensors, params, rows, weights, cfg, warn_missing=epoch == 0)
         if not math.isfinite(value):
             raise ValueError(f"training diverged: the objective is {value} at epoch "
                              f"{epoch + 1} of {cfg.epochs}")
         trace.append(value)
         params = ModelParams.from_arrays([a - lr * ga for a, ga in zip(params.arrays(), grads)])
-    pair, _ = _forward_cached(tensors, params, x0)
+    pair, _ = _forward_cached(tensors, params)
     return TrainResult(params=params, embeddings=pair, loss_trace=trace)
 
 
@@ -556,14 +549,13 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
     # zero classifier would silence the CE -> Z path; move to a generic point
     params = ModelParams(params.wpos, params.wneg,
                          rng.uniform(-0.5, 0.5, size=params.theta.shape))
-    tensors = _GraphTensors(g)
-    x0 = _layer0(tensors, x)
+    tensors = _GraphTensors(g, x)
     edges = _edge_rows(g)
     rows = np.concatenate((edges, _draw_nulls(edges, g.n, _null_pool(edges, g.n),
                                               max(g.num_edges, 1), rng)))
     weights = _class_weights(rows)
 
-    _, grads = _grad_step(tensors, params, x0, rows, weights, cfg)
+    _, grads = _grad_step(tensors, params, rows, weights, cfg)
     analytic = np.concatenate([a.ravel() for a in grads])
     arrays = params.arrays()
     flat = np.concatenate([a.ravel() for a in arrays])
@@ -572,7 +564,7 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
     def value_at(vec):
         p = ModelParams.from_arrays([part.reshape(a.shape)
                                      for part, a in zip(np.split(vec, cuts), arrays)])
-        return _grad_step(tensors, p, x0, rows, weights, cfg, warn_missing=False)[0]
+        return _grad_step(tensors, p, rows, weights, cfg, warn_missing=False)[0]
 
     picks = rng.choice(flat.size, size=min(60, flat.size), replace=False)
     worst = 0.0

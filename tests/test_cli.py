@@ -48,6 +48,15 @@ class TestStats:
         assert proc.returncode == EXIT_OK
         assert parse_kv(proc.stdout)["n"] == "0"
 
+    def test_byte_order_mark_not_in_first_label(self, tmp_path):
+        # with the mark kept, "\ufeffa" and "a" were two nodes and the triangle split
+        path = tmp_path / "bom.txt"
+        path.write_bytes("\ufeffa b 1\nb c -1\nc a 1\n".encode("utf-8"))
+        proc = run_cli("stats", "--dataset", str(path), "--quiet")
+        assert proc.returncode == EXIT_OK
+        kv = parse_kv(proc.stdout)
+        assert kv["n"] == "3" and kv["pos_edges"] == "2" and kv["neg_edges"] == "1"
+
     def test_missing_file(self):
         proc = run_cli("stats", "--dataset", "/nonexistent/file.txt", "--quiet")
         assert proc.returncode == EXIT_IO
@@ -361,6 +370,14 @@ class TestConfigResolution:
         kv = parse_kv(proc.stderr.replace(" = ", "="))
         assert kv["mu"] == "0.9"   # flag wins
         assert kv["eta"] == "3"    # config file beats the default
+
+    def test_config_file_with_byte_order_mark(self, tmp_path, congress_path):
+        conf = tmp_path / "bom.conf"
+        conf.write_bytes("\ufeffmu = 0.5\n".encode("utf-8"))
+        proc = run_cli("balance", "--dataset", str(congress_path), "--config", str(conf),
+                       "--output", str(tmp_path / "out.txt"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert parse_kv(proc.stderr.replace(" = ", "="))["mu"] == "0.5"
 
     def test_banner_round_trips(self):
         cfg = resolve_config("evaluate", {}, {"dataset": "data.txt", "theta": 1 / 9,

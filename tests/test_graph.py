@@ -15,8 +15,12 @@ class TestLoadEdgeList:
     def test_rating_line_with_timestamp(self):
         recs = sg.load_edge_list(io.BytesIO(b"7188,1,10,1407470400"), "rating")
         assert recs == [sg.RatingRecord("7188", "1", 10)]
-        with pytest.raises(ParseError, match="line 1: non-numeric timestamp"):
-            sg.load_edge_list("7188,1,10,noon", "rating")
+        # SNAP's Bitcoin-OTC file writes epoch seconds with a fraction
+        recs = sg.load_edge_list("6,2,4,1289241911.72836\n6,5,-2,-1.5\n", "rating")
+        assert recs == [sg.RatingRecord("6", "2", 4), sg.RatingRecord("6", "5", -2)]
+        for stamp in ("noon", "1.", ".5", "1_0", "\u0661", "1e9"):
+            with pytest.raises(ParseError, match="line 1: non-numeric timestamp"):
+                sg.load_edge_list(f"7188,1,10,{stamp}", "rating")
 
     def test_empty_stream(self):
         assert sg.load_edge_list(io.BytesIO(b""), "rating") == []
@@ -36,6 +40,27 @@ class TestLoadEdgeList:
     def test_non_numeric_weight_reports_line(self):
         with pytest.raises(ParseError, match="line 1.*weight"):
             sg.load_edge_list("a b heavy", "rating")
+        # int() would take a digit separator and non-ASCII digits ("\u0661" is 1)
+        for weight in ("1_0", "\u0661", "1.0"):
+            with pytest.raises(ParseError, match=f"line 2: non-numeric weight '{weight}'"):
+                sg.load_edge_list(f"a b 1\nb c {weight}\n", "rating")
+        assert sg.load_edge_list("a b +1\nb c -10\n", "rating") == [
+            sg.RatingRecord("a", "b", 1), sg.RatingRecord("b", "c", -10)]
+
+    @pytest.mark.parametrize("header", ["", "# header\n"], ids=["data_first", "header_first"])
+    @pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+    def test_leading_byte_order_mark_dropped(self, header, as_bytes):
+        # the mark ("\ufeff", bytes EF BB BF in UTF-8) is not part of the first
+        # label, and line numbers do not move
+        def encoded(text):
+            return text.encode("utf-8") if as_bytes else text
+
+        text = "\ufeff" + header + "a b 1\nb c -1\n"
+        assert sg.load_edge_list(encoded(text), "signed") == [sg.RatingRecord("a", "b", 1),
+                                                              sg.RatingRecord("b", "c", -1)]
+        lineno = 4 if header else 3
+        with pytest.raises(ParseError, match=f"line {lineno}: expected 3 or 4 fields"):
+            sg.load_edge_list(encoded(text + "c d\n"), "signed")
 
     def test_rating_range_enforced(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -9,8 +9,8 @@ import pytest
 import sigaug as sg
 import trainer_reference as ref
 from sigaug.sgnn import (_NULL, CLASSES, _draw_nulls, _edge_rows, _GraphTensors,
-                         _class_weights, _grad_step, _hinge_pairs, _layer0, _loss_grads,
-                         _null_pool, init_params)
+                         _class_weights, _grad_step, _hinge_pairs, _loss_grads, _null_pool,
+                         init_params)
 
 from conftest import random_signed_graph
 
@@ -234,13 +234,12 @@ class TestTrain:
         rng = np.random.default_rng(cfg.seed)
         params0 = init_params(5, cfg.embed_dim, cfg.layers, rng)
         x = sg.synth_features(g.n, cfg.feature_dim, cfg.seed)
-        tensors = _GraphTensors(g)
+        tensors = _GraphTensors(g, x)
         edges = np.array([(u, v, 0 if s > 0 else 1) for u, v, s in g.edges()])
         counts = [g.num_pos, g.num_neg, g.num_edges]  # "+", "-", "?"
         weights = np.array([sum(counts) / (3 * k) for k in counts])
         nulls = _draw_nulls(edges, g.n, _null_pool(edges, g.n), g.num_edges, rng)
-        _, grads = _grad_step(tensors, params0, _layer0(tensors, x),
-                              np.concatenate((edges, nulls)), weights, cfg)
+        _, grads = _grad_step(tensors, params0, np.concatenate((edges, nulls)), weights, cfg)
         step = np.concatenate([(a - b).ravel() for a, b in
                                zip(res.params.arrays(), params0.arrays())])
         grad = np.concatenate([a.ravel() for a in grads])
@@ -284,18 +283,18 @@ class TestWarmStart:
 
 
 class TestLayer0Inputs:
-    """The layer-0 inputs depend only on the graph and the features, so every entry
-    point builds them once, through the one helper train uses."""
+    """The layer-0 inputs and the operators depend only on the graph and the
+    features, so every entry point builds them once, as one _GraphTensors."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
 
-        def counted(tensors, x):
+        def counted(g, x):
             calls.append(x.shape)
-            return _layer0(tensors, x)
+            return _GraphTensors(g, x)
 
-        monkeypatch.setattr("sigaug.sgnn._layer0", counted)
+        monkeypatch.setattr("sigaug.sgnn._GraphTensors", counted)
         return calls
 
     @pytest.mark.parametrize("epochs", [1, 4])
@@ -398,9 +397,12 @@ class TestSamplePipelineMatchesReference:
 
 
 class TestGraphTensorsMatchesOracle:
-    """_GraphTensors' operators, written as csr arrays, against trainer_reference's
-    diagonal products and transposes: the same data, indices in entry order and
-    indptr, since each product with an operator sums in its entry order."""
+    """_GraphTensors against trainer_reference's diagonal products and csr
+    transposes, bit for bit: rpd and rnd hold the same data, indices in entry
+    order and indptr, since each product with them sums in their entry order; the
+    layer-0 inputs are [x || rp1 x] and [x || rn1 x] with the oracle's own-degree
+    operators; and the csc views rpd_t and rnd_t give the oracle's transposes'
+    products, for a contiguous input and for a column slice as in _backward."""
 
     GRAPHS = {
         "isolated_nodes": lambda: sg.SignedGraph(10, [(0, 1, 1), (0, 2, 1), (0, 3, -1),
@@ -414,14 +416,25 @@ class TestGraphTensorsMatchesOracle:
     }
 
     def check(self, g):
-        got, want = _GraphTensors(g), ref.graph_tensors(g)
-        assert len(want) == 6
-        for name, w in want.items():
-            m = getattr(got, name)
-            assert m.shape == w.shape == (g.n, g.n)
+        x = sg.synth_features(g.n, 5, 0)
+        got, want = _GraphTensors(g, x), ref.graph_tensors(g)
+        for name in ("rpd", "rnd"):
+            m, w = getattr(got, name), want[name]
+            assert m.format == "csr" and m.shape == w.shape == (g.n, g.n)
             for attr in ("data", "indices", "indptr"):
                 a, b = getattr(m, attr), getattr(w, attr)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (name, attr)
+        for cat, op in zip(got.x0, ("rp1", "rn1")):
+            assert np.array_equal(cat, np.hstack([x, want[op] @ x])), op
+        rng = np.random.default_rng(g.n)
+        wide = rng.standard_normal((g.n, 12))
+        for name in ("rpd_t", "rnd_t"):
+            view = getattr(got, name)
+            assert view.format == "csc"
+            # a view shares its operator's arrays; empty arrays share no memory
+            assert not view.nnz or np.shares_memory(view.data, getattr(got, name[:-2]).data)
+            for X in (rng.standard_normal((g.n, 7)), wide[:, 5:]):
+                assert np.array_equal(view @ X, want[name] @ X), name
 
     @pytest.mark.parametrize("name", GRAPHS)
     def test_graphs(self, name):

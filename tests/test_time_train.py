@@ -27,7 +27,7 @@ def test_time_train_smoke(congress_path, tmp_path, monkeypatch):
     assert result["graph"] == {"source": "congress_synthetic.txt", "n": 219, "edges": 520,
                                "train_edges": 416}
     assert result["epochs"] == 2
-    assert list(result["setup_s"]) == ["_GraphTensors", "_layer0", "_edge_rows", "_null_pool"]
+    assert list(result["setup_s"]) == ["_GraphTensors", "_edge_rows", "_null_pool"]
     assert all(s > 0 for s in result["setup_s"].values())
     assert list(result["stage_s"]) == ["sampling", "forward", "loss", "backward"]
     assert all(len(dts) == 2 for dts in result["epoch_stage_s"].values())

@@ -28,9 +28,11 @@ the library's loss must equal it bit for bit.
 
 `graph_tensors` builds the trainer's six propagation operators as first
 written: adjacency from per-edge Python lists, each row scaled by a sparse
-diagonal product, the transposes by `.T.tocsr()`. The library writes their
-csr arrays directly and must give the same data, indices (in entry order) and
-indptr. `draw_nulls_isin` is the rejection path's membership test as first
+diagonal product, the transposes by `.T.tocsr()`. The library writes the
+csr arrays of rpd and rnd directly and must give the same data, indices (in
+entry order) and indptr; its layer-0 inputs must equal those built with rp1
+and rn1, and its csc views of rpd and rnd must give the transposes' products
+bit for bit. `draw_nulls_isin` is the rejection path's membership test as first
 written, `np.isin` against the edge keys; the library's draws must equal its
 draws for equal seeds.
 """
@@ -246,7 +248,9 @@ def _draw_nulls(g: SignedGraph, pool, count: int, rng):
 
 
 def graph_tensors(g: SignedGraph) -> dict:
-    """The operators rp1, rn1, rpd, rnd, rpd_t and rnd_t of sgnn._GraphTensors, by name."""
+    """The operators rp1, rn1, rpd, rnd, rpd_t and rnd_t, by name: sgnn._GraphTensors
+    keeps rpd and rnd, builds its layer-0 inputs with rp1 and rn1, and views the
+    transposes."""
     ends = {POS: ([], []), NEG: ([], [])}
     for u, v, s in g.edges():
         rows, cols = ends[s]

@@ -16,8 +16,7 @@ The script times one `sigaug.train` call. During that call it wraps the
 trainer's functions, which train looks up in its module at call time, with
 timers, and restores them afterwards. The per-train set-up, once per call
 (`setup_s`, by function):
-- `_GraphTensors`, the propagation operators;
-- `_layer0`, the layer-0 inputs;
+- `_GraphTensors`, the propagation operators and the layer-0 inputs;
 - `_edge_rows`, the supervision's edge rows;
 - `_null_pool`, the enumerated non-adjacent pairs, if listed.
 The epoch stages, once per epoch (`stage_s` in total, `epoch_stage_s` per call):
@@ -53,7 +52,7 @@ import gen_graph  # noqa: E402
 import sigaug as sg  # noqa: E402
 from sigaug import sgnn  # noqa: E402
 
-SETUP = ("_GraphTensors", "_layer0", "_edge_rows", "_null_pool")
+SETUP = ("_GraphTensors", "_edge_rows", "_null_pool")
 STAGES = {"sampling": "_draw_nulls", "forward": "_forward_cached", "loss": "_loss_grads",
           "backward": "_backward"}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
