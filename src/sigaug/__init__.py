@@ -20,20 +20,16 @@ from .graph import (
 )
 from .balance import (
     compute_utilities,
-    expected_entropy_after_perturbation,
     filter_edge,
     pair_utility,
 )
 from .sgnn import (
-    EgoTree,
     EmbeddingPair,
     ModelParams,
     TrainConfig,
     TrainResult,
-    build_k_hop_ego_tree,
     concat,
     forward,
-    gradient_check,
     init_params,
     load_embeddings,
     load_params,

@@ -1,8 +1,7 @@
 """Structural-balance engine.
 
-Scores node pairs by the share of balanced cycles they sit in, gates edges on
-that score, and bounds the expected message entropy after perturbation
-(`expected_entropy_after_perturbation`).
+Scores node pairs by the share of balanced cycles they sit in and gates edges
+on that score.
 
 The share of a pair (u, v) is counted over the signed walks u -> v of lengths
 2..eta-1. A walk with an odd number of negative edges closes, together with a
@@ -24,11 +23,8 @@ from walk counts grown out of both endpoints that meet in the middle.
 
 from __future__ import annotations
 
-import math
 import numbers
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .graph import SignedGraph
 
@@ -188,22 +184,3 @@ def compute_utilities(g: SignedGraph, eta: int = ETA_DEFAULT) -> dict:
         scores[(u, v)] = _share(pos_adj, neg_adj, u, v, eta, from_u)
     return scores
 
-
-def expected_entropy_after_perturbation(p, delta: float) -> float:
-    """Expected entropy after perturbing an edge share delta of the graph.
-
-    E = -delta*log(delta) + (1-delta) * sum_i -p_i*log((1-delta)*p_i), with the
-    0*log(0) = 0 convention so delta = 0 returns the plain entropy of p.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must be in [0, 1), got {delta}")
-    p = np.asarray(p, dtype=np.float64)
-    # written so that a NaN anywhere in p fails it
-    if p.ndim != 1 or not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-9):
-        raise ValueError("p is not a probability distribution")
-    pz = p[p > 0]
-    h = float(-(pz * np.log(pz)).sum())
-    if delta == 0.0:
-        return h
-    tail = float(-(pz * np.log((1.0 - delta) * pz)).sum())
-    return -delta * math.log(delta) + (1.0 - delta) * tail

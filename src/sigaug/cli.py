@@ -9,7 +9,8 @@ has no field for (dataset, output, quiet, embeddings, log) have their own.
 `sweep` always runs sigaug. Exit codes: 0 success (also when the reader of
 standard output closes it early), 2 unreadable/invalid input files or a
 configuration value out of range, 3 component failure, 64 usage errors.
-A config file is read as UTF-8, with or without a leading byte-order mark.
+A config file is read as UTF-8, with or without a leading byte-order mark, and
+its lines end at line feeds only, as an edge list's do.
 """
 
 from __future__ import annotations
@@ -110,9 +111,11 @@ def _coerce(typ, text: str):
 
 
 def parse_config_text(text: str, subcommand: str) -> dict:
-    """Parse flat `key = value` lines, coercing by the subcommand's key table."""
+    """Parse flat `key = value` lines, coercing by the subcommand's key table.
+
+    Lines end at line feeds only, as an edge list's do; a CRLF's CR is stripped."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -245,6 +248,7 @@ def _train_config(cfg: dict) -> sgnn.TrainConfig:
 def cmd_train(cfg: dict) -> int:
     train_cfg = _checked(_train_config, cfg)
     _records, g = _load_graph(cfg)
+    _checked(sgnn.check_supervision, g)  # a graph the trainer cannot use is bad input
     result = sgnn.train(g, train_cfg)
     output = cfg["output"] or "model"
     sgnn.save_embeddings(result.embeddings, output + ".emb")
@@ -288,7 +292,8 @@ def _experiment_config(cfg: dict, **fixed) -> evaluate.ExperimentConfig:
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    # run_experiment's own ValueError is a split refusal (failed runs raise RuntimeError)
+    # run_experiment's own ValueError is a dataset without an edge of either sign or a
+    # split refusal (failed runs raise RuntimeError)
     report = _checked(evaluate.run_experiment, _checked(_experiment_config, cfg))
     _emit(report.to_machine_lines(), cfg["output"])
     if not cfg["quiet"]:
@@ -324,7 +329,7 @@ def main(argv=None) -> int:
     file_values = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8-sig") as fh:
+            with open(args.config, encoding="utf-8-sig", newline="") as fh:
                 file_values = parse_config_text(fh.read(), sub)
         except (OSError, ValueError) as exc:
             print(f"sigaug: config error: {exc}", file=sys.stderr)

@@ -11,8 +11,9 @@ import numpy as np
 
 from .augment import EPRConfig, augment
 from .balance import ETA_DEFAULT, MU_DEFAULT
-from .graph import FORMATS, EdgeSplit, SignedGraph, build_graph, load_edge_list, split_edges
-from .sgnn import TrainConfig, concat, train
+from .graph import (FORMATS, EdgeSplit, SignedGraph, _edge_array, build_graph, load_edge_list,
+                    split_edges)
+from .sgnn import TrainConfig, check_supervision, concat, train
 
 # largest (mu, theta, delta) grid a sweep accepts
 MAX_CELLS = 200
@@ -154,7 +155,7 @@ def predict_test_edges(Z: np.ndarray, classifier: np.ndarray, test):
     """Score held-out edges (u, v, sign): (scores, signs), float64 softmax
     positive-class probabilities renormalized over {pos, neg} on the pair
     feature [Z_min || Z_max], and the edges' +-1 signs."""
-    rows = np.array(test, dtype=np.int64).reshape(-1, 3)
+    rows = _edge_array(test)
     if not len(rows):
         raise ValueError("empty test set")
     ends = np.sort(rows[:, :2], axis=1)
@@ -207,10 +208,13 @@ def run_experiment(cfg: ExperimentConfig, graph: Optional[SignedGraph] = None) -
     """The full protocol: per run, split -> train -> (augment -> retrain) ->
     predict -> metrics, with seed = base_seed + run index; then aggregate.
 
-    A split that split_edges refuses raises its ValueError before run 0 trains
+    A graph without an edge of either sign, which no split can train on, raises
+    the trainer's ValueError (`check_supervision`) before the first split. A
+    split that split_edges refuses raises its ValueError before run 0 trains
     (the held-out count does not depend on the seed); any other
     failure of run r raises RuntimeError("run r failed: ...")."""
     g = graph if graph is not None else _load_dataset(cfg)
+    check_supervision(g)
     per_run: dict = {name: [] for name in METRIC_NAMES}
     aux: dict = {}
     for r in range(cfg.runs):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -139,7 +140,9 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
     such an integer, optionally with a decimal fraction (as in SNAP's
     Bitcoin-OTC file), and is not kept. `source` may be a file object (text or
     binary), bytes, or str content, in UTF-8; a leading byte-order mark is
-    dropped.
+    dropped. Lines end at line feeds only (a CRLF's CR is stripped with the
+    line's other edge whitespace), so line numbers count the line feed bytes,
+    as the UTF-8 error's does.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
@@ -151,7 +154,7 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
             raise ParseError(data.count(b"\n", 0, exc.start) + 1,
                              f"not UTF-8 text ({exc.reason})") from None
     records = []
-    for lineno, raw in enumerate(data.removeprefix("\ufeff").splitlines(), start=1):
+    for lineno, raw in enumerate(data.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("%"):
             continue
@@ -221,9 +224,17 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     return EdgeSplit(train=train, test=test)
 
 
+def _edge_array(edges) -> np.ndarray:
+    """A sequence of (u, v, sign) triples as a fresh (m, 3) int64 array.
+
+    np.fromiter over the flattened triples makes the same integers as np.array
+    of the tuples, without np.array's shape and type discovery over them."""
+    return np.fromiter(chain.from_iterable(edges), np.int64, count=3 * len(edges)).reshape(-1, 3)
+
+
 def split_adjacency(g: SignedGraph):
     """Decompose into symmetric 0/1 csr matrices (Apos, Aneg) with disjoint supports."""
-    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 3)
+    edges = _edge_array(g.edges())
     mats = []
     for sign in (POS, NEG):
         u, v, _ = edges[edges[:, 2] == sign].T

@@ -8,8 +8,9 @@ the converse). AGGREGATE is the mean over the neighbor set, COMBINE is
 concatenate-then-linear-then-tanh. Training is full-batch gradient descent on a
 weighted 3-class logistic loss over node pairs plus two hinge terms separating
 positive/negative neighbors from non-adjacent pairs; gradients are derived by
-hand and validated against central finite differences. Inside the trainer a
-sample set is one int64 array of (u, v, class) rows, class indexing CLASSES.
+hand, and the tests check them against central finite differences. Inside the
+trainer a sample set is one int64 array of (u, v, class) rows, class indexing
+CLASSES.
 The loss works at node level: the classifier projects each node's embedding
 once, its logit gradients are scattered onto the nodes by bincount, and the
 hinge gradient reaches Z through one sparse node-by-node weight matrix, never
@@ -20,10 +21,10 @@ holds a node id (NumPy radix-sorts it for up to 65536 nodes), and each hinge
 pair's null rows are found from per-node offsets into that order, without a
 search. A row's endpoints are ordered, and the logits' row max taken, by
 elementwise min/max rather than by a sort or a reduction along a short axis.
-Each `train`, `gradient_check` and `forward` call builds one `_GraphTensors`
-from its graph and features: the layer-0 inputs [x || R+ x] and [x || R- x]
-and the two cross-branch operators, whose transposes are csc views of them
-that sum in the order a transposed copy would. `train` also builds the
+Each `train` and `forward` call builds one `_GraphTensors` from its graph and
+features: the layer-0 inputs [x || R+ x] and [x || R- x] and the two
+cross-branch operators, whose transposes are csc views of them that sum in the
+order a transposed copy would. `train` also builds the
 supervision's edge rows and the null pool once; an epoch draws only its "?"
 rows. The operators' csr arrays are written straight from the adjacency, and a
 rejection draw is looked up in the ascending edge keys after sorting only the
@@ -40,7 +41,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph, split_adjacency
+from .graph import SignedGraph, _edge_array, split_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -166,15 +167,6 @@ class TrainResult:
     loss_trace: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class EgoTree:
-    """Level-by-level signed unrolling of a node's neighborhood."""
-
-    graph: SignedGraph
-    root: int
-    sources: tuple
-
-
 def synth_features(n: int, dim: int, seed: int) -> np.ndarray:
     """Fixed-seed uniform features in [-a, a] with a = sqrt(3/dim).
 
@@ -292,7 +284,7 @@ def _backward(tensors: _GraphTensors, params: ModelParams, cache, d_hp, d_hn):
 
 def _edge_rows(g: SignedGraph) -> np.ndarray:
     """g's edges as labelled (u, v, class) rows in g.edges() order; sign +1 is "+"."""
-    rows = np.array(g.edges(), dtype=np.int64).reshape(-1, 3)
+    rows = _edge_array(g.edges())
     rows[:, 2] = (1 - rows[:, 2]) // 2
     return rows
 
@@ -476,6 +468,14 @@ def _grad_step(tensors, params, rows, weights, cfg, warn_missing=True):
     return ce + hinge + _reg(params, wd), grads
 
 
+def check_supervision(g: SignedGraph) -> None:
+    """Refuse a supervision graph without an edge of each sign, which the loss needs."""
+    if g.num_pos == 0:
+        raise ValueError("training requires at least one positive edge")
+    if g.num_neg == 0:
+        raise ValueError("training requires at least one negative edge")
+
+
 def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] = None,
           init: Optional[ModelParams] = None) -> TrainResult:
     """Full-batch gradient descent for cfg.epochs steps; deterministic per seed.
@@ -497,16 +497,14 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
     of non-adjacent pairs the "?" rows are drawn from.
 
     Returns the final parameters, final embeddings and the per-epoch loss
-    trace; raises ValueError before the first epoch if `init` does not match
-    cfg, and at the first epoch whose objective is not finite.
+    trace; raises ValueError before the first epoch if the supervision lacks
+    an edge of either sign (`check_supervision`) or `init` does not match cfg,
+    and at the first epoch whose objective is not finite.
     """
     sup = samples_from if samples_from is not None else g
     if sup.n != g.n:
         raise ValueError(f"supervision graph has {sup.n} nodes, expected {g.n}")
-    if sup.num_pos == 0:
-        raise ValueError("training requires at least one positive edge")
-    if sup.num_neg == 0:
-        raise ValueError("training requires at least one negative edge")
+    check_supervision(sup)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg.feature_dim, cfg.embed_dim, cfg.layers, rng)
     if init is not None:
@@ -532,50 +530,6 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
         params = ModelParams.from_arrays([a - lr * ga for a, ga in zip(params.arrays(), grads)])
     pair, _ = _forward_cached(tensors, params)
     return TrainResult(params=params, embeddings=pair, loss_trace=trace)
-
-
-def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-FD gradients.
-
-    Checks 60 randomly chosen parameter coordinates (all of them if there are
-    fewer) on one frozen sample batch at a generic parameter point. Relative
-    error is |g_fd - g_an| / max(|g_fd|, |g_an|, 1e-8).
-    """
-    if not 1e-6 <= epsilon <= 1e-4:
-        raise ValueError(f"epsilon must be in [1e-6, 1e-4], got {epsilon}")
-    x = synth_features(g.n, cfg.feature_dim, cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    params = init_params(x.shape[1], cfg.embed_dim, cfg.layers, rng)
-    # zero classifier would silence the CE -> Z path; move to a generic point
-    params = ModelParams(params.wpos, params.wneg,
-                         rng.uniform(-0.5, 0.5, size=params.theta.shape))
-    tensors = _GraphTensors(g, x)
-    edges = _edge_rows(g)
-    rows = np.concatenate((edges, _draw_nulls(edges, g.n, _null_pool(edges, g.n),
-                                              max(g.num_edges, 1), rng)))
-    weights = _class_weights(rows)
-
-    _, grads = _grad_step(tensors, params, rows, weights, cfg)
-    analytic = np.concatenate([a.ravel() for a in grads])
-    arrays = params.arrays()
-    flat = np.concatenate([a.ravel() for a in arrays])
-    cuts = np.cumsum([a.size for a in arrays])[:-1]
-
-    def value_at(vec):
-        p = ModelParams.from_arrays([part.reshape(a.shape)
-                                     for part, a in zip(np.split(vec, cuts), arrays)])
-        return _grad_step(tensors, p, rows, weights, cfg, warn_missing=False)[0]
-
-    picks = rng.choice(flat.size, size=min(60, flat.size), replace=False)
-    worst = 0.0
-    for idx in picks:
-        bump = np.zeros_like(flat)
-        bump[idx] = epsilon
-        fd = (value_at(flat + bump) - value_at(flat - bump)) / (2.0 * epsilon)
-        an = analytic[idx]
-        err = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
-        worst = max(worst, err)
-    return worst
 
 
 PARAMS_MAGIC = b"SIGAUG-PARAMS-1\n"
@@ -644,32 +598,3 @@ def load_embeddings(path) -> EmbeddingPair:
     half = Z.shape[1] // 2
     return EmbeddingPair(Z[:, :half].copy(), Z[:, half:].copy())
 
-
-def build_k_hop_ego_tree(g: SignedGraph, root: int, k: int) -> EgoTree:
-    """Unroll a node's signed neighborhood into a k-level tree.
-
-    Every node copy at level l < k spawns a fresh copy of each source-graph
-    neighbor (including the one it came from) at level l+1, connected by a tree
-    edge carrying the source edge's sign. Children are created in (sign,
-    source-id) order so structurally matching trees get matching positions.
-    """
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for n={g.n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sources = [root]
-    edges = []
-    frontier = [(0, root)]
-    for _level in range(k):
-        nxt = []
-        for tree_id, src in frontier:
-            children = sorted(
-                [(-1, w) for w in g.neg_neighbors(src)] + [(1, w) for w in g.pos_neighbors(src)]
-            )
-            for s, w in children:
-                new_id = len(sources)
-                sources.append(w)
-                edges.append((tree_id, new_id, s))
-                nxt.append((new_id, w))
-        frontier = nxt
-    return EgoTree(graph=SignedGraph(len(sources), edges), root=0, sources=tuple(sources))

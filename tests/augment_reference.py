@@ -10,9 +10,14 @@ The all-pairs walk counters live here too: `count_cycles`, the sparse product
 recursion, and `oracle_count_cycles`, its enumeration oracle. `edge_utility`
 reads a pair's share off either one's counts; it is the oracle for the
 library's one walk counter, `pair_utility`, and for `compute_utilities`.
+
+`expected_entropy_after_perturbation` is the entropy bound of the paper's
+analysis, the subject of the entropy inequality check.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -261,3 +266,23 @@ def reference_augment(g, pair, cfg):
             unmet = True
             break
     return fuse(state.apos_matrix(), state.aneg_matrix(), probs), state.log, unmet
+
+
+def expected_entropy_after_perturbation(p, delta: float) -> float:
+    """Expected entropy after perturbing an edge share delta of the graph.
+
+    E = -delta*log(delta) + (1-delta) * sum_i -p_i*log((1-delta)*p_i), with the
+    0*log(0) = 0 convention so delta = 0 returns the plain entropy of p.
+    """
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must be in [0, 1), got {delta}")
+    p = np.asarray(p, dtype=np.float64)
+    # written so that a NaN anywhere in p fails it
+    if p.ndim != 1 or not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-9):
+        raise ValueError("p is not a probability distribution")
+    pz = p[p > 0]
+    h = float(-(pz * np.log(pz)).sum())
+    if delta == 0.0:
+        return h
+    tail = float(-(pz * np.log((1.0 - delta) * pz)).sum())
+    return -delta * math.log(delta) + (1.0 - delta) * tail

@@ -8,6 +8,9 @@ from sigaug.evaluate import METRIC_NAMES, MetricReport
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONGRESS = REPO / "data" / "congress_synthetic.txt"
+# the breaks str.splitlines honours besides the line feed and CRLF; the input
+# readers end lines at line feeds only
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 # the subprocess tests run `python -m sigaug`: give them this checkout's src/,
 # as pyproject's pytest pythonpath gives it to this process

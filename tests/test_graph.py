@@ -8,7 +8,7 @@ import pytest
 import sigaug as sg
 from sigaug.graph import ParseError
 
-from conftest import random_signed_graph
+from conftest import LINE_BREAKS, random_signed_graph
 
 
 class TestLoadEdgeList:
@@ -61,6 +61,25 @@ class TestLoadEdgeList:
         lineno = 4 if header else 3
         with pytest.raises(ParseError, match=f"line {lineno}: expected 3 or 4 fields"):
             sg.load_edge_list(encoded(text + "c d\n"), "signed")
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"{ord(c):#x}" for c in LINE_BREAKS])
+    def test_lines_end_at_line_feeds_only(self, brk):
+        # a break inside a comment moves no later line number, as the file's
+        # line feeds count them
+        text = f"# a{brk}b\na b 1\nc d x\n".encode("utf-8")
+        with pytest.raises(ParseError, match="^line 3: non-numeric weight 'x'$"):
+            sg.load_edge_list(text, "signed")
+        # records parted only by such a break are one line, which is refused
+        with pytest.raises(ParseError, match="^line 1: expected 3 or 4 fields, got 6$"):
+            sg.load_edge_list(f"a b 1{brk}c d -1\n".encode("utf-8"), "signed")
+
+    def test_crlf_and_lf_parse_alike(self):
+        lf = "# header\na b 1\nb c -1 1407470400\n\nc,d,1\n"
+        records = sg.load_edge_list(lf.encode("ascii"), "signed")
+        assert len(records) == 3
+        assert sg.load_edge_list(lf.replace("\n", "\r\n").encode("ascii"), "signed") == records
+        with pytest.raises(ParseError, match="^line 2: non-numeric weight 'x'$"):
+            sg.load_edge_list(b"a b 1\r\nc d x\r\n", "signed")
 
     def test_rating_range_enforced(self):
         with pytest.raises(ParseError, match="line 1"):

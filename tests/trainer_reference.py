@@ -35,11 +35,21 @@ and rn1, and its csc views of rpd and rnd must give the transposes' products
 bit for bit. `draw_nulls_isin` is the rejection path's membership test as first
 written, `np.isin` against the edge keys; the library's draws must equal its
 draws for equal seeds.
+
+`gradient_check` compares the library's hand-derived gradients with central
+finite differences. It runs the trainer's own set-up and step (`_GraphTensors`,
+`_edge_rows`, `_null_pool`, `_draw_nulls`, `_class_weights`, `_grad_step`) on
+one frozen sample batch, so it checks what `train` descends on.
+
+`build_k_hop_ego_tree` unrolls a node's signed neighborhood into a tree
+(`EgoTree`): the scaffolding of the check that `forward` embeds the roots of
+isomorphic ego trees alike.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,7 +58,8 @@ import scipy.sparse as sp
 from sigaug import sgnn
 from sigaug.graph import SignedGraph
 from sigaug.graph import NEG, POS
-from sigaug.sgnn import _NULL, _NULL_DRAW_PASSES, _NULL_POOL_CUTOFF, CLASSES
+from sigaug.sgnn import (_NULL, _NULL_DRAW_PASSES, _NULL_POOL_CUTOFF, CLASSES, ModelParams,
+                         TrainConfig, init_params, synth_features)
 
 logger = logging.getLogger(__name__)
 
@@ -287,3 +298,86 @@ def draw_nulls_isin(edges: np.ndarray, n: int, count: int, rng) -> np.ndarray:
         keep = np.flatnonzero((lo != hi) & ~np.isin(lo * n + hi, keys))[:count - len(pairs)]
         pairs = np.concatenate((pairs, np.column_stack((lo[keep], hi[keep]))))
     return np.column_stack((pairs, np.full(len(pairs), _NULL, dtype=np.int64)))
+
+
+def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-FD gradients.
+
+    Checks 60 randomly chosen parameter coordinates (all of them if there are
+    fewer) on one frozen sample batch at a generic parameter point. Relative
+    error is |g_fd - g_an| / max(|g_fd|, |g_an|, 1e-8).
+    """
+    if not 1e-6 <= epsilon <= 1e-4:
+        raise ValueError(f"epsilon must be in [1e-6, 1e-4], got {epsilon}")
+    x = synth_features(g.n, cfg.feature_dim, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(x.shape[1], cfg.embed_dim, cfg.layers, rng)
+    # zero classifier would silence the CE -> Z path; move to a generic point
+    params = ModelParams(params.wpos, params.wneg,
+                         rng.uniform(-0.5, 0.5, size=params.theta.shape))
+    tensors = sgnn._GraphTensors(g, x)
+    edges = sgnn._edge_rows(g)
+    rows = np.concatenate((edges, sgnn._draw_nulls(edges, g.n, sgnn._null_pool(edges, g.n),
+                                                   max(g.num_edges, 1), rng)))
+    weights = sgnn._class_weights(rows)
+
+    _, grads = sgnn._grad_step(tensors, params, rows, weights, cfg)
+    analytic = np.concatenate([a.ravel() for a in grads])
+    arrays = params.arrays()
+    flat = np.concatenate([a.ravel() for a in arrays])
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+
+    def value_at(vec):
+        p = ModelParams.from_arrays([part.reshape(a.shape)
+                                     for part, a in zip(np.split(vec, cuts), arrays)])
+        return sgnn._grad_step(tensors, p, rows, weights, cfg, warn_missing=False)[0]
+
+    picks = rng.choice(flat.size, size=min(60, flat.size), replace=False)
+    worst = 0.0
+    for idx in picks:
+        bump = np.zeros_like(flat)
+        bump[idx] = epsilon
+        fd = (value_at(flat + bump) - value_at(flat - bump)) / (2.0 * epsilon)
+        an = analytic[idx]
+        err = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
+        worst = max(worst, err)
+    return worst
+
+
+@dataclass(frozen=True)
+class EgoTree:
+    """Level-by-level signed unrolling of a node's neighborhood."""
+
+    graph: SignedGraph
+    root: int
+    sources: tuple
+
+
+def build_k_hop_ego_tree(g: SignedGraph, root: int, k: int) -> EgoTree:
+    """Unroll a node's signed neighborhood into a k-level tree.
+
+    Every node copy at level l < k spawns a fresh copy of each source-graph
+    neighbor (including the one it came from) at level l+1, connected by a tree
+    edge carrying the source edge's sign. Children are created in (sign,
+    source-id) order so structurally matching trees get matching positions.
+    """
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} out of range for n={g.n}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    sources = [root]
+    edges = []
+    frontier = [(0, root)]
+    for _level in range(k):
+        nxt = []
+        for tree_id, src in frontier:
+            children = sorted(
+                [(-1, w) for w in g.neg_neighbors(src)] + [(1, w) for w in g.pos_neighbors(src)]
+            )
+            for s, w in children:
+                new_id = len(sources)
+                sources.append(w)
+                edges.append((tree_id, new_id, s))
+                nxt.append((new_id, w))
+        frontier = nxt
+    return EgoTree(graph=SignedGraph(len(sources), edges), root=0, sources=tuple(sources))
