@@ -9,10 +9,13 @@ candidates in one fixed order, walked from the front, and each pick carries its
 value into the log. The remove pools (the original edges) are sorted up front.
 The add pools span all n^2/2 pairs, of which a run reads few, so each row block
 is ranked lazily on its own, a chunk of its best remaining pairs at a time, and
-the blocks are merged. Each (sign, row block) product is computed once at the
-start for both pools: the remove pool reads its edges' values from it and the
-add pool ranks its first chunk from it. A block is multiplied again only when
-its add pool refills, and the first chunks are ranked even when no round runs
+the blocks are merged. A ranking reads only the columns r0 and up of a block
+starting at row r0, where its pairs u < v lie, and gathers only the pairs at or
+above a lower bound on the chunk's last value that a sample of them gives
+(`_block_best`). Each (sign, row block) product is computed once at the start
+for both pools: the remove pool reads its edges' values from it and the add
+pool ranks its first chunk from it. A block is multiplied again only when its
+add pool refills, and the first chunks are ranked even when no round runs
 (delta 0).
 Negative candidates pass through the edge-utility filter, a one-pair walk
 count (`balance.pair_utility`) evaluated on the current working graph: set
@@ -243,36 +246,64 @@ def epr_check(log: PerturbationLog, cfg: EPRConfig, original_edge_count: int) ->
 
 
 def _block_best(vals: np.ndarray, n: int, r0: int, after, k: int):
-    """Keys u * n + v and values of the best k upper-triangle pairs of the row
-    block `vals`, rows r0:r0 + len(vals) of the matrix, that come after `after`,
-    the last (value, key) taken, in pool order: value descending, then key.
+    """Keys u * n + v and values of the best k pool pairs of the row block
+    `vals`, rows r0:r0 + len(vals) of the matrix, in pool order: value
+    descending, then key. The pool holds the pairs u < v that come after
+    `after`, the last (value, key) taken, or all of them when `after` is None.
     They come sorted, and so does every pair tied with the k-th, so the cut is
-    exact."""
-    value, key = after
-    later = vals < value
-    tied = np.flatnonzero(vals == value)
-    later.flat[tied] = tied > key - r0 * n
-    later &= np.arange(n) > np.arange(r0, r0 + len(vals))[:, None]
-    keys, vals = np.flatnonzero(later) + r0 * n, vals[later]
+    exact.
+
+    Only the view `vals[:, r0:]` is read, since no pair has a column below r0,
+    and `vals` is never written. Any k pool values bound the k-th best from
+    below: when every 4th row, right of the r0 square, holds at least k pool
+    pairs, the k-th best of those is the bound, and only the pairs at or above
+    it are gathered. One partition of them finds the k-th value; the pairs
+    tied with it stay in (`>=`) and the sort orders them.
+    """
+    live = vals[:, r0:]
+    rows, width = live.shape
+    if after is None:
+        pool = None
+        sample = live[::4, rows:].flatten()  # a copy, partitioned in place below
+    else:
+        value, key = after
+        pool = live < value
+        tied = np.flatnonzero(live == value)
+        i, c = np.divmod(tied, width)
+        pool.flat[tied] = (i + r0) * n + (c + r0) > key
+        sample = live[::4, rows:][pool[::4, rows:]]
+    if sample.size >= k:
+        sample.partition(sample.size - k)
+        hit = live >= sample[sample.size - k]
+        if pool is not None:
+            hit &= pool
+    else:
+        hit = np.ones(live.shape, dtype=bool) if pool is None else pool
+    hit[:, :rows] &= ~np.tri(rows, dtype=bool)  # the r0 square's strict upper triangle
+    i, c = np.divmod(np.flatnonzero(hit), width)
+    vals = live[i, c]
     if vals.size > k:
         top = vals >= np.partition(vals, vals.size - k)[vals.size - k]
-        keys, vals = keys[top], vals[top]
+        i, c, vals = i[top], c[top], vals[top]
+    keys = (i + r0) * n + (c + r0)
     order = np.lexsort((keys, -vals))[:k]
     return keys[order], vals[order]
 
 
 def _first_chunk(vals: np.ndarray, n: int, r0: int):
     """The best `_FIRST_CHUNK` pairs of the row block `vals` (`_block_best` from
-    the start of the pool): what `_block_pairs` yields before its first refill."""
-    return _block_best(vals, n, r0, (math.inf, -1), _FIRST_CHUNK)
+    the start of the pool, `after` None): what `_block_pairs` yields before its
+    first refill."""
+    return _block_best(vals, n, r0, None, _FIRST_CHUNK)
 
 
 def _block_pairs(block, n: int, r0: int, r1: int, first):
     """The upper-triangle pairs (key, value) of rows r0:r1 in pool order, ranked a
     chunk at a time from the block's `_first_chunk`. The chunk doubles from
     `_FIRST_CHUNK` up to max(n, `_FIRST_CHUNK`) pairs, so a block waiting between
-    refills holds at most that many; a refill multiplies the block again, and its
-    temporaries live in `_block_best` only."""
+    refills holds at most that many; a refill multiplies the block again (full
+    width, the shape every reader cuts) and ranks the pairs after the last one
+    yielded from its columns r0 on, with its temporaries in `_block_best` only."""
     keys, vals = first
     chunk = _FIRST_CHUNK
     while keys.size:
@@ -315,8 +346,9 @@ class AugmentationState:
 
     Each (sign, row block) product is computed once here, for both pools: the
     remove pool reads its edges' values from it, and the add pool's first
-    chunk is ranked from it. A block is multiplied again only when its add
-    pool refills. So the first chunks are ranked even when no round runs
+    chunk is ranked from its columns r0 on, the only ones that hold pairs
+    u < v. Neither writes into it. A block is multiplied again only when its
+    add pool refills. So the first chunks are ranked even when no round runs
     (delta_target = 0).
     """
 

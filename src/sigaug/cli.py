@@ -273,7 +273,8 @@ def cmd_augment(cfg: dict) -> int:
     if pair.zpos.shape[0] != g.n:
         raise InputError(f"{emb_path}: {pair.zpos.shape[0]} embedding rows, "
                          f"the graph has {g.n} nodes")
-    result = run_augment(g, pair, epr)
+    # augment's own ValueError is a graph without edges: input it cannot use
+    result = _checked(run_augment, g, pair, epr)
     _emit([f"{u} {v} {s}" for u, v, s in result.graph.edges()], cfg["output"])
     log_path = cfg["log"] or ((cfg["output"] or "augment") + ".log")
     _emit(result.log.to_lines(), log_path)

@@ -115,9 +115,14 @@ class EdgeSplit:
 
 
 def _split_fields(line: str) -> list[str]:
+    """A stripped line's fields: comma-separated, else parted by runs of ASCII
+    whitespace (space, \\t, \\r, \\v, \\f). Other characters that str.split()
+    takes as whitespace (\\x1c-\\x1f, \\x85, \\xa0, U+2028, ...) stay in labels."""
     if "," in line:
-        return [f.strip() for f in line.split(",")]
-    return line.split()
+        return [f.strip(" \t\r\v\f") for f in line.split(",")]
+    if line.isascii() and line.isprintable():  # its only whitespace is the space
+        return line.split()
+    return re.split(r"[ \t\r\v\f]+", line)
 
 
 def _parse_number(field: str, pattern: re.Pattern, lineno: int, what: str) -> int:
@@ -142,7 +147,8 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
     binary), bytes, or str content, in UTF-8; a leading byte-order mark is
     dropped. Lines end at line feeds only (a CRLF's CR is stripped with the
     line's other edge whitespace), so line numbers count the line feed bytes,
-    as the UTF-8 error's does.
+    as the UTF-8 error's does. Whitespace means ASCII whitespace (space, \\t,
+    \\r, \\v, \\f): other Unicode spaces and separators are label characters.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
@@ -155,7 +161,7 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
                              f"not UTF-8 text ({exc.reason})") from None
     records = []
     for lineno, raw in enumerate(data.removeprefix("\ufeff").split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\r\v\f")  # ASCII whitespace only, as _split_fields
         if not line or line.startswith("#") or line.startswith("%"):
             continue
         fields = _split_fields(line)

@@ -350,14 +350,16 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     if count:
         yy = rows[:, 2]
         ww = weights[yy]
-        logits = (Z @ theta[:, :d].T)[ii] + (Z @ theta[:, d:].T)[jj]
+        logits = (Z @ theta[:, :d].T).take(ii, axis=0) + (Z @ theta[:, d:].T).take(jj, axis=0)
         logits -= np.maximum(np.maximum(logits[:, 0], logits[:, 1]), logits[:, 2])[:, None]
         expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
-        picked = np.clip(probs[np.arange(count), yy], 1e-300, None)
+        # the three-term sum in the order expl.sum(axis=1) adds them
+        probs = expl / ((expl[:, 0] + expl[:, 1]) + expl[:, 2])[:, None]
+        truth = 3 * np.arange(count) + yy  # each row's true class in the flat probs
+        picked = np.clip(probs.take(truth), 1e-300, None)
         ce = float((ww * -np.log(picked)).sum() / count)
         grad_logits = probs  # probs has no further reader
-        grad_logits[np.arange(count), yy] -= 1.0
+        grad_logits.ravel()[truth] -= 1.0
         grad_logits *= (ww / count)[:, None]
         gi, gj = (np.column_stack([np.bincount(end, col, minlength=n) for col in grad_logits.T])
                   for end in (ii, jj))

@@ -11,6 +11,11 @@ recursion, and `oracle_count_cycles`, its enumeration oracle. `edge_utility`
 reads a pair's share off either one's counts; it is the oracle for the
 library's one walk counter, `pair_utility`, and for `compute_utilities`.
 
+`reference_block_best` ranks one row block's add-pool pairs by masking and
+gathering the whole block: the oracle for the library's `_block_best`, which
+reads only the block's columns from r0 on. The start of a pool is
+`after` = (inf, -1) here, and None in the library.
+
 `expected_entropy_after_perturbation` is the entropy bound of the paper's
 analysis, the subject of the entropy inequality check.
 """
@@ -141,6 +146,25 @@ def edge_utility(counts, u, v):
     if den == 0:
         return None
     return num / den
+
+
+def reference_block_best(vals: np.ndarray, n: int, r0: int, after, k: int):
+    """Keys u * n + v and values of the best k upper-triangle pairs of the row
+    block `vals`, rows r0:r0 + len(vals) of the matrix, that come after `after`,
+    the last (value, key) taken, in pool order: value descending, then key.
+    They come sorted, and so does every pair tied with the k-th, so the cut is
+    exact."""
+    value, key = after
+    later = vals < value
+    tied = np.flatnonzero(vals == value)
+    later.flat[tied] = tied > key - r0 * n
+    later &= np.arange(n) > np.arange(r0, r0 + len(vals))[:, None]
+    keys, vals = np.flatnonzero(later) + r0 * n, vals[later]
+    if vals.size > k:
+        top = vals >= np.partition(vals, vals.size - k)[vals.size - k]
+        keys, vals = keys[top], vals[top]
+    order = np.lexsort((keys, -vals))[:k]
+    return keys[order], vals[order]
 
 
 class ReferenceState:

@@ -1,4 +1,5 @@
 import importlib
+import math
 import tracemalloc
 from functools import partial
 
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, NOT_GATED,
-                            AugmentationState, LogEntry, PerturbationLog, _blocks,
-                            _first_chunk, _propensity_rows, _ranked_pairs, edge_probabilities)
+                            AugmentationState, LogEntry, PerturbationLog, _block_best,
+                            _blocks, _first_chunk, _propensity_rows, _ranked_pairs,
+                            edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
 
-from augment_reference import reference_augment, reference_pair_utility
+from augment_reference import (reference_augment, reference_block_best,
+                               reference_pair_utility)
 from conftest import random_signed_graph
 
 # a value below every score, for the hand-built matrices' unread entries
@@ -489,6 +492,96 @@ class TestRankedPairs:
     def test_one_and_two_nodes(self):
         assert self.ranked(np.zeros((1, 1))) == []
         assert self.ranked(np.zeros((2, 2))) == [(1, 0.0)]
+
+
+class TestBlockBestMatchesReference:
+    """One row block's ranking, which reads only the columns from r0 on, against
+    the whole-block oracle: the same keys and values, and the block untouched."""
+
+    @staticmethod
+    def check(block, n, r0, after, k):
+        before = block.copy()
+        keys, vals = _block_best(block, n, r0, after, k)
+        want = reference_block_best(block, n, r0, (math.inf, -1) if after is None else after, k)
+        assert np.array_equal(block, before)
+        assert keys.tolist() == want[0].tolist()
+        assert vals.tolist() == want[1].tolist()
+        return keys, vals
+
+    def walk(self, values, k=_FIRST_CHUNK):
+        """Every row block from its pool's start, then refills of doubling size
+        after the last pair taken, as `_block_pairs` takes them, to the end."""
+        n = values.shape[0]
+        for r0, r1 in _blocks(n):
+            after, chunk, taken = None, k, 0
+            while True:
+                keys, vals = self.check(values[r0:r1], n, r0, after, chunk)
+                if not keys.size:
+                    break
+                taken += keys.size
+                after, chunk = (vals[-1], keys[-1]), 2 * chunk
+            assert taken == (r1 - r0) * (2 * n - r0 - r1 - 1) // 2  # every pair u < v once
+
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_ties_at_the_kth_value(self, decimals):
+        # a few distinct values, so long tie runs hold the k-th value of most calls
+        n = 2 * _ROW_BLOCK + 37
+        values = np.round(np.random.default_rng(decimals).normal(size=(n, n)), decimals)
+        self.walk(values)
+        self.walk(values, k=7)
+
+    def test_all_equal(self):
+        self.walk(np.full((_ROW_BLOCK + 5, _ROW_BLOCK + 5), 0.25))
+
+    def test_ties_straddle_after(self):
+        n = 2 * _ROW_BLOCK + 37
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(n, n))
+        r0, r1 = _ROW_BLOCK, 2 * _ROW_BLOCK
+        block = values[r0:r1]
+        run = rng.choice(block.size, size=500, replace=False)
+        block.flat[run] = 0.5
+        tied = np.sort(run[run % n > r0 + run // n]) + r0 * n  # keys of the run's pool pairs
+        for key in (tied[0], tied[tied.size // 2], tied[-1], tied[0] - 1, tied[-1] + 1):
+            for k in (1, 100, tied.size, 10 * tied.size):
+                self.check(block, n, r0, (0.5, key), k)
+
+    def test_last_block_fewer_than_k(self):
+        n = _ROW_BLOCK + 3  # the last block holds 3 rows and 3 pairs
+        values = np.random.default_rng(6).normal(size=(n, n))
+        keys, _vals = self.check(values[_ROW_BLOCK:], n, _ROW_BLOCK, None, _FIRST_CHUNK)
+        assert sorted(keys.tolist()) == [_ROW_BLOCK * n + _ROW_BLOCK + 1,
+                                         _ROW_BLOCK * n + _ROW_BLOCK + 2,
+                                         (_ROW_BLOCK + 1) * n + _ROW_BLOCK + 2]
+        self.walk(values)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                   2 * _ROW_BLOCK + 37])
+    def test_sizes(self, n):
+        self.walk(np.random.default_rng(n).normal(size=(n, n)))
+
+    @pytest.mark.parametrize("n", [3, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 37])
+    def test_propensity_values_of_both_signs(self, n):
+        # cosines (self-scores of 1 on the diagonal, the largest cosine) and
+        # guarded reciprocals, with a zero-norm row's ties and a clamped pair
+        rows = _propensity_rows(TestPropensityRows.special_pair(n))
+        for sign in (1, -1):
+            matrix = np.vstack([rows(sign, r0, r1) for r0, r1 in _blocks(n)])
+            self.walk(matrix)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2 * _ROW_BLOCK + 40),
+           decimals=st.sampled_from([0, 1, 3]), k=st.integers(1, 600), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_refills_from_arbitrary_after(self, seed, n, decimals, k, data):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.normal(size=(n, n)), decimals)
+        r0, r1 = data.draw(st.sampled_from(list(_blocks(n))))
+        block = values[r0:r1]
+        value = data.draw(st.one_of(st.sampled_from(block.ravel().tolist()),
+                                    st.floats(-4, 4), st.just(math.inf)))
+        key = data.draw(st.integers(-1, n * n))
+        self.check(block, n, r0, (value, key), k)
+        self.check(block, n, r0, None, k)
 
 
 def benchmark_shaped_inputs():

@@ -48,6 +48,7 @@ EXIT_CODE_CASES = {
     "sign_two": (b"0 1 1\n1 2 2\n", 0, set()),
     "one_edge": (b"0 1 -1\n", 2, {"stats", "balance", "augment"}),
     "no_negative_edge": (b"0 1 1\n1 2 1\n2 3 1\n0 3 1\n", 4, {"stats", "balance", "augment"}),
+    "self_loops_only": (b"a a 1\nb b -1\n", 2, {"stats", "balance"}),
     "byte_order_mark": (("\ufeff" + SIX_NODE_FILE).encode(), 6, set(_KEYS)),
 }
 
@@ -216,8 +217,8 @@ class TestTrainAugmentCmds:
         emb.write_text("0 0.1 0.2\n1 0.3 0.4\n")
         proc = run_cli("augment", "--dataset", str(dataset), "--embeddings", str(emb),
                        "--quiet")
-        assert proc.returncode == EXIT_COMPONENT and proc.stdout == ""
-        assert "augment failed: cannot augment a graph without edges" in proc.stderr
+        assert proc.returncode == EXIT_IO and proc.stdout == ""
+        assert "input error: cannot augment a graph without edges" in proc.stderr
 
     @pytest.mark.parametrize("emb_text,where", [
         ("0 0.1 0.2\nx 0.3 0.4\n2 0.5 0.6\n3 0.7 0.8\n", "bad.emb:2:"),  # non-integer node id

@@ -69,8 +69,10 @@ class TestLoadEdgeList:
         text = f"# a{brk}b\na b 1\nc d x\n".encode("utf-8")
         with pytest.raises(ParseError, match="^line 3: non-numeric weight 'x'$"):
             sg.load_edge_list(text, "signed")
-        # records parted only by such a break are one line, which is refused
-        with pytest.raises(ParseError, match="^line 1: expected 3 or 4 fields, got 6$"):
+        # records parted only by such a break are one line, which is refused; the
+        # break parts fields only if it is ASCII whitespace, else it joins "1" and "c"
+        fields = 6 if brk in "\r\x0b\x0c" else 5
+        with pytest.raises(ParseError, match=f"^line 1: expected 3 or 4 fields, got {fields}$"):
             sg.load_edge_list(f"a b 1{brk}c d -1\n".encode("utf-8"), "signed")
 
     def test_crlf_and_lf_parse_alike(self):
@@ -80,6 +82,22 @@ class TestLoadEdgeList:
         assert sg.load_edge_list(lf.replace("\n", "\r\n").encode("ascii"), "signed") == records
         with pytest.raises(ParseError, match="^line 2: non-numeric weight 'x'$"):
             sg.load_edge_list(b"a b 1\r\nc d x\r\n", "signed")
+
+    def test_fields_part_at_ascii_whitespace_only(self):
+        assert sg.load_edge_list("a\x1cb c 1", "signed") == [sg.RatingRecord("a\x1cb", "c", 1)]
+        for sep in ("\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029", "\u3000"):
+            assert sg.load_edge_list(f"a b{sep}x -1\n", "signed") == \
+                [sg.RatingRecord("a", f"b{sep}x", -1)]
+            assert sg.load_edge_list(f"a, b{sep} ,-1\n", "signed") == \
+                [sg.RatingRecord("a", f"b{sep}", -1)]
+            # nor is it stripped from the line's ends
+            assert sg.load_edge_list(f"{sep}a b 1", "signed") == \
+                [sg.RatingRecord(f"{sep}a", "b", 1)]
+            with pytest.raises(ParseError, match="^line 1: non-numeric weight"):
+                sg.load_edge_list(f"a b 1{sep}", "signed")
+        # space, tab, CR, VT and FF part fields, in runs, and are stripped at the ends
+        assert sg.load_edge_list("\ta \t b\x0b\x0c1 \r\n", "signed") == \
+            [sg.RatingRecord("a", "b", 1)]
 
     def test_rating_range_enforced(self):
         with pytest.raises(ParseError, match="line 1"):
