@@ -32,7 +32,9 @@ Finally the two perturbed adjacencies are fused back into one signed graph.
 the dense matrices of `edge_probabilities`. Within `augment` no pair ever is in
 both: additions of both signs take original non-edges, never the same pair
 twice, and removals only take original edges of their own sign, so the working
-sets stay disjoint and fusion is their union.
+sets stay disjoint and fusion is their union. That union is the original edge
+array less the removals performed plus the additions performed, which is how
+`augment` builds it, from the log.
 """
 
 from __future__ import annotations
@@ -343,6 +345,9 @@ class AugmentationState:
     during a run and a pair that leaves a pool never comes back. `taken` holds
     the original edges plus every pair already picked; add pools skip those
     pairs. Remove pools never need to: no other slot can take an original edge.
+    `taken` and the remove pools' keys come from g's pair keys, which ascend;
+    the working sets `pos_adj` and `neg_adj`, which the utility gate reads,
+    start as copies of g's neighbor sets.
 
     Each (sign, row block) product is computed once here, for both pools: the
     remove pool reads its edges' values from it, and the add pool's first
@@ -360,12 +365,13 @@ class AugmentationState:
         self.pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
         self.neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
         self.log = PerturbationLog()
-        # pairs as row-major flat keys u * n + v, u < v; g.edges() is in that order
-        self.taken = {u * n + v for u, v, _ in g.edges()}
+        # pairs as row-major flat keys u * n + v, u < v, ascending
+        keys, signs = g.pair_keys(), g.edge_array()[:, 2]
+        self.taken = set(keys.tolist())
         self.pools = {}
         for sign in (1, -1):
             block = partial(rows, sign)
-            edges = np.array([u * n + v for u, v, s in g.edges() if s == sign], dtype=np.intp)
+            edges = keys[signs == sign]
             u, v = np.divmod(edges, n)
             vals = np.empty(edges.size)
             firsts = []
@@ -471,7 +477,9 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
 
     Deterministic for identical inputs. When the candidate pools run dry before
     both regulator targets are met, the best-effort result is returned with
-    thresholds_unmet set.
+    thresholds_unmet set. The result's graph is built from g's edge array: its
+    rows less the removals the log records as performed, plus the performed
+    additions, which equals the union of the final working sets.
     """
     if g.num_edges == 0:
         raise ValueError("cannot augment a graph without edges")
@@ -483,8 +491,12 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
         if perturb_step(state) == 0:
             unmet = True
             break
-    # the working sets are disjoint (module docstring), so fusion is their union
-    edges = sorted((u, v, sign) for sign, adj in ((1, state.pos_adj), (-1, state.neg_adj))
-                   for u in range(g.n) for v in adj[u] if u < v)
+    # the working sets are disjoint (module docstring), so fusion is their union:
+    # the original edges less the removals performed, plus the additions performed
+    done = [e for e in state.log.entries if e.performed]
+    removed = np.isin(g.pair_keys(), [e.u * g.n + e.v for e in done if e.action == REMOVE])
+    added = np.array([(e.u, e.v, e.sign) for e in done if e.action == ADD],
+                     dtype=np.int64).reshape(-1, 3)
+    edges = np.concatenate((g.edge_array()[~removed], added))
     return AugmentedGraph(graph=SignedGraph(g.n, edges), log=state.log,
                           thresholds_unmet=unmet)

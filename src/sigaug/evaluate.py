@@ -11,8 +11,8 @@ import numpy as np
 
 from .augment import EPRConfig, augment
 from .balance import ETA_DEFAULT, MU_DEFAULT
-from .graph import (FORMATS, EdgeSplit, SignedGraph, _edge_array, build_graph, load_edge_list,
-                    split_edges)
+from .graph import (FORMATS, EdgeSplit, SignedGraph, _as_edge_array, build_graph,
+                    load_edge_list, split_edges)
 from .sgnn import TrainConfig, check_supervision, concat, train
 
 # largest (mu, theta, delta) grid a sweep accepts
@@ -155,7 +155,7 @@ def predict_test_edges(Z: np.ndarray, classifier: np.ndarray, test):
     """Score held-out edges (u, v, sign): (scores, signs), float64 softmax
     positive-class probabilities renormalized over {pos, neg} on the pair
     feature [Z_min || Z_max], and the edges' +-1 signs."""
-    rows = _edge_array(test)
+    rows = _as_edge_array(test)
     if not len(rows):
         raise ValueError("empty test set")
     ends = np.sort(rows[:, :2], axis=1)

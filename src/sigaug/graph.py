@@ -1,4 +1,10 @@
-"""Signed-graph data model: edge-list ingestion, symmetrization, splits, adjacency."""
+"""Signed-graph data model: edge-list ingestion, symmetrization, splits, adjacency.
+
+A `SignedGraph` keeps its edges in one form, a sorted read-only (m, 3) int64
+array of (u, v, sign) rows with u < v; its other views are built from it when
+first read. `build_graph` and `split_edges` hand the constructor such arrays,
+and `split_adjacency` reads the array.
+"""
 
 from __future__ import annotations
 
@@ -42,65 +48,112 @@ class SignedGraph:
     """Undirected signed graph over dense node ids 0..n-1.
 
     Edges are unordered pairs carrying a sign in {+1, -1}; an absent pair means
-    no edge. Instances are immutable after construction and safe to share across
-    threads. Neighbor lookup split by sign is O(1) per node.
+    no edge. The one stored form of the edges is a read-only (m, 3) int64 array
+    of rows (u, v, sign) with u < v, sorted by (u, v) (`edge_array`). The tuple
+    of `edges()`, the pair keys and the per-node neighbor frozensets are built
+    from it the first time they are read, and `sign` searches the pair keys.
+    Instances are immutable after construction and safe to share across
+    threads: two threads that read a view first may both build it, alike.
     """
 
-    __slots__ = ("n", "_sign", "_pos", "_neg", "_edges", "num_pos", "num_neg")
+    __slots__ = ("n", "_edges", "_tuples", "_keys", "_pos", "_neg", "num_pos", "num_neg")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] = ()):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] | np.ndarray = ()):
+        """`edges` is an iterable of (u, v, sign) triples or an (m, 3) integer
+        array, each pair in either endpoint order. A non-integer entry is
+        refused first; then the first edge in input order that references a
+        node outside 0..n-1, is a self-loop, has a sign other than +1 and -1,
+        or repeats an earlier pair (in either order) is refused."""
         if n < 0:
             raise ValueError("node count must be non-negative")
         self.n = n
-        sign: dict[tuple[int, int], int] = {}
-        pos = [set() for _ in range(n)]
-        neg = [set() for _ in range(n)]
-        for u, v, s in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references a node id outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if s not in (POS, NEG):
-                raise ValueError(f"edge ({u}, {v}) has sign {s}, expected +1 or -1")
-            key = (u, v) if u < v else (v, u)
-            if key in sign:
-                raise ValueError(f"duplicate edge {key}")
-            sign[key] = s
-            (pos if s == POS else neg)[u].add(v)
-            (pos if s == POS else neg)[v].add(u)
-        self._sign = sign
-        self._pos = [frozenset(x) for x in pos]
-        self._neg = [frozenset(x) for x in neg]
-        self._edges = tuple((u, v, sign[(u, v)]) for (u, v) in sorted(sign))
-        self.num_pos = sum(1 for s in sign.values() if s == POS)
-        self.num_neg = len(sign) - self.num_pos
+        rows = _as_edge_array(edges)
+        u, v, s = rows.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")
+        # in a run of equal keys the stable order is the input order: all but
+        # the first are duplicates. A row with an id out of range may share a key
+        # with another, but only ever marks a later row or a row bad anyway, so
+        # the first flagged row is still the first bad one.
+        dup = np.zeros(len(rows), dtype=bool)
+        dup[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        flags = ((lo < 0) | (hi >= n), u == v, (s != POS) & (s != NEG), dup)
+        bad = np.logical_or.reduce(flags)
+        if bad.any():
+            i = int(bad.argmax())
+            a, b, sign = rows[i].tolist()
+            messages = (f"edge ({a}, {b}) references a node id outside 0..{n - 1}",
+                        f"self-loop on node {a}",
+                        f"edge ({a}, {b}) has sign {sign}, expected +1 or -1",
+                        f"duplicate edge {(int(lo[i]), int(hi[i]))}")
+            raise ValueError(next(m for m, flag in zip(messages, flags) if flag[i]))
+        self._edges = np.column_stack((lo[order], hi[order], s[order]))
+        self._edges.flags.writeable = False
+        self._tuples = self._keys = self._pos = self._neg = None
+        self.num_neg = int(np.count_nonzero(s == NEG))
+        self.num_pos = len(rows) - self.num_neg
 
     @property
     def num_edges(self) -> int:
-        return len(self._sign)
+        return len(self._edges)
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as a read-only (m, 3) int64 array of rows (u, v, sign), u < v,
+        sorted by (u, v): the graph's one stored form of its edges."""
+        return self._edges
 
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """All edges as (u, v, sign) with u < v, sorted by (u, v)."""
-        return self._edges
+        if self._tuples is None:
+            self._tuples = tuple(map(tuple, self._edges.tolist()))
+        return self._tuples
+
+    def pair_keys(self) -> np.ndarray:
+        """The edges' pairs as a read-only array of row-major keys u * n + v,
+        ascending: one per row of `edge_array`, in its order."""
+        if self._keys is None:
+            self._keys = self._edges[:, 0] * self.n + self._edges[:, 1]
+            self._keys.flags.writeable = False
+        return self._keys
 
     def sign(self, u: int, v: int) -> int:
         """Sign of edge {u, v}, or 0 when absent."""
-        key = (u, v) if u < v else (v, u)
-        return self._sign.get(key, 0)
+        u, v = (u, v) if u < v else (v, u)
+        if not 0 <= u < v < self.n:
+            return 0
+        i = int(np.searchsorted(self.pair_keys(), u * self.n + v))
+        if i < len(self._edges) and self._edges[i, :2].tolist() == [u, v]:
+            return int(self._edges[i, 2])
+        return 0
 
     def pos_neighbors(self, u: int) -> frozenset:
+        if self._pos is None:
+            self._neighbor_sets()
         return self._pos[u]
 
     def neg_neighbors(self, u: int) -> frozenset:
+        if self._neg is None:
+            self._neighbor_sets()
         return self._neg[u]
+
+    def _neighbor_sets(self):
+        """Each node's neighbors of each sign, as frozensets, from the edge rows."""
+        for sign, slot in ((POS, "_pos"), (NEG, "_neg")):
+            u, v, _ = self._edges[self._edges[:, 2] == sign].T
+            ends = np.concatenate((u, v))
+            order = np.argsort(ends, kind="stable")
+            others = np.concatenate((v, u))[order].tolist()
+            bounds = np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
+            setattr(self, slot, [frozenset(others[a:b]) for a, b in zip([0] + bounds, bounds)])
 
     def __eq__(self, other):
         if not isinstance(other, SignedGraph):
             return NotImplemented
-        return self.n == other.n and self._sign == other._sign
+        return self.n == other.n and np.array_equal(self._edges, other._edges)
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash((self.n, self._edges.tobytes()))
 
     def __repr__(self):
         return f"SignedGraph(n={self.n}, pos={self.num_pos}, neg={self.num_neg})"
@@ -203,14 +256,20 @@ def build_graph(records: list[RatingRecord]) -> SignedGraph:
         key = (u, v) if u < v else (v, u)
         if pair_sign.get(key) != NEG:  # a negative record wins
             pair_sign[key] = POS if rec.rating > 0 else NEG
-    return SignedGraph(len(ids), ((u, v, s) for (u, v), s in pair_sign.items()))
+    rows = np.empty((len(pair_sign), 3), dtype=np.int64)
+    rows[:, :2] = np.fromiter(chain.from_iterable(pair_sign), np.int64,
+                              count=2 * len(pair_sign)).reshape(-1, 2)
+    rows[:, 2] = np.fromiter(pair_sign.values(), np.int64, count=len(pair_sign))
+    return SignedGraph(len(ids), rows)
 
 
 def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     """Hold out round(test_fraction * |edges|) edges uniformly at random.
 
     Refuses a fraction that rounds to no held-out edge or to every edge.
-    Deterministic for a given seed. The train graph keeps all n nodes.
+    Deterministic for a given seed. The train graph keeps all n nodes. The draw
+    picks row indices of g's edge array; the test tuple and the train graph's
+    array are its picked and unpicked rows, each in g.edges() order.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -223,24 +282,39 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     if k == m:
         raise ValueError(f"test_fraction={test_fraction} holds out every edge of m={m}")
     rng = np.random.default_rng(seed)
-    picked = set(rng.choice(m, size=k, replace=False).tolist())
-    edges = g.edges()
-    test = tuple(edges[i] for i in sorted(picked))
-    train = SignedGraph(g.n, (edges[i] for i in range(m) if i not in picked))
-    return EdgeSplit(train=train, test=test)
+    picked = np.zeros(m, dtype=bool)
+    picked[rng.choice(m, size=k, replace=False)] = True
+    edges = g.edge_array()
+    test = tuple(map(tuple, edges[picked].tolist()))
+    return EdgeSplit(train=SignedGraph(g.n, edges[~picked]), test=test)
 
 
-def _edge_array(edges) -> np.ndarray:
-    """A sequence of (u, v, sign) triples as a fresh (m, 3) int64 array.
+def _as_edge_array(edges) -> np.ndarray:
+    """(u, v, sign) triples, or an (m, 3) array of them, as an (m, 3) int64 array.
 
-    np.fromiter over the flattened triples makes the same integers as np.array
-    of the tuples, without np.array's shape and type discovery over them."""
-    return np.fromiter(chain.from_iterable(edges), np.int64, count=3 * len(edges)).reshape(-1, 3)
+    Every entry must be an integer: a float, even 1.0, a string or any other
+    value is refused with a ValueError naming the first such entry, never
+    truncated. Integers outside int64 are refused too."""
+    source = edges if isinstance(edges, np.ndarray) else list(edges)
+    rows = np.asarray(source)
+    if rows.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"edges must be (u, v, sign) triples, got shape {rows.shape}")
+    if rows.dtype.kind in "biu":
+        return rows.astype(np.int64, copy=False)
+    for row in source.tolist() if isinstance(source, np.ndarray) else source:
+        row = tuple(x.item() if isinstance(x, np.generic) else x for x in row)
+        for j, x in enumerate(row):
+            if not isinstance(x, int):
+                what = "sign" if j == 2 else "node id"
+                raise ValueError(f"edge {row} has a non-integer {what} {x!r}")
+    raise ValueError("edge entries must fit in int64")
 
 
 def split_adjacency(g: SignedGraph):
     """Decompose into symmetric 0/1 csr matrices (Apos, Aneg) with disjoint supports."""
-    edges = _edge_array(g.edges())
+    edges = g.edge_array()
     mats = []
     for sign in (POS, NEG):
         u, v, _ = edges[edges[:, 2] == sign].T

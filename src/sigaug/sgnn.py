@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph, _edge_array, split_adjacency
+from .graph import SignedGraph, split_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -283,8 +284,9 @@ def _backward(tensors: _GraphTensors, params: ModelParams, cache, d_hp, d_hn):
 
 
 def _edge_rows(g: SignedGraph) -> np.ndarray:
-    """g's edges as labelled (u, v, class) rows in g.edges() order; sign +1 is "+"."""
-    rows = _edge_array(g.edges())
+    """g's edges as labelled (u, v, class) rows in g.edges() order; sign +1 is "+".
+    A copy of g's edge array with the sign column mapped to the class."""
+    rows = g.edge_array().copy()
     rows[:, 2] = (1 - rows[:, 2]) // 2
     return rows
 
@@ -569,31 +571,44 @@ def save_embeddings(pair: EmbeddingPair, path):
 
 
 def load_embeddings(path) -> EmbeddingPair:
-    """Read an embedding text matrix back into the two branch halves."""
+    """Read an embedding text matrix back into the two branch halves.
+
+    Read as bytes, as `graph.load_edge_list` reads: lines end at line feeds
+    only, fields part at ASCII whitespace, a node id is an optionally signed
+    run of ASCII digits and a value an ASCII decimal or exponent number (bytes
+    that are not UTF-8 show as U+FFFD in a message).
+    """
+    # ASCII digits only: int() and float() alone also take "1_0" and "\u0661";
+    # the non-finite words pass here, to be refused as such below
+    node_id = re.compile(rb"[+-]?[0-9]+")
+    number = re.compile(rb"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                        rb"|inf|infinity|nan)", re.IGNORECASE)
+    with open(path, "rb") as fh:
+        data = fh.read()
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            try:
-                node = int(fields[0])
-            except ValueError:
-                node = None
-            if node != len(rows):
-                raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
-                                 f"integers, got {fields[0]!r}")
-            if len(fields) == 1:
-                raise ValueError(f"{path}:{lineno}: node {node} has no embedding values")
-            try:
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, rows[-1])):
-                raise ValueError(f"{path}:{lineno}: non-finite embedding value")
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: {len(rows[-1])} values, "
-                                 f"the first row has {len(rows[0])}")
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            node = int(fields[0]) if node_id.fullmatch(fields[0]) else None
+        except ValueError:  # more digits than int() converts
+            node = None
+        if node != len(rows):
+            raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
+                             f"integers, got {fields[0].decode(errors='replace')!r}")
+        if len(fields) == 1:
+            raise ValueError(f"{path}:{lineno}: node {node} has no embedding values")
+        for value in fields[1:]:
+            if not number.fullmatch(value):
+                raise ValueError(f"{path}:{lineno}: could not convert string to float: "
+                                 f"{value.decode(errors='replace')!r}")
+        rows.append([float(v) for v in fields[1:]])
+        if not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"{path}:{lineno}: non-finite embedding value")
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: {len(rows[-1])} values, "
+                             f"the first row has {len(rows[0])}")
     Z = np.array(rows, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] % 2:
         raise ValueError(f"{path}: expected an even embedding dimension, got shape {Z.shape}")

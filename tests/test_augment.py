@@ -660,3 +660,74 @@ class TestGateOnAugmentCalls:
         assert len(got) > 100
         # list equality requires None in the same places too
         assert got == expected
+
+
+def working_set_union(state):
+    """The state's working sets as one graph, after checking that no pair is in
+    both: how augment built its result before it read the log instead."""
+    pos = {(u, v) for u in range(state.n) for v in state.pos_adj[u] if u < v}
+    neg = {(u, v) for u in range(state.n) for v in state.neg_adj[u] if u < v}
+    assert not pos & neg
+    return sg.SignedGraph(state.n, sorted([(u, v, 1) for u, v in pos]
+                                          + [(u, v, -1) for u, v in neg]))
+
+
+class TestAugmentGraphFromLog:
+    """augment's graph is the original edges less the removals performed, plus
+    the additions performed, read off the log; the union of its working sets
+    at the end of the run is the oracle."""
+
+    @staticmethod
+    def refills(g, pair, cfg):
+        """Run augment, check its graph against its working sets, and return its
+        number of add-pool refills."""
+        module = importlib.import_module("sigaug.augment")
+        state_class, block_best = module.AugmentationState, module._block_best
+        states, calls = [], []
+
+        def capture(*args):
+            states.append(state_class(*args))
+            return states[-1]
+
+        def counted(vals, n, r0, after, k):
+            calls.append(after is not None)  # None ranks a block's first chunk
+            return block_best(vals, n, r0, after, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "AugmentationState", capture)
+            mp.setattr(module, "_block_best", counted)
+            out = sg.augment(g, pair, cfg)
+        (state,) = states
+        assert out.graph == working_set_union(state)
+        assert out.graph.num_edges == g.num_edges + sum(
+            (1 if e.action == ADD else -1) for e in out.log.entries if e.performed)
+        return sum(calls)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+           density=st.floats(0.05, 0.5), neg=st.floats(0.1, 0.6), eta=st.integers(3, 5),
+           theta=st.sampled_from([1 / 9, 1.0, 4.0]), delta=st.floats(0.8, 1.0),
+           mu=st.floats(0.0, 0.9))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_refill_heavy_runs(self, seed, n, density, neg, eta, theta, delta, mu):
+        rng = np.random.default_rng(seed)
+        g = random_signed_graph(rng, n, density, neg)
+        assume(g.num_edges > 0)
+        pair = sg.EmbeddingPair(*np.round(rng.normal(size=(2, n, 4)), 1))
+        self.refills(g, pair, sg.EPRConfig(theta, delta, mu, eta))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+           density=st.floats(0.05, 0.5), neg=st.floats(0.1, 0.6), delta=st.floats(0.0, 1.0),
+           mu=st.floats(0.0, 0.9))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_mostly_ungated_runs(self, seed, n, density, neg, delta, mu):
+        # theta = 4 steers toward positive actions, which pass no gate
+        rng = np.random.default_rng(seed)
+        g = random_signed_graph(rng, n, density, neg)
+        assume(g.num_edges > 0)
+        pair = sg.EmbeddingPair(*rng.normal(size=(2, n, 4)))
+        self.refills(g, pair, sg.EPRConfig(4.0, delta, mu))
+
+    @pytest.mark.parametrize("theta,delta", [(1 / 9, 0.8), (1 / 9, 1.0), (4.0, 1.0)])
+    def test_congress_runs_that_refill(self, congress_graph, theta, delta):
+        pair = sg.EmbeddingPair(*np.random.default_rng(5).normal(size=(2, congress_graph.n, 8)))
+        assert self.refills(congress_graph, pair, sg.EPRConfig(theta, delta, 0.7)) > 0

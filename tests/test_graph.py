@@ -1,14 +1,18 @@
 import importlib.util
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.graph import ParseError
 
-from conftest import LINE_BREAKS, random_signed_graph
+from conftest import LINE_BREAKS, REPO, random_signed_graph
+from graph_reference import ReferenceGraph, reference_split_edges
 
 
 class TestLoadEdgeList:
@@ -178,6 +182,193 @@ class TestSignedGraph:
         assert g.pos_neighbors(0) == {1}
         assert g.neg_neighbors(0) == {2}
         assert g.sign(1, 3) == 0
+        # 0.25 * 4 + 1 is the key of (0, 2): a key match alone is not an edge
+        assert g.sign(0.25, 1) == 0 and g.sign(2, 0) == -1 and g.sign(3, 2) == -1
+
+    def test_non_integer_entries_refused(self):
+        # np.fromiter(..., np.int64) would truncate 1.5 to 1 and read "1" as 1; the
+        # per-edge reference stores a float sign and fails on a float id with a TypeError
+        assert ReferenceGraph(3, [(0, 1, 1.0)]).edges() == ((0, 1, 1.0),)
+        with pytest.raises(TypeError):
+            ReferenceGraph(3, [(0, 1, 1), (0.5, 2, 1)])
+        cases = [([(0, 1, 1), (0.5, 2, 1)], "non-integer node id 0.5"),
+                 ([(0, 1.5, 1)], "non-integer node id 1.5"),
+                 ([(0, "1", 1)], "non-integer node id '1'"),
+                 ([(0, 1, 1.0)], "non-integer sign 1.0"),
+                 ([(0, None, 1)], "non-integer node id None"),
+                 (np.array([[0.0, 1.0, 1.0]]), "non-integer node id 0.0"),
+                 (np.array([["0", "1", "1"]]), "non-integer node id '0'")]
+        for edges, message in cases:
+            with pytest.raises(ValueError, match=message):
+                sg.SignedGraph(3, edges)
+            with pytest.raises(ValueError, match=message):
+                sg.SignedGraph(3, iter(edges))
+        # refused before any other check, whatever comes first in input order
+        with pytest.raises(ValueError, match="non-integer node id 2.0"):
+            sg.SignedGraph(3, [(0, 0, 1), (1, 2.0, 1)])
+        with pytest.raises(ValueError, match="fit in int64"):
+            sg.SignedGraph(3, [(0, 2**70, 1)])
+
+    def test_integer_arrays_of_any_width(self):
+        want = sg.SignedGraph(4, [(0, 1, 1), (2, 3, -1)])
+        for dtype in (np.int8, np.int32, np.int64):
+            assert sg.SignedGraph(4, np.array([[3, 2, -1], [1, 0, 1]], dtype=dtype)) == want
+        want = sg.SignedGraph(4, [(0, 1, 1), (2, 3, 1)])
+        for dtype in (np.uint16, np.uint64):
+            assert sg.SignedGraph(4, np.array([[3, 2, 1], [1, 0, 1]], dtype=dtype)) == want
+        assert sg.SignedGraph(2, np.array([[True, False, True]])).edges() == ((0, 1, 1),)
+        with pytest.raises(ValueError, match="triples"):
+            sg.SignedGraph(4, [(0, 1), (2, 3)])
+
+    def test_stored_array_is_read_only_and_sorted(self):
+        g = sg.SignedGraph(4, np.array([[3, 2, -1], [1, 0, 1], [3, 0, 1]]))
+        rows = g.edge_array()
+        assert rows.dtype == np.int64 and rows.shape == (3, 3)
+        assert rows.tolist() == [[0, 1, 1], [0, 3, 1], [2, 3, -1]]
+        with pytest.raises(ValueError):
+            rows[0, 2] = -1
+        assert g.pair_keys().tolist() == [1, 3, 11]
+        with pytest.raises(ValueError):
+            g.pair_keys()[0] = 2
+
+
+_FORMS = ("tuples", "generator", "array", "lists")
+
+
+def _as_form(edges, form):
+    """The same edges as a list of tuples, a generator, an int64 array or a
+    list of lists."""
+    if form == "tuples":
+        return list(edges)
+    if form == "generator":
+        return (e for e in edges)
+    if form == "array":
+        return np.array(edges, dtype=np.int64).reshape(-1, 3)
+    return [list(e) for e in edges]
+
+
+@st.composite
+def edge_lists(draw, min_n=0, max_n=10):
+    """(n, edges): distinct pairs with random signs, shuffled, each in a random
+    endpoint order."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for u, v in chosen:
+        s = draw(st.sampled_from((1, -1)))
+        edges.append((v, u, s) if draw(st.booleans()) else (u, v, s))
+    return n, edges
+
+
+def _message(build):
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
+class TestSignedGraphMatchesReference:
+    """The library's one-array SignedGraph against the per-edge reference."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_graph(self, data):
+        n, edges = data.draw(edge_lists())
+        form = data.draw(st.sampled_from(_FORMS))
+        g, ref = sg.SignedGraph(n, _as_form(edges, form)), ReferenceGraph(n, edges)
+        assert g.edges() == ref.edges()
+        assert g.edge_array().tolist() == [list(e) for e in ref.edges()]
+        assert g.pair_keys().tolist() == [u * n + v for u, v, _ in ref.edges()]
+        assert (g.num_edges, g.num_pos, g.num_neg) == (ref.num_edges, ref.num_pos, ref.num_neg)
+        for u in range(n):
+            assert g.pos_neighbors(u) == ref.pos_neighbors(u)
+            assert g.neg_neighbors(u) == ref.neg_neighbors(u)
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                assert g.sign(u, v) == ref.sign(u, v)
+        # another order and form of the same edges, and a graph one edge away
+        other = data.draw(st.permutations(edges))
+        other_form = data.draw(st.sampled_from(_FORMS))
+        same = sg.SignedGraph(n, _as_form(other, other_form))
+        assert same == g and hash(same) == hash(g)
+        if edges:
+            i = data.draw(st.integers(0, len(edges) - 1))
+            u, v, s = edges[i]
+            changed = edges[:i] + data.draw(st.sampled_from([[], [(u, v, -s)]])) + edges[i + 1:]
+            assert (sg.SignedGraph(n, changed) == g) == (ReferenceGraph(n, changed) == ref)
+            assert sg.SignedGraph(n, changed) != g
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_first_error(self, data):
+        # bad edges inserted anywhere: out-of-range ids, self-loops, bad signs
+        # and repeats of an earlier pair (either endpoint order, either sign)
+        n, edges = data.draw(edge_lists(min_n=2))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(edges)))
+            kind = data.draw(st.sampled_from(("range", "loop", "sign", "duplicate")))
+            u = data.draw(st.integers(0, n - 1))
+            v = data.draw(st.integers(0, n - 1).filter(lambda x: x != u))
+            s = data.draw(st.sampled_from((1, -1)))
+            if kind == "range":
+                bad = data.draw(st.sampled_from((-1, -5, n, n + 3)))
+                edge = (u, bad, s) if data.draw(st.booleans()) else (bad, u, s)
+            elif kind == "loop":
+                edge = (u, u, data.draw(st.sampled_from((1, -1, 0))))
+            elif kind == "sign":
+                edge = (u, v, data.draw(st.sampled_from((0, 2, -2, 7))))
+            elif not edges:
+                edge = (u, u, s)
+            else:
+                at = max(at, 1)
+                a, b, _ = edges[data.draw(st.integers(0, at - 1))]
+                edge = (b, a, s) if data.draw(st.booleans()) else (a, b, s)
+            edges.insert(at, edge)
+        form = data.draw(st.sampled_from(_FORMS))
+        want = _message(lambda: ReferenceGraph(n, edges))
+        assert _message(lambda: sg.SignedGraph(n, _as_form(edges, form))) == want
+
+    def test_first_error_messages(self):
+        cases = [(3, [(0, 1, 1), (0, 5, 1)], "edge (0, 5) references a node id outside 0..2"),
+                 (3, [(2, -1, 1)], "edge (2, -1) references a node id outside 0..2"),
+                 (3, [(1, 1, 1)], "self-loop on node 1"),
+                 (3, [(1, 1, 9)], "self-loop on node 1"),
+                 (3, [(0, 1, 2)], "edge (0, 1) has sign 2, expected +1 or -1"),
+                 (3, [(0, 1, 1), (1, 2, 1), (1, 0, -1)], "duplicate edge (0, 1)"),
+                 (3, [(2, 1, 1), (0, 2, 0), (1, 2, 1)], "edge (0, 2) has sign 0"),
+                 (3, [(2, 1, 1), (1, 2, 1), (0, 2, 0)], "duplicate edge (1, 2)")]
+        for n, edges, message in cases:
+            assert _message(lambda: ReferenceGraph(n, edges)).startswith(message)
+            for form in _FORMS:
+                assert _message(lambda: sg.SignedGraph(n, _as_form(edges, form))).startswith(message)
+
+
+@pytest.fixture(scope="module")
+def synth1k_graph():
+    """The benchmark's generated n=1000, m=4000 graph, loaded without bytecode."""
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("graph_tests_gen_graph",
+                                                      REPO / "benchmark" / "gen_graph.py")
+        gen_graph = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_graph)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return sg.SignedGraph(1000, gen_graph.generate(0))
+
+
+class TestSplitMatchesReference:
+    @pytest.mark.parametrize("name", ["congress", "synth1k"])
+    def test_seeds_0_to_20(self, name, congress_graph, synth1k_graph):
+        g = congress_graph if name == "congress" else synth1k_graph
+        ref = ReferenceGraph(g.n, g.edges())
+        for seed in range(21):
+            split = sg.split_edges(g, 0.2, seed)
+            train, test = reference_split_edges(ref, 0.2, seed)
+            assert split.test == test
+            assert split.train.edges() == train.edges()
+            assert split.train.n == g.n
 
 
 class TestSplitEdges:

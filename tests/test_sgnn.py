@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -725,3 +726,47 @@ class TestSerialization:
         loaded = sg.load_embeddings(path)
         assert np.array_equal(loaded.zpos, pair.zpos)
         assert np.array_equal(loaded.zneg, pair.zneg)
+
+    def test_embeddings_roundtrip_extremes(self, tmp_path):
+        # every float repr form: exponents, subnormals, the largest double, -0.0
+        values = [5e-324, -2.2250738585072014e-308, 1e-05, 1.7976931348623157e+308, -0.0,
+                  1e16, 0.1, -123456.789]
+        pair = sg.EmbeddingPair(np.array([values[:4], values[4:]]),
+                                np.array([values[4:], values[:4]]))
+        path = tmp_path / "extremes.emb"
+        sg.save_embeddings(pair, path)
+        loaded = sg.load_embeddings(path)
+        assert loaded.zpos.tobytes() == pair.zpos.tobytes()
+        assert loaded.zneg.tobytes() == pair.zneg.tobytes()
+
+    def test_embeddings_read_as_ascii_lines_and_fields(self, tmp_path):
+        path = tmp_path / "e.emb"
+
+        def load(data: bytes):
+            path.write_bytes(data)
+            return sg.load_embeddings(path)
+
+        # CRLF, tabs and signed or exponent forms read as before
+        pair = load(b"0\t+1.5 -2e-1\r\n+1 .5 3.\r\n\n")
+        assert pair.zpos.tolist() == [[1.5], [0.5]] and pair.zneg.tolist() == [[-0.2], [3.0]]
+        # a lone CR does not end a line, and float() would take "1_0" and "\u0661"
+        with pytest.raises(ValueError, match=r"e\.emb:1: could not convert string to float: '1_0'"):
+            load("0 1_0 \u0661.5\r1 0.3 0.4\n".encode())
+        for value in ("\u0661.5", "1_0", "0x1p3", "1e", "--1", "\xa01"):
+            shown = re.escape(repr(value))
+            with pytest.raises(ValueError, match=rf"e\.emb:2: could not convert .* {shown}"):
+                load(f"0 0.1 0.2\n1 0.3 {value}\n".encode())
+        # \x1c and U+2028 stay inside a field, a non-UTF-8 byte shows as U+FFFD
+        for value in ("0.3\x1c0.4", "0.3\u20280.4"):
+            with pytest.raises(ValueError, match=rf"e\.emb:1: .*{re.escape(repr(value))}"):
+                load(f"0 {value} 0.5\n".encode())
+        with pytest.raises(ValueError, match="e\\.emb:1: .*'0\ufffd'"):
+            load(b"0 0\xff 0.5\n")
+        with pytest.raises(ValueError, match=r"e\.emb:1: node ids must be .* got '\u0660'"):
+            load("\u0660 0.1 0.2\n".encode())
+        with pytest.raises(ValueError, match=r"e\.emb:1: node ids must be .* got '9{5000}'"):
+            load(b"9" * 5000 + b" 0.1 0.2\n")
+        # the non-finite words still parse, and are refused as before
+        for value in ("nan", "-inf", "Infinity", "1e999"):
+            with pytest.raises(ValueError, match="e\\.emb:2: non-finite embedding value"):
+                load(f"0 0.1 0.2\n1 0.3 {value}\n".encode())

@@ -32,10 +32,14 @@ def test_time_augment_smoke(tmp_path, monkeypatch):
     assert result["setup_s"]["products"] > 0 and result["setup_s"]["ranking"] > 0
     for phase in ("setup_s", "rounds_s"):
         assert all(s >= 0 for s in result[phase].values())
-    assert set(result["calls"]) == {"rounds", "refills", "gate"}
+    assert list(result["final_s"]) == ["checks", "graph", "total"]
+    assert all(s >= 0 for s in result["final_s"].values())
+    assert result["final_s"]["checks"] > 0 and result["final_s"]["graph"] > 0
+    assert set(result["calls"]) == {"rounds", "refills", "gate", "checks"}
+    # one check before each round, and one more when the targets end the loop
+    assert result["calls"]["checks"] - result["calls"]["rounds"] in (0, 1)
     assert result["calls"]["rounds"] > 0 and result["calls"]["gate"] > 0
     assert result["log_entries"] >= result["kept"] > 0
-    assert result["final_s"] >= 0
     assert 0 < result["setup_s"]["total"] + result["rounds_s"]["total"] <= result["augment_s"]
     assert set(result["provenance"]) == {"python", "numpy", "scipy", "blas_threads",
                                          "cpu_count"}

@@ -24,9 +24,10 @@ with timers, and restores them afterwards:
 - `rounds_s`, the `perturb_step` calls: `products` and `ranking` of the add
   pools' refills, `gate`, the utility gate (`pair_utility`), and `other`, the
   rest (pool walks, steering, the log);
-- `final_s`, what the two leave of `augment_s`: the regulator checks between
-  rounds and building the final graph.
-`calls` counts the rounds, the refills and the gate calls. The JSON goes to
+- `final_s`, what the two leave of `augment_s`: `checks`, the regulator
+  checks between rounds (`epr_check`), and `graph`, the rest, which is
+  building the final graph from the original edges and the log.
+`calls` counts the rounds, the refills, the gate calls and the checks. The JSON goes to
 --out, else to standard output, with the Python, NumPy and SciPy versions, the
 BLAS thread variables and the CPU count.
 """
@@ -54,14 +55,16 @@ aug = importlib.import_module("sigaug.augment")  # the module, not the function 
 TARGETS = {"theta_target": 1.0 / 9.0, "delta_target": 0.12, "mu": 0.7, "eta": 4}
 PHASES = ("setup", "rounds")
 WRAPPED = ("AugmentationState", "_propensity_rows", "_block_best", "perturb_step",
-           "pair_utility")
+           "pair_utility", "epr_check")
 
 
 def timed_augment(g, pair, cfg):
     """One sigaug.augment call with its stages timed: (result, whole seconds,
-    {phase: {part: [per-call seconds]}}), the phases "setup" and "rounds"."""
+    {phase: {part: [per-call seconds]}}), the phases "setup" and "rounds", and
+    "final" with its regulator checks."""
     times = {"setup": {"whole": [], "products": [], "ranking": []},
-             "rounds": {"whole": [], "products": [], "ranking": [], "gate": []}}
+             "rounds": {"whole": [], "products": [], "ranking": [], "gate": []},
+             "final": {"checks": []}}
     phase = ["setup"]  # whose timers the products and rankings go to
     saved = {name: getattr(aug, name) for name in WRAPPED}
     setup = _timed(saved["AugmentationState"], times["setup"]["whole"])
@@ -81,7 +84,8 @@ def timed_augment(g, pair, cfg):
     wrappers = {"AugmentationState": state, "_propensity_rows": propensity_rows,
                 "_block_best": lambda *args: ranking[phase[0]](*args),
                 "perturb_step": _timed(saved["perturb_step"], times["rounds"]["whole"]),
-                "pair_utility": _timed(saved["pair_utility"], times["rounds"]["gate"])}
+                "pair_utility": _timed(saved["pair_utility"], times["rounds"]["gate"]),
+                "epr_check": _timed(saved["epr_check"], times["final"]["checks"])}
     for name, fn in wrappers.items():
         setattr(aug, name, fn)
     try:
@@ -113,6 +117,8 @@ def main(argv=None) -> None:
         whole = parts[phase].pop("whole")
         parts[phase]["other"] = whole - sum(parts[phase].values())
         parts[phase]["total"] = whole
+    final = augment_s - parts["setup"]["total"] - parts["rounds"]["total"]
+    checks = sum(times["final"]["checks"])
     output = {
         "graph": {"source": f"gen_graph.generate({args.seed}, {args.n}, {args.m})",
                   "n": g.n, "edges": g.num_edges, "train_edges": split.train.num_edges},
@@ -121,11 +127,12 @@ def main(argv=None) -> None:
         "targets": TARGETS,
         "setup_s": parts["setup"],
         "rounds_s": parts["rounds"],
-        "final_s": augment_s - parts["setup"]["total"] - parts["rounds"]["total"],
+        "final_s": {"checks": checks, "graph": final - checks, "total": final},
         "augment_s": augment_s,
         "calls": {"rounds": len(times["rounds"]["whole"]),
                   "refills": len(times["rounds"]["ranking"]),
-                  "gate": len(times["rounds"]["gate"])},
+                  "gate": len(times["rounds"]["gate"]),
+                  "checks": len(times["final"]["checks"])},
         "log_entries": len(result.log),
         "kept": result.log.total_kept,
         "provenance": provenance(),
