@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balance import DISCARD, ETA_DEFAULT, KEEP, check_eta, check_mu, filter_edge, pair_utility
-from .graph import SignedGraph
+from .graph import SignedGraph, neighbor_sets
 from .sgnn import EmbeddingPair
 
 logger = logging.getLogger(__name__)
@@ -347,7 +347,7 @@ class AugmentationState:
     pairs. Remove pools never need to: no other slot can take an original edge.
     `taken` and the remove pools' keys come from g's pair keys, which ascend;
     the working sets `pos_adj` and `neg_adj`, which the utility gate reads,
-    start as copies of g's neighbor sets.
+    are this state's own, built from g's edge array (`neighbor_sets`).
 
     Each (sign, row block) product is computed once here, for both pools: the
     remove pool reads its edges' values from it, and the add pool's first
@@ -362,8 +362,7 @@ class AugmentationState:
         self.n = n
         self.cfg = cfg
         self.original_edge_count = g.num_edges
-        self.pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
-        self.neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
+        self.pos_adj, self.neg_adj = neighbor_sets(g)
         self.log = PerturbationLog()
         # pairs as row-major flat keys u * n + v, u < v, ascending
         keys, signs = g.pair_keys(), g.edge_array()[:, 2]

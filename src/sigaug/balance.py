@@ -26,7 +26,7 @@ from __future__ import annotations
 import numbers
 from typing import Optional, Sequence
 
-from .graph import SignedGraph
+from .graph import NEG, SignedGraph, neighbor_sets
 
 KEEP = "keep"
 DISCARD = "discard"
@@ -164,23 +164,20 @@ def _share(pos_adj: Sequence[set], neg_adj: Sequence[set], u: int, v: int, eta: 
 
 def compute_utilities(g: SignedGraph, eta: int = ETA_DEFAULT) -> dict:
     """Balanced-cycle share of each negative edge of g, as {(u, v): share},
-    in g.edges() order; None marks an edge that sits in no cycle.
+    in the order of g's edge array; None marks an edge that sits in no cycle.
 
     This is what `sigaug balance` runs. Each edge gets pair_utility's score on
-    g's neighbor sets, so no n x n count matrix is built. g.edges() is sorted
-    by u, so for eta >= 5 u's walk counts are grown once per run of edges that
-    share it.
+    g's neighbor sets, so no n x n count matrix is built. The edge array is
+    sorted by u, so for eta >= 5 u's walk counts are grown once per run of
+    edges that share it.
     """
     check_eta(eta)
-    pos_adj = [g.pos_neighbors(u) for u in range(g.n)]
-    neg_adj = [g.neg_neighbors(u) for u in range(g.n)]
+    pos_adj, neg_adj = neighbor_sets(g)
+    edges = g.edge_array()
     scores = {}
     last_u, from_u = None, None
-    for u, v, s in g.edges():
-        if s > 0:
-            continue
+    for u, v in edges[edges[:, 2] == NEG, :2].tolist():
         if u != last_u:
             last_u, from_u = u, _long_hops(pos_adj, neg_adj, u, eta)
         scores[(u, v)] = _share(pos_adj, neg_adj, u, v, eta, from_u)
     return scores
-

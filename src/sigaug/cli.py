@@ -40,25 +40,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_SPACE = " \t\n\r\v\f"  # the whitespace a number may carry around it
+
+
+def _int(text: str) -> int:
+    """Integer flag in ASCII digits (`graph._INT`)."""
+    if not graph._INT.fullmatch(text.strip(_SPACE)):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """Float in ASCII (`graph._FLOAT`); inf and nan pass, for the range checks."""
+    if not graph._FLOAT.fullmatch(text.strip(_SPACE)):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _ratio(text: str) -> float:
     """Float flag that also accepts a/b fractions (e.g. 1/9)."""
     if "/" in text:
         num, den = text.split("/", 1)
         try:
-            return float(num) / float(den)
+            return _float(num) / _float(den)
         except ZeroDivisionError:
             raise ValueError(f"{text!r} divides by zero") from None
-    return float(text)
+    return _float(text)
 
 
 def _float_list(text: str) -> tuple:
-    return tuple(_ratio(f) for f in text.split(",") if f.strip())
+    return tuple(_ratio(f) for f in text.split(",") if f.strip(_SPACE))
 
 
 def _key(default) -> tuple:
-    """A key's (type, default); the type follows the default's, and floats also
-    take a/b fractions."""
-    types = {bool: bool, int: int, float: _ratio, str: str, tuple: _float_list}
+    """A key's (type, default); the type follows the default's, numbers are
+    ASCII, and floats also take a/b fractions."""
+    types = {bool: bool, int: _int, float: _ratio, str: str, tuple: _float_list}
     return types[type(default)], default
 
 
@@ -224,7 +241,7 @@ def cmd_balance(cfg: dict) -> int:
     lines = []
     for (u, v), util in scores.items():
         util_text = "undef" if util is None else repr(util)
-        lines.append(f"{u} {v} {g.sign(u, v)} {util_text}")
+        lines.append(f"{u} {v} {graph.NEG} {util_text}")  # only negative edges are scored
     kept = sum(1 for util in scores.values()
                if balance.filter_edge(util, cfg["mu"]) == balance.KEEP)
     lines.append(f"mu={cfg['mu']!r}")
@@ -275,7 +292,7 @@ def cmd_augment(cfg: dict) -> int:
                          f"the graph has {g.n} nodes")
     # augment's own ValueError is a graph without edges: input it cannot use
     result = _checked(run_augment, g, pair, epr)
-    _emit([f"{u} {v} {s}" for u, v, s in result.graph.edges()], cfg["output"])
+    _emit([f"{u} {v} {s}" for u, v, s in result.graph.edge_array().tolist()], cfg["output"])
     log_path = cfg["log"] or ((cfg["output"] or "augment") + ".log")
     _emit(result.log.to_lines(), log_path)
     if not cfg["quiet"]:

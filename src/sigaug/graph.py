@@ -1,9 +1,10 @@
 """Signed-graph data model: edge-list ingestion, symmetrization, splits, adjacency.
 
-A `SignedGraph` keeps its edges in one form, a sorted read-only (m, 3) int64
-array of (u, v, sign) rows with u < v; its other views are built from it when
-first read. `build_graph` and `split_edges` hand the constructor such arrays,
-and `split_adjacency` reads the array.
+A `SignedGraph` is its edges in one form: a sorted read-only (m, 3) int64
+array of (u, v, sign) rows with u < v, beside the rows' ascending pair keys.
+`build_graph` and `split_edges` hand the constructor such arrays, a split's
+test edges are rows of its parent's array, and `split_adjacency` and
+`neighbor_sets` are built from the array for the readers that need them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ NEG = -1
 
 FORMATS = ("rating", "signed")
 
-# number fields in ASCII digits only: int() alone would also take "1_0" and "\u0661" (1)
-_WEIGHT = re.compile(r"[+-]?[0-9]+")
+# numbers in ASCII only, for every reader of numbers in text: int() and float()
+# alone would also take "1_0" and "\u0661" (1). The float words inf, infinity and
+# nan match, so that range checks refuse them by name.
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                    r"|inf|infinity|nan)", re.ASCII | re.IGNORECASE)
 _TIMESTAMP = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
 
@@ -48,15 +53,13 @@ class SignedGraph:
     """Undirected signed graph over dense node ids 0..n-1.
 
     Edges are unordered pairs carrying a sign in {+1, -1}; an absent pair means
-    no edge. The one stored form of the edges is a read-only (m, 3) int64 array
-    of rows (u, v, sign) with u < v, sorted by (u, v) (`edge_array`). The tuple
-    of `edges()`, the pair keys and the per-node neighbor frozensets are built
-    from it the first time they are read, and `sign` searches the pair keys.
-    Instances are immutable after construction and safe to share across
-    threads: two threads that read a view first may both build it, alike.
+    no edge. The edges are kept as a read-only (m, 3) int64 array of rows
+    (u, v, sign) with u < v, sorted by (u, v) (`edge_array`), and the rows'
+    read-only pair keys u * n + v, ascending (`pair_keys`). Instances are
+    immutable after construction.
     """
 
-    __slots__ = ("n", "_edges", "_tuples", "_keys", "_pos", "_neg", "num_pos", "num_neg")
+    __slots__ = ("n", "_edges", "_keys", "num_pos", "num_neg")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]] | np.ndarray = ()):
         """`edges` is an iterable of (u, v, sign) triples or an (m, 3) integer
@@ -89,8 +92,8 @@ class SignedGraph:
                         f"duplicate edge {(int(lo[i]), int(hi[i]))}")
             raise ValueError(next(m for m, flag in zip(messages, flags) if flag[i]))
         self._edges = np.column_stack((lo[order], hi[order], s[order]))
-        self._edges.flags.writeable = False
-        self._tuples = self._keys = self._pos = self._neg = None
+        self._keys = keys[order]
+        self._edges.flags.writeable = self._keys.flags.writeable = False
         self.num_neg = int(np.count_nonzero(s == NEG))
         self.num_pos = len(rows) - self.num_neg
 
@@ -100,52 +103,13 @@ class SignedGraph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as a read-only (m, 3) int64 array of rows (u, v, sign), u < v,
-        sorted by (u, v): the graph's one stored form of its edges."""
+        sorted by (u, v)."""
         return self._edges
-
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """All edges as (u, v, sign) with u < v, sorted by (u, v)."""
-        if self._tuples is None:
-            self._tuples = tuple(map(tuple, self._edges.tolist()))
-        return self._tuples
 
     def pair_keys(self) -> np.ndarray:
         """The edges' pairs as a read-only array of row-major keys u * n + v,
         ascending: one per row of `edge_array`, in its order."""
-        if self._keys is None:
-            self._keys = self._edges[:, 0] * self.n + self._edges[:, 1]
-            self._keys.flags.writeable = False
         return self._keys
-
-    def sign(self, u: int, v: int) -> int:
-        """Sign of edge {u, v}, or 0 when absent."""
-        u, v = (u, v) if u < v else (v, u)
-        if not 0 <= u < v < self.n:
-            return 0
-        i = int(np.searchsorted(self.pair_keys(), u * self.n + v))
-        if i < len(self._edges) and self._edges[i, :2].tolist() == [u, v]:
-            return int(self._edges[i, 2])
-        return 0
-
-    def pos_neighbors(self, u: int) -> frozenset:
-        if self._pos is None:
-            self._neighbor_sets()
-        return self._pos[u]
-
-    def neg_neighbors(self, u: int) -> frozenset:
-        if self._neg is None:
-            self._neighbor_sets()
-        return self._neg[u]
-
-    def _neighbor_sets(self):
-        """Each node's neighbors of each sign, as frozensets, from the edge rows."""
-        for sign, slot in ((POS, "_pos"), (NEG, "_neg")):
-            u, v, _ = self._edges[self._edges[:, 2] == sign].T
-            ends = np.concatenate((u, v))
-            order = np.argsort(ends, kind="stable")
-            others = np.concatenate((v, u))[order].tolist()
-            bounds = np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
-            setattr(self, slot, [frozenset(others[a:b]) for a, b in zip([0] + bounds, bounds)])
 
     def __eq__(self, other):
         if not isinstance(other, SignedGraph):
@@ -159,12 +123,27 @@ class SignedGraph:
         return f"SignedGraph(n={self.n}, pos={self.num_pos}, neg={self.num_neg})"
 
 
-@dataclass(frozen=True)
+def neighbor_sets(g: SignedGraph) -> tuple[list[set], list[set]]:
+    """Each node's neighbors of each sign, as fresh (pos, neg) lists of sets
+    indexed by node, built from g's edge array; the caller owns them."""
+    edges = g.edge_array()
+    sets = []
+    for sign in (POS, NEG):
+        u, v, _ = edges[edges[:, 2] == sign].T
+        ends = np.concatenate((u, v))
+        others = np.concatenate((v, u))[np.argsort(ends, kind="stable")].tolist()
+        bounds = np.cumsum(np.bincount(ends, minlength=g.n)).tolist()
+        sets.append([set(others[a:b]) for a, b in zip([0] + bounds, bounds)])
+    return sets[0], sets[1]
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeSplit:
-    """Disjoint train/test partition of a graph's edges."""
+    """Disjoint train/test partition of a graph's edges: the train graph and the
+    held-out rows of the parent's edge array, a read-only (k, 3) int64 array."""
 
     train: SignedGraph
-    test: tuple[tuple[int, int, int], ...]
+    test: np.ndarray
 
 
 def _split_fields(line: str) -> list[str]:
@@ -178,25 +157,16 @@ def _split_fields(line: str) -> list[str]:
     return re.split(r"[ \t\r\v\f]+", line)
 
 
-def _parse_number(field: str, pattern: re.Pattern, lineno: int, what: str) -> int:
-    """The integer part of `field`, which `pattern` must match in full."""
-    try:
-        if pattern.fullmatch(field):
-            return int(field.partition(".")[0])
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ParseError(lineno, f"non-numeric {what} {field!r}")
-
-
 def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
     """Parse an edge-list stream into records.
 
     Each data line holds `source target weight [timestamp]`, comma- or
     whitespace-separated; lines starting with '#' or '%' are comments. The
-    weight is an optionally signed run of ASCII digits: with format="rating" an
-    integer rating in [-10, 10], with format="signed" +1 or -1. A timestamp is
-    such an integer, optionally with a decimal fraction (as in SNAP's
-    Bitcoin-OTC file), and is not kept. `source` may be a file object (text or
+    weight is an optionally signed run of ASCII digits, of any length: with
+    format="rating" an integer rating in [-10, 10], with format="signed" +1 or
+    -1; a range error quotes it as written. A timestamp is such an integer,
+    optionally with a decimal fraction (as in SNAP's Bitcoin-OTC file), and is
+    not kept. `source` may be a file object (text or
     binary), bytes, or str content, in UTF-8; a leading byte-order mark is
     dropped. Lines end at line feeds only (a CRLF's CR is stripped with the
     line's other edge whitespace), so line numbers count the line feed bytes,
@@ -223,13 +193,19 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
         src, dst = fields[0], fields[1]
         if not src or not dst:
             raise ParseError(lineno, "empty node label")
-        rating = _parse_number(fields[2], _WEIGHT, lineno, "weight")
-        if format == "rating" and not -10 <= rating <= 10:
-            raise ParseError(lineno, f"rating {rating} outside [-10, 10]")
+        weight = fields[2]
+        if not _INT.fullmatch(weight):
+            raise ParseError(lineno, f"non-numeric weight {weight!r}")
+        # past two digits, leading zeros aside, a weight is out of either range;
+        # int() would refuse more than sys.get_int_max_str_digits() of them
+        sign, magnitude = "-" if weight[0] == "-" else "", weight.lstrip("+-").lstrip("0")
+        rating = int(sign + (magnitude or "0")) if len(magnitude) <= 2 else None
+        if format == "rating" and (rating is None or not -10 <= rating <= 10):
+            raise ParseError(lineno, f"rating {weight} outside [-10, 10]")
         if format == "signed" and rating not in (POS, NEG):
-            raise ParseError(lineno, f"sign {rating} not in {{+1, -1}}")
-        if len(fields) == 4:
-            _parse_number(fields[3], _TIMESTAMP, lineno, "timestamp")
+            raise ParseError(lineno, f"sign {weight} not in {{+1, -1}}")
+        if len(fields) == 4 and not _TIMESTAMP.fullmatch(fields[3]):
+            raise ParseError(lineno, f"non-numeric timestamp {fields[3]!r}")
         records.append(RatingRecord(src, dst, rating))
     return records
 
@@ -268,8 +244,8 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
 
     Refuses a fraction that rounds to no held-out edge or to every edge.
     Deterministic for a given seed. The train graph keeps all n nodes. The draw
-    picks row indices of g's edge array; the test tuple and the train graph's
-    array are its picked and unpicked rows, each in g.edges() order.
+    picks row indices of g's edge array; the test array and the train graph's
+    array are its picked and unpicked rows, each in the parent's row order.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -285,7 +261,8 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     picked = np.zeros(m, dtype=bool)
     picked[rng.choice(m, size=k, replace=False)] = True
     edges = g.edge_array()
-    test = tuple(map(tuple, edges[picked].tolist()))
+    test = edges[picked]
+    test.flags.writeable = False
     return EdgeSplit(train=SignedGraph(g.n, edges[~picked]), test=test)
 
 

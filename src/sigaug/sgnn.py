@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SignedGraph, split_adjacency
+from .graph import _FLOAT, _INT, SignedGraph, split_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -284,8 +283,8 @@ def _backward(tensors: _GraphTensors, params: ModelParams, cache, d_hp, d_hn):
 
 
 def _edge_rows(g: SignedGraph) -> np.ndarray:
-    """g's edges as labelled (u, v, class) rows in g.edges() order; sign +1 is "+".
-    A copy of g's edge array with the sign column mapped to the class."""
+    """g's edges as labelled (u, v, class) rows in its edge array's order; sign
+    +1 is "+". A copy of the edge array with the sign column mapped to the class."""
     rows = g.edge_array().copy()
     rows[:, 2] = (1 - rows[:, 2]) // 2
     return rows
@@ -404,30 +403,25 @@ def _reg(params: ModelParams, weight_decay: float) -> float:
     return reg
 
 
-def _null_pool(edges: np.ndarray, n: int):
-    """Pairs not in `edges` as (P, 2) row-major rows, or None if too many to list.
-
-    `edges` must be rows in g.edges() order, as `_edge_rows` gives them: their
-    keys u * n + v then ascend, as do the listed pairs', and one search places
-    every edge among the pairs."""
-    if n * (n - 1) // 2 > max(_NULL_POOL_CUTOFF, len(edges)):  # a complete graph lists none
+def _null_pool(keys: np.ndarray, n: int):
+    """Pairs not among the edges' ascending pair keys u * n + v (`pair_keys`) as
+    (P, 2) row-major rows, or None if too many to list. The listed pairs' keys
+    ascend too, so one search places every edge among them."""
+    if n * (n - 1) // 2 > max(_NULL_POOL_CUTOFF, len(keys)):  # a complete graph lists none
         return None
     u, v = np.triu_indices(n, k=1)
     free = np.ones(len(u), dtype=bool)
-    free[np.searchsorted(u * n + v, edges[:, 0] * n + edges[:, 1])] = False
+    free[np.searchsorted(u * n + v, keys)] = False
     return np.column_stack((u[free], v[free]))
 
 
-def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
-    """`count` uniformly random pairs not in `edges` (with replacement), as "?" rows.
-
-    `edges` must be rows in g.edges() order, as `_edge_rows` gives them: their
-    keys u * n + v then ascend, and a rejection pass sorts only its draws and
+def _draw_nulls(keys: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
+    """`count` uniformly random pairs not among the edges' ascending pair keys
+    (with replacement), as "?" rows. A rejection pass sorts only its draws and
     looks them up in the keys (`_is_edge`)."""
     if pool is not None:
         pairs = pool[rng.integers(0, len(pool), size=count)] if len(pool) else pool
     else:
-        keys = edges[:, 0] * n + edges[:, 1]
         pairs = np.empty((0, 2), dtype=np.int64)
         for _ in range(_NULL_DRAW_PASSES):
             if len(pairs) == count:
@@ -437,9 +431,9 @@ def _draw_nulls(edges: np.ndarray, n: int, pool, count: int, rng) -> np.ndarray:
             keep = np.flatnonzero((lo != hi) & ~_is_edge(keys, lo * n + hi))[:count - len(pairs)]
             pairs = np.concatenate((pairs, np.column_stack((lo[keep], hi[keep]))))
         if len(pairs) < count:
-            share = 1.0 - len(edges) / (n * (n - 1) // 2)
+            share = 1.0 - len(keys) / (n * (n - 1) // 2)
             raise ValueError(f"cannot draw {count} non-adjacent pairs in {_NULL_DRAW_PASSES} "
-                             f"rejection passes: n={n}, {len(edges)} edges, "
+                             f"rejection passes: n={n}, {len(keys)} edges, "
                              f"free-pair share {share:.3g}")
     return np.column_stack((pairs, np.full(len(pairs), _NULL, dtype=np.int64)))
 
@@ -518,12 +512,12 @@ def train(g: SignedGraph, cfg: TrainConfig, samples_from: Optional[SignedGraph] 
                                  f"cfg has {name}={getattr(cfg, name)}")
         params = init  # warm start; rng stream position stays identical
     tensors = _GraphTensors(g, synth_features(g.n, cfg.feature_dim, cfg.seed))
-    edges = _edge_rows(sup)
-    pool = _null_pool(edges, sup.n)
+    edges, keys = _edge_rows(sup), sup.pair_keys()
+    pool = _null_pool(keys, sup.n)
     lr = cfg.learning_rate
     trace = []
     for epoch in range(cfg.epochs):
-        rows = np.concatenate((edges, _draw_nulls(edges, sup.n, pool, len(edges), rng)))
+        rows = np.concatenate((edges, _draw_nulls(keys, sup.n, pool, len(edges), rng)))
         if epoch == 0:  # every epoch draws the same number of samples per class
             weights = _class_weights(rows)
         value, grads = _grad_step(tensors, params, rows, weights, cfg, warn_missing=epoch == 0)
@@ -575,14 +569,10 @@ def load_embeddings(path) -> EmbeddingPair:
 
     Read as bytes, as `graph.load_edge_list` reads: lines end at line feeds
     only, fields part at ASCII whitespace, a node id is an optionally signed
-    run of ASCII digits and a value an ASCII decimal or exponent number (bytes
-    that are not UTF-8 show as U+FFFD in a message).
+    run of ASCII digits (`graph._INT`) and a value an ASCII decimal or exponent
+    number (`graph._FLOAT`); bytes that are not UTF-8 show as U+FFFD in a
+    message.
     """
-    # ASCII digits only: int() and float() alone also take "1_0" and "\u0661";
-    # the non-finite words pass here, to be refused as such below
-    node_id = re.compile(rb"[+-]?[0-9]+")
-    number = re.compile(rb"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-                        rb"|inf|infinity|nan)", re.IGNORECASE)
     with open(path, "rb") as fh:
         data = fh.read()
     rows = []
@@ -590,19 +580,20 @@ def load_embeddings(path) -> EmbeddingPair:
         fields = line.split()
         if not fields:
             continue
+        texts = [f.decode(errors="replace") for f in fields]
         try:
-            node = int(fields[0]) if node_id.fullmatch(fields[0]) else None
+            node = int(fields[0]) if _INT.fullmatch(texts[0]) else None
         except ValueError:  # more digits than int() converts
             node = None
         if node != len(rows):
             raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
-                             f"integers, got {fields[0].decode(errors='replace')!r}")
+                             f"integers, got {texts[0]!r}")
         if len(fields) == 1:
             raise ValueError(f"{path}:{lineno}: node {node} has no embedding values")
-        for value in fields[1:]:
-            if not number.fullmatch(value):
+        for text in texts[1:]:  # the non-finite words pass here, refused below
+            if not _FLOAT.fullmatch(text):
                 raise ValueError(f"{path}:{lineno}: could not convert string to float: "
-                                 f"{value.decode(errors='replace')!r}")
+                                 f"{text!r}")
         rows.append([float(v) for v in fields[1:]])
         if not all(map(math.isfinite, rows[-1])):
             raise ValueError(f"{path}:{lineno}: non-finite embedding value")

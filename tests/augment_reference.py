@@ -33,6 +33,8 @@ from sigaug.augment import (_RATIO_TOL, ADD, NOT_GATED, REMOVE, LogEntry,
 from sigaug.balance import DISCARD, ETA_DEFAULT, KEEP, check_eta, filter_edge
 from sigaug.graph import SignedGraph, split_adjacency
 
+from graph_reference import reference_of
+
 # hard cap for the exhaustive enumeration oracle
 _ORACLE_MAX_NODES = 14
 
@@ -78,7 +80,8 @@ def oracle_count_cycles(g: SignedGraph, eta: int = ETA_DEFAULT) -> tuple[dict, d
         raise ValueError(f"enumeration oracle refuses n={g.n} > {_ORACLE_MAX_NODES}")
     check_eta(eta)
     n = g.n
-    adj = [sorted([(w, 1) for w in g.pos_neighbors(u)] + [(w, -1) for w in g.neg_neighbors(u)])
+    ref = reference_of(g)
+    adj = [sorted([(w, 1) for w in ref.pos_neighbors(u)] + [(w, -1) for w in ref.neg_neighbors(u)])
            for u in range(n)]
     # counts[length][parity] with parity 1 = odd number of negative edges
     counts = {length: (np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64))
@@ -176,14 +179,15 @@ class ReferenceState:
         self.cfg = cfg
         self.probs = probs
         self.original_edge_count = g.num_edges
-        self.pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
-        self.neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
+        ref = reference_of(g)
+        self.pos_adj = [set(ref.pos_neighbors(u)) for u in range(n)]
+        self.neg_adj = [set(ref.neg_neighbors(u)) for u in range(n)]
         self.log = PerturbationLog()
         self.last_round_actions = 0
         self.addable = np.triu(np.ones((n, n), dtype=bool), k=1)
         self.pos_removable = np.zeros((n, n), dtype=bool)
         self.neg_removable = np.zeros((n, n), dtype=bool)
-        for u, v, s in g.edges():
+        for u, v, s in ref.edges():
             self.addable[u, v] = False
             (self.pos_removable if s > 0 else self.neg_removable)[u, v] = True
 

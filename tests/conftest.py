@@ -2,6 +2,7 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 import sigaug as sg
 from sigaug.evaluate import METRIC_NAMES, MetricReport
@@ -11,6 +12,11 @@ CONGRESS = REPO / "data" / "congress_synthetic.txt"
 # the breaks str.splitlines honours besides the line feed and CRLF; the input
 # readers end lines at line feeds only
 LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# every property test draws the same examples on every run, so tier-1 repeats;
+# a test's own settings keep their example budget
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # the subprocess tests run `python -m sigaug`: give them this checkout's src/,
 # as pyproject's pytest pythonpath gives it to this process

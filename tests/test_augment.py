@@ -14,10 +14,12 @@ from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, NOT_GATED,
                             _blocks, _first_chunk, _propensity_rows, _ranked_pairs,
                             edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
+from sigaug.graph import neighbor_sets
 
 from augment_reference import (reference_augment, reference_block_best,
                                reference_pair_utility)
 from conftest import random_signed_graph
+from graph_reference import reference_of
 
 # a value below every score, for the hand-built matrices' unread entries
 DIAG_SENTINEL = -1e30
@@ -164,7 +166,7 @@ class TestFuse:
         mp = {"gt": 0.9, "lt": 0.2, "eq": 0.5}[rel]
         probs = sg.ProbabilityMatrices(np.full((2, 2), mp), np.full((2, 2), 0.5))
         fused = sg.fuse(apos, aneg, probs)
-        assert fused.sign(0, 1) == expected
+        assert reference_of(fused).sign(0, 1) == expected
 
     def test_asymmetric_rejected(self):
         apos = np.zeros((2, 2), dtype=np.int64)
@@ -345,8 +347,7 @@ class TestAugment:
         g = signed_graph_with_both(17, n=25, density=0.2)
         pair = trained_pair(g, epochs=10)
         out = sg.augment(g, pair, sg.EPRConfig(theta_target=1 / 9, delta_target=0.6, mu=0.7))
-        pos_adj = [set(g.pos_neighbors(u)) for u in range(g.n)]
-        neg_adj = [set(g.neg_neighbors(u)) for u in range(g.n)]
+        pos_adj, neg_adj = neighbor_sets(g)
         gated = 0
         for e in out.log.entries:
             if e.sign < 0:
@@ -368,8 +369,7 @@ class TestAugment:
         g = signed_graph_with_both(19, n=30, density=0.08)
         pair = trained_pair(g, epochs=5)
         out = sg.augment(g, pair, sg.EPRConfig(theta_target=1 / 9, delta_target=0.6, mu=0.7))
-        pos_adj = [set(g.pos_neighbors(u)) for u in range(g.n)]
-        neg_adj = [set(g.neg_neighbors(u)) for u in range(g.n)]
+        pos_adj, neg_adj = neighbor_sets(g)
         free = 0
         for e in out.log.entries:
             if e.sign < 0 and e.action == ADD and e.performed:
@@ -679,8 +679,10 @@ class TestAugmentGraphFromLog:
 
     @staticmethod
     def refills(g, pair, cfg):
-        """Run augment, check its graph against its working sets, and return its
-        number of add-pool refills."""
+        """Run augment, check its graph against its working sets and its input
+        graph against a copy taken before, and return its number of add-pool
+        refills."""
+        before = (g.edge_array().copy(), g.pair_keys().copy(), sg.compute_utilities(g, cfg.eta))
         module = importlib.import_module("sigaug.augment")
         state_class, block_best = module.AugmentationState, module._block_best
         states, calls = [], []
@@ -701,6 +703,10 @@ class TestAugmentGraphFromLog:
         assert out.graph == working_set_union(state)
         assert out.graph.num_edges == g.num_edges + sum(
             (1 if e.action == ADD else -1) for e in out.log.entries if e.performed)
+        # the run owns its working sets: the input graph and its scores stay
+        assert np.array_equal(g.edge_array(), before[0])
+        assert np.array_equal(g.pair_keys(), before[1])
+        assert sg.compute_utilities(g, cfg.eta) == before[2]
         return sum(calls)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),

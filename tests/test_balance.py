@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.balance import DISCARD, KEEP
+from sigaug.graph import neighbor_sets
 
 from augment_reference import (count_cycles, edge_utility, expected_entropy_after_perturbation,
                                oracle_count_cycles, reference_pair_utility)
@@ -136,7 +137,7 @@ class TestEdgeUtility:
         for _ in range(10):
             g = random_signed_graph(rng, 9, 0.5, 0.4)
             counts = count_cycles(g, 4)
-            for u, v, _s in g.edges():
+            for u, v, _s in g.edge_array().tolist():
                 util = edge_utility(counts, u, v)
                 assert util is None or 0.0 <= util <= 1.0
 
@@ -171,8 +172,7 @@ class TestPairUtility:
         for _ in range(30):
             g = random_signed_graph(rng, 10, 0.4, 0.4)
             counts = count_cycles(g, 4)
-            pos_adj = [set(g.pos_neighbors(u)) for u in range(g.n)]
-            neg_adj = [set(g.neg_neighbors(u)) for u in range(g.n)]
+            pos_adj, neg_adj = neighbor_sets(g)
             for _ in range(10):
                 u, v = rng.choice(g.n, size=2, replace=False)
                 assert sg.pair_utility(pos_adj, neg_adj, int(u), int(v), 4) == \
@@ -186,9 +186,8 @@ class TestPairUtility:
         # density 0 leaves every frontier empty
         g = random_signed_graph(np.random.default_rng(seed), n, density, neg)
         if isolate:
-            g = sg.SignedGraph(n, [(u, v, s) for u, v, s in g.edges() if u != 0])
-        pos_adj = [set(g.pos_neighbors(u)) for u in range(n)]
-        neg_adj = [set(g.neg_neighbors(u)) for u in range(n)]
+            g = sg.SignedGraph(n, [e for e in g.edge_array().tolist() if e[0] != 0])
+        pos_adj, neg_adj = neighbor_sets(g)
         for eta in range(3, 7):
             counts = count_cycles(g, eta)
             oracle = oracle_count_cycles(g, eta)
@@ -205,11 +204,10 @@ class TestPairUtility:
         # pairs of the hub and a low-degree node, with their edge present and absent
         g = hub_graph()
         graphs = [(g, range(1, 30))] + [
-            (sg.SignedGraph(30, [e for e in g.edges() if e[:2] != (0, v)]), [v])
+            (sg.SignedGraph(30, [e for e in g.edge_array().tolist() if e[:2] != [0, v]]), [v])
             for v in range(1, 25)]
         for h, others in graphs:
-            pos_adj = [set(h.pos_neighbors(u)) for u in range(h.n)]
-            neg_adj = [set(h.neg_neighbors(u)) for u in range(h.n)]
+            pos_adj, neg_adj = neighbor_sets(h)
             for eta in range(3, 7):
                 counts = count_cycles(h, eta)
                 for v in others:
@@ -238,7 +236,7 @@ class TestComputeUtilities:
     @staticmethod
     def assert_matches_count_matrices(g, eta):
         counts = count_cycles(g, eta)
-        expected = [((u, v), edge_utility(counts, u, v)) for u, v, s in g.edges() if s < 0]
+        expected = [((u, v), edge_utility(counts, u, v)) for u, v, s in g.edge_array().tolist() if s < 0]
         # list equality checks the edge order and the None places too
         assert list(sg.compute_utilities(g, eta).items()) == expected
 

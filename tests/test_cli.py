@@ -8,8 +8,8 @@ import pytest
 import sigaug as sg
 from sigaug.balance import KEEP
 from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        _experiment_config, format_config, main, parse_config_text,
-                        resolve_config)
+                        _experiment_config, build_parser, format_config, main,
+                        parse_config_text, resolve_config)
 
 from augment_reference import count_cycles, edge_utility
 from conftest import LINE_BREAKS, parse_report
@@ -103,6 +103,39 @@ class TestUsage:
         assert proc.returncode == EXIT_USAGE
         assert "invalid" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("sub,flag,value", [
+        ("train", "--epochs", "1_0"), ("evaluate", "--runs", "\u0662"),
+        ("balance", "--eta", "\u0664"), ("balance", "--mu", "\u0660.5"),
+        ("evaluate", "--theta", "1/\u0669"), ("evaluate", "--delta", "0.5\u00a0"),
+        ("sweep", "--mu-grid", "0.5,0_7"), ("evaluate", "--learning-rate", "1e\u0662"),
+    ], ids=["underscore_int", "arabic_indic_int", "arabic_indic_eta", "arabic_indic_float",
+            "arabic_indic_denominator", "nbsp_after_float", "underscore_in_list",
+            "arabic_indic_exponent"])
+    def test_non_ascii_number_flag_refused(self, capsys, congress_path, sub, flag, value):
+        # int() and float() alone take these: 1_0 as 10, \u0664 as 4, \u0660.5 as 0.5
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--dataset", str(congress_path), flag, value])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: invalid" in err and repr(value) in err
+
+    def test_ascii_number_flags_accepted(self):
+        parser = build_parser()
+        args = parser.parse_args(["sweep", "--epochs", " 2", "--mu-grid", "0.5, 0.7,",
+                                  "--theta-grid", "1 / 9", "--learning-rate", "+1E-2"])
+        assert (args.epochs, args.mu_grid, args.learning_rate) == (2, (0.5, 0.7), 0.01)
+        assert args.theta_grid == (1 / 9,)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mu", "nan", "mu must be in [0, 0.9], got nan"),
+        ("--mu", "-inf", "mu must be in [0, 0.9], got -inf"),
+        ("--theta", "Infinity", "theta must be positive and finite"),
+    ])
+    def test_non_finite_flags_reach_the_range_checks(self, capsys, congress_path, flag,
+                                                     value, message):
+        assert main(["augment", "--dataset", str(congress_path), f"{flag}={value}"]) == EXIT_IO
+        assert f"input error: {message}" in capsys.readouterr().err
+
     def test_sweep_has_no_augmentation_key(self, congress_path):
         # a sweep always runs sigaug; without it every cell would be one baseline
         proc = run_cli("sweep", "--dataset", str(congress_path), "--augmentation", "none")
@@ -152,7 +185,7 @@ class TestBalanceCmd:
         assert code == EXIT_OK
         counts = count_cycles(congress_graph, eta)
         utils = [((u, v), edge_utility(counts, u, v))
-                 for u, v, s in sorted(congress_graph.edges()) if s < 0]
+                 for u, v, s in congress_graph.edge_array().tolist() if s < 0]
         kept = sum(1 for _edge, util in utils if sg.filter_edge(util, 0.7) == KEEP)
         expected = [f"{u} {v} -1 {'undef' if util is None else repr(util)}"
                     for (u, v), util in utils]
@@ -465,7 +498,14 @@ class TestConfigResolution:
         ("train", "epochs = ten", "epochs: invalid literal for int() with base 10: 'ten'"),
         ("sweep", "mu_grid = 0.5,abc", "mu_grid: could not convert string to float: 'abc'"),
         ("evaluate", "theta = 1/0", "theta: '1/0' divides by zero"),
-    ], ids=["int", "float_list", "zero_denominator"])
+        ("train", "epochs = 1_0", "epochs: invalid literal for int() with base 10: '1_0'"),
+        ("balance", "eta = \u0664", "eta: invalid literal for int() with base 10: '\u0664'"),
+        ("balance", "mu = \u0660.5", "mu: could not convert string to float: '\u0660.5'"),
+        ("evaluate", "theta = \u0661/9", "theta: could not convert string to float: '\u0661'"),
+        ("sweep", "delta_grid = 0.5,\u0660.7",
+         "delta_grid: could not convert string to float: '\u0660.7'"),
+    ], ids=["int", "float_list", "zero_denominator", "underscore_int", "arabic_indic_int",
+            "arabic_indic_float", "arabic_indic_numerator", "arabic_indic_in_list"])
     def test_bad_config_value_names_line_and_key(self, tmp_path, congress_path, sub, line,
                                                  message):
         conf = tmp_path / "bad.conf"

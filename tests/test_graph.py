@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigaug as sg
-from sigaug.graph import ParseError
+from sigaug.graph import ParseError, neighbor_sets
 
 from conftest import LINE_BREAKS, REPO, random_signed_graph
-from graph_reference import ReferenceGraph, reference_split_edges
+from graph_reference import (ReferenceGraph, ReferenceParseError, reference_load_edge_list,
+                             reference_of, reference_split_edges)
 
 
 class TestLoadEdgeList:
@@ -120,20 +121,137 @@ class TestLoadEdgeList:
             sg.load_edge_list("a b 1", "csv")
 
 
+# pieces of edge-list lines. Valid ones: labels that hold Unicode digits,
+# spaces, separators and marks, ASCII separators, weights with leading zeros
+# or of thousands of digits, timestamps with fractions. A line is mutated now
+# and then: Unicode digits and spaces, NaN/inf text, huge integers, line breaks
+# other than the line feed, comment starts, missing or extra fields.
+_LABEL_CHARS = list("ab7#%") + ["\u0661", "\xa0", "\u3000", "\u2028", "\x1c", "\x85",
+                                "\ufeff", "\u0301", "\x00"]
+_SEPARATORS = [" ", "\t", "  ", " \x0b", "\x0c", "\r", ",", ", ", " ,\t"]
+_WEIGHTS = ["1", "-1", "+1", "01", "-0001", "0" * 4400 + "1", "-" + "0" * 4301 + "1"]
+_TIMESTAMPS = ["1407470400", "1289241911.72836", "-1.5", "+0", "1" * 5000, "1." + "0" * 5000]
+_EDGES = ["", "", " ", "\t", "\r", "\x0b\x0c"]
+_ENDS = ["\n", "\n", "\r\n", "\n\n"]
+_OTHER_LINES = ["", "  ", "# a b x", "% x", " # 1 2 x", "\t%"]
+_BAD = {
+    "weight": ["0", "-0", "10", "-10", "11", "100", "9" * 5000, "1_0", "\u0661", "\uff11",
+               "1.0", "1e0", "nan", "NaN", "inf", "-Infinity", "", "x"],
+    "timestamp": ["1.", ".5", "1e9", "nan", "inf", "1_0", "\u0661", "", "x"],
+    "separator": [",,", "\xa0", "\u3000", "\x1c", "\u2028", "\x85"],
+    "edge": ["\xa0", "\x85", "\ufeff", "\u2028"],
+    "break": LINE_BREAKS,
+    "label": ["", ",", "#", "a b"],
+    "count": [2, 5],
+}
+_BAD_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def edge_list_bytes(draw):
+    """An edge list of up to 6 lines, mostly records and mostly valid, as bytes."""
+    data = b""
+    for _ in range(draw(st.integers(0, 6))):
+        bad = draw(st.sampled_from([None] * 5 + sorted(_BAD)))
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(st.sampled_from(_OTHER_LINES))
+        else:
+            label = st.text(st.sampled_from(_LABEL_CHARS), max_size=3).map(lambda t: "n" + t)
+            fields = [draw(label), draw(label), draw(st.sampled_from(_WEIGHTS)),
+                      draw(st.sampled_from(_TIMESTAMPS)), "x"]
+            count = draw(st.sampled_from((3, 4)))
+            if bad in ("weight", "timestamp"):
+                fields[2 if bad == "weight" else 3] = draw(st.sampled_from(_BAD[bad]))
+                count = max(count, 4) if bad == "timestamp" else count
+            elif bad == "label":
+                fields[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD[bad]))
+            elif bad == "count":
+                count = draw(st.sampled_from(_BAD[bad]))
+            commas = draw(st.booleans())  # one comma makes the line a comma line
+            seps = [x for x in _SEPARATORS if ("," in x) == commas]
+            seps = _BAD["separator"] + seps if bad == "separator" else seps
+            line = fields[0]
+            for field in fields[1:count]:
+                line += draw(st.sampled_from(seps)) + field
+            edges = _BAD["edge"] if bad == "edge" else _EDGES
+            line = draw(st.sampled_from(edges)) + line + draw(st.sampled_from(_EDGES))
+        if bad == "break":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(LINE_BREAKS)) + line[at:]
+        data += line.encode() + draw(st.sampled_from(_ENDS)).encode()
+    if data and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_BAD_UTF8)) + data[at:]
+    if draw(st.booleans()):
+        data = "\ufeff".encode() + data
+    return data
+
+
+_KINDS = {"not UTF-8": "utf8", "expected 3 or 4 fields": "fields", "empty node label": "label",
+          "non-numeric weight": "weight", "rating ": "range", "sign ": "range",
+          "non-numeric timestamp": "timestamp"}
+
+
+def _loaded(load, data, format):
+    """("ok", records) or ("error", line, kind) from either loader."""
+    try:
+        return "ok", [tuple(r) if isinstance(r, tuple) else (r.source, r.target, r.rating)
+                      for r in load(data, format)]
+    except ReferenceParseError as exc:
+        return "error", exc.lineno, exc.kind
+    except ParseError as exc:
+        message = str(exc).split(": ", 1)[1]
+        (kind,) = [k for prefix, k in _KINDS.items() if message.startswith(prefix)]
+        return "error", exc.lineno, kind
+
+
+class TestLoadEdgeListMatchesReference:
+    """load_edge_list against the bytes-and-regex reference parser: the same
+    verdict, records, error line and error kind."""
+
+    @given(data=edge_list_bytes(), format=st.sampled_from(sg.graph.FORMATS))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_files(self, data, format):
+        want = _loaded(reference_load_edge_list, data, format)
+        assert _loaded(sg.load_edge_list, data, format) == want
+        assert _loaded(sg.load_edge_list, io.BytesIO(data), format) == want
+
+    @pytest.mark.parametrize("text,format,want", [
+        ("a b " + "0" * 4400 + "1\n", "signed", ("ok", [("a", "b", 1)])),
+        ("a b -" + "0" * 4301 + "10\n", "rating", ("ok", [("a", "b", -10)])),
+        ("a b " + "9" * 5000 + "\n", "rating", ("error", 1, "range")),
+        ("a b +07\nc d 100\n", "rating", ("error", 2, "range")),
+        ("a b 1 " + "1" * 5000 + "\n", "signed", ("ok", [("a", "b", 1)])),
+        ("a b 1 1." + "0" * 5000 + "\n", "signed", ("ok", [("a", "b", 1)])),
+        (b"a b x\n\xff\n", "signed", ("error", 2, "utf8")),
+    ], ids=["zeros_then_one", "zeros_then_ten", "huge_weight", "three_digits",
+            "huge_timestamp", "long_fraction", "utf8_first"])
+    def test_cases(self, text, format, want):
+        data = text if isinstance(text, bytes) else text.encode()
+        assert _loaded(reference_load_edge_list, data, format) == want
+        assert _loaded(sg.load_edge_list, data, format) == want
+
+    def test_range_message_quotes_the_weight(self):
+        with pytest.raises(ParseError, match=r"^line 1: rating \+011 outside \[-10, 10\]$"):
+            sg.load_edge_list("a b +011", "rating")
+        with pytest.raises(ParseError, match=r"^line 1: sign 9{5000} not in \{\+1, -1\}$"):
+            sg.load_edge_list("a b " + "9" * 5000, "signed")
+
+
 class TestBuildGraph:
     def test_single_positive_rating(self):
         g = sg.build_graph([sg.RatingRecord("a", "b", 10)])
-        assert g.n == 2 and g.edges() == ((0, 1, 1),)
+        assert g.n == 2 and g.edge_array().tolist() == [[0, 1, 1]]
 
     def test_negative_wins_policy(self):
         recs = [sg.RatingRecord("a", "b", 5), sg.RatingRecord("b", "a", -2)]
         g = sg.build_graph(recs)
-        assert g.sign(0, 1) == -1
-        assert sg.build_graph(recs[::-1]).sign(0, 1) == -1
+        assert g.edge_array().tolist() == [[0, 1, -1]]
+        assert sg.build_graph(recs[::-1]).edge_array().tolist() == [[0, 1, -1]]
 
     def test_zero_rating_maps_negative(self):
         g = sg.build_graph([sg.RatingRecord("a", "b", 0)])
-        assert g.sign(0, 1) == -1
+        assert g.edge_array().tolist() == [[0, 1, -1]]
 
     def test_self_loops_dropped(self):
         g = sg.build_graph([sg.RatingRecord("a", "a", 3), sg.RatingRecord("a", "b", 3)])
@@ -143,14 +261,14 @@ class TestBuildGraph:
         recs = [sg.RatingRecord("z", "m", 1), sg.RatingRecord("a", "z", 1)]
         g = sg.build_graph(recs)
         # z -> 0, m -> 1, a -> 2
-        assert g.n == 3 and g.sign(0, 1) != 0 and g.sign(0, 2) != 0
+        assert g.n == 3 and g.edge_array()[:, :2].tolist() == [[0, 1], [0, 2]]
 
     def test_rebuild_of_own_output_is_lossless(self):
         # re-serializing a built graph and building again relabels nodes by
         # first appearance but must not merge, drop or re-sign any edge
         rng = np.random.default_rng(5)
         g = random_signed_graph(rng, 12, 0.4, 0.4)
-        text = "\n".join(f"{u} {v} {s}" for u, v, s in g.edges())
+        text = "\n".join(f"{u} {v} {s}" for u, v, s in g.edge_array().tolist())
         records = sg.load_edge_list(text, "signed")
         g2 = sg.build_graph(records)
         label_map = {}
@@ -158,8 +276,9 @@ class TestBuildGraph:
             for lab in (rec.source, rec.target):
                 label_map.setdefault(lab, len(label_map))
         assert g2.n == g.n and g2.num_edges == g.num_edges
-        for u, v, s in g.edges():
-            assert g2.sign(label_map[str(u)], label_map[str(v)]) == s
+        ref2 = reference_of(g2)
+        for u, v, s in g.edge_array().tolist():
+            assert ref2.sign(label_map[str(u)], label_map[str(v)]) == s
 
     def test_empty_records(self):
         g = sg.build_graph([])
@@ -179,11 +298,24 @@ class TestSignedGraph:
 
     def test_neighbor_lookup_split_by_sign(self):
         g = sg.SignedGraph(4, [(0, 1, 1), (0, 2, -1), (2, 3, -1)])
-        assert g.pos_neighbors(0) == {1}
-        assert g.neg_neighbors(0) == {2}
-        assert g.sign(1, 3) == 0
-        # 0.25 * 4 + 1 is the key of (0, 2): a key match alone is not an edge
-        assert g.sign(0.25, 1) == 0 and g.sign(2, 0) == -1 and g.sign(3, 2) == -1
+        pos, neg = neighbor_sets(g)
+        assert pos == [{1}, {0}, set(), set()]
+        assert neg == [{2}, set(), {0, 3}, {2}]
+        assert neighbor_sets(sg.SignedGraph(2)) == ([set(), set()], [set(), set()])
+
+    def test_neighbor_sets_are_fresh_and_owned(self):
+        g = random_signed_graph(np.random.default_rng(4), 9, 0.5, 0.4)
+        ref = reference_of(g)
+        first, second = neighbor_sets(g), neighbor_sets(g)
+        for sets, other, want in ((first[0], second[0], ref.pos_neighbors),
+                                  (first[1], second[1], ref.neg_neighbors)):
+            assert [type(x) for x in sets] == [set] * g.n
+            assert sets == [want(u) for u in range(g.n)]
+            assert all(a is not b for a, b in zip(sets, other))
+        first[0][0].add(8)
+        first[1][3].clear()
+        assert neighbor_sets(g) == second
+        assert second[0][0] == ref.pos_neighbors(0) and second[1][3] == ref.neg_neighbors(3)
 
     def test_non_integer_entries_refused(self):
         # np.fromiter(..., np.int64) would truncate 1.5 to 1 and read "1" as 1; the
@@ -216,7 +348,7 @@ class TestSignedGraph:
         want = sg.SignedGraph(4, [(0, 1, 1), (2, 3, 1)])
         for dtype in (np.uint16, np.uint64):
             assert sg.SignedGraph(4, np.array([[3, 2, 1], [1, 0, 1]], dtype=dtype)) == want
-        assert sg.SignedGraph(2, np.array([[True, False, True]])).edges() == ((0, 1, 1),)
+        assert sg.SignedGraph(2, np.array([[True, False, True]])).edge_array().tolist() == [[0, 1, 1]]
         with pytest.raises(ValueError, match="triples"):
             sg.SignedGraph(4, [(0, 1), (2, 3)])
 
@@ -276,16 +408,12 @@ class TestSignedGraphMatchesReference:
         n, edges = data.draw(edge_lists())
         form = data.draw(st.sampled_from(_FORMS))
         g, ref = sg.SignedGraph(n, _as_form(edges, form)), ReferenceGraph(n, edges)
-        assert g.edges() == ref.edges()
         assert g.edge_array().tolist() == [list(e) for e in ref.edges()]
         assert g.pair_keys().tolist() == [u * n + v for u, v, _ in ref.edges()]
         assert (g.num_edges, g.num_pos, g.num_neg) == (ref.num_edges, ref.num_pos, ref.num_neg)
-        for u in range(n):
-            assert g.pos_neighbors(u) == ref.pos_neighbors(u)
-            assert g.neg_neighbors(u) == ref.neg_neighbors(u)
-        for u in range(-1, n + 1):
-            for v in range(-1, n + 1):
-                assert g.sign(u, v) == ref.sign(u, v)
+        pos, neg = neighbor_sets(g)
+        assert pos == [ref.pos_neighbors(u) for u in range(n)]
+        assert neg == [ref.neg_neighbors(u) for u in range(n)]
         # another order and form of the same edges, and a graph one edge away
         other = data.draw(st.permutations(edges))
         other_form = data.draw(st.sampled_from(_FORMS))
@@ -362,13 +490,16 @@ class TestSplitMatchesReference:
     @pytest.mark.parametrize("name", ["congress", "synth1k"])
     def test_seeds_0_to_20(self, name, congress_graph, synth1k_graph):
         g = congress_graph if name == "congress" else synth1k_graph
-        ref = ReferenceGraph(g.n, g.edges())
+        ref = reference_of(g)
         for seed in range(21):
             split = sg.split_edges(g, 0.2, seed)
             train, test = reference_split_edges(ref, 0.2, seed)
-            assert split.test == test
-            assert split.train.edges() == train.edges()
+            assert split.test.dtype == np.int64 and not split.test.flags.writeable
+            assert split.test.tolist() == [list(e) for e in test]
+            assert split.train.edge_array().tolist() == [list(e) for e in train.edges()]
             assert split.train.n == g.n
+        with pytest.raises(ValueError, match="read-only"):
+            split.test[0, 2] = -split.test[0, 2]
 
 
 class TestSplitEdges:
@@ -385,7 +516,7 @@ class TestSplitEdges:
         g = random_signed_graph(rng, 10, 0.4)
         a = sg.split_edges(g, 0.3, seed=42)
         b = sg.split_edges(g, 0.3, seed=42)
-        assert a.test == b.test and a.train == b.train
+        assert np.array_equal(a.test, b.test) and a.train == b.train
 
     def test_partition_property(self):
         rng = np.random.default_rng(2)
@@ -395,9 +526,9 @@ class TestSplitEdges:
                 continue
             frac = rng.uniform(0.1, 0.9)
             split = sg.split_edges(g, frac, seed=int(rng.integers(1 << 30)))
-            train = set(split.train.edges())
-            test = set(split.test)
-            assert train | test == set(g.edges())
+            train = set(map(tuple, split.train.edge_array().tolist()))
+            test = set(map(tuple, split.test.tolist()))
+            assert train | test == set(map(tuple, g.edge_array().tolist()))
             assert not train & test
             assert len(test) == int(math.floor(frac * g.num_edges + 0.5))
             assert split.train.n == g.n
@@ -442,9 +573,10 @@ class TestSplitAdjacency:
         g = random_signed_graph(rng, 10, 0.4, 0.4)
         apos, aneg = sg.split_adjacency(g)
         a = (apos - aneg).toarray()
+        ref = reference_of(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert a[u, v] == g.sign(u, v)
+                assert a[u, v] == ref.sign(u, v)
 
     def test_congress_nnz_identity(self, congress_graph):
         apos, aneg = sg.split_adjacency(congress_graph)

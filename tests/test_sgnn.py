@@ -141,7 +141,7 @@ class TestLoss:
         rng = np.random.default_rng(3)
         params = init_params(5, 6, 2, rng)
         Z = rng.normal(size=(g.n, 6))
-        samples = [(u, v, "+" if s > 0 else "-") for u, v, s in g.edges()]
+        samples = [(u, v, "+" if s > 0 else "-") for u, v, s in g.edge_array().tolist()]
         samples += [(0, 5, "?"), (1, 7, "?")]
         cfg0 = sg.TrainConfig(lam=0.0, weight_decay=0.0, embed_dim=6, feature_dim=5)
         cfg5 = sg.TrainConfig(lam=5.0, weight_decay=0.0, embed_dim=6, feature_dim=5)
@@ -189,14 +189,15 @@ class TestLoss:
         rng = np.random.default_rng(4)
         params = init_params(5, 6, 2, rng)
         x = sg.synth_features(g.n, 5, 2)
-        samples = [(u, v, "+" if s > 0 else "-") for u, v, s in g.edges()]
+        samples = [(u, v, "+" if s > 0 else "-") for u, v, s in g.edge_array().tolist()]
         samples += [(0, 4, "?"), (2, 9, "?")]
         cfg = sg.TrainConfig(embed_dim=6, feature_dim=5)
         Z = sg.concat(sg.forward(g, params, x))
         base = ref.loss(Z, samples, params, cfg)
 
         perm = rng.permutation(g.n)
-        g2 = sg.SignedGraph(g.n, [(int(perm[u]), int(perm[v]), s) for u, v, s in g.edges()])
+        g2 = sg.SignedGraph(g.n, [(int(perm[u]), int(perm[v]), s)
+                                  for u, v, s in g.edge_array().tolist()])
         x2 = np.empty_like(x)
         x2[perm] = x
         samples2 = [(int(perm[u]), int(perm[v]), c) for u, v, c in samples]
@@ -236,10 +237,11 @@ class TestTrain:
         params0 = init_params(5, cfg.embed_dim, cfg.layers, rng)
         x = sg.synth_features(g.n, cfg.feature_dim, cfg.seed)
         tensors = _GraphTensors(g, x)
-        edges = np.array([(u, v, 0 if s > 0 else 1) for u, v, s in g.edges()])
+        edges = np.array([(u, v, 0 if s > 0 else 1) for u, v, s in g.edge_array().tolist()])
         counts = [g.num_pos, g.num_neg, g.num_edges]  # "+", "-", "?"
         weights = np.array([sum(counts) / (3 * k) for k in counts])
-        nulls = _draw_nulls(edges, g.n, _null_pool(edges, g.n), g.num_edges, rng)
+        keys = g.pair_keys()
+        nulls = _draw_nulls(keys, g.n, _null_pool(keys, g.n), g.num_edges, rng)
         _, grads = _grad_step(tensors, params0, np.concatenate((edges, nulls)), weights, cfg)
         step = np.concatenate([(a - b).ravel() for a, b in
                                zip(res.params.arrays(), params0.arrays())])
@@ -304,7 +306,7 @@ class TestLayer0Inputs:
         cfg = sg.TrainConfig(epochs=epochs, embed_dim=6, feature_dim=5)
         base = sg.train(g, cfg)
         assert len(calls) == 1
-        propagate = sg.SignedGraph(g.n, g.edges()[1:])  # a retrain's graph differs from g
+        propagate = sg.SignedGraph(g.n, g.edge_array()[1:])  # a retrain's graph differs from g
         sg.train(propagate, cfg, samples_from=g, init=base.params)
         assert len(calls) == 2
 
@@ -340,15 +342,16 @@ class TestSamplePipelineMatchesReference:
     """The int row pipeline against the tuple pipeline in trainer_reference."""
 
     def check(self, g, seed):
-        edges = _edge_rows(g)
-        assert _tuples(edges) == [(u, v, "+" if s > 0 else "-") for u, v, s in g.edges()]
-        pool, ref_pool = _null_pool(edges, g.n), ref._null_pool(g)
+        edges, keys = _edge_rows(g), g.pair_keys()
+        assert _tuples(edges) == [(u, v, "+" if s > 0 else "-")
+                                  for u, v, s in g.edge_array().tolist()]
+        pool, ref_pool = _null_pool(keys, g.n), ref._null_pool(g)
         assert (pool is None) == (ref_pool is None)
         if pool is not None:
             assert [tuple(p) for p in pool.tolist()] == ref_pool
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):  # the second draw checks that both streams stayed in step
-            nulls = _draw_nulls(edges, g.n, pool, g.num_edges, rng)
+            nulls = _draw_nulls(keys, g.n, pool, g.num_edges, rng)
             ref_nulls = ref._draw_nulls(g, ref_pool, g.num_edges, ref_rng)
             assert _tuples(nulls) == ref_nulls
         rows = np.concatenate((edges, nulls))
@@ -374,7 +377,7 @@ class TestSamplePipelineMatchesReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_pool_path_small_graphs(self, seed):
         g = small_graph(seed=100 + seed, n=6 + 4 * seed, density=0.3)
-        assert _null_pool(_edge_rows(g), g.n) is not None
+        assert _null_pool(g.pair_keys(), g.n) is not None
         self.check(g, seed)
 
     def test_pool_path_congress(self, congress_graph):
@@ -383,15 +386,15 @@ class TestSamplePipelineMatchesReference:
     @pytest.mark.parametrize("seed", range(2))
     def test_rejection_path(self, seed):
         g = _sparse_graph(seed)
-        assert _null_pool(_edge_rows(g), g.n) is None
+        assert _null_pool(g.pair_keys(), g.n) is None
         self.check(g, seed)
 
     def test_complete_graph_has_no_nulls(self):
         g = sg.SignedGraph(4, [(u, v, 1 if (u + v) % 2 else -1)
                                for u in range(4) for v in range(u + 1, 4)])
-        pool = _null_pool(_edge_rows(g), g.n)
+        pool = _null_pool(g.pair_keys(), g.n)
         assert pool.shape == (0, 2) and ref._null_pool(g) == []
-        assert _draw_nulls(_edge_rows(g), g.n, pool, 6, np.random.default_rng(0)).shape == (0, 3)
+        assert _draw_nulls(g.pair_keys(), g.n, pool, 6, np.random.default_rng(0)).shape == (0, 3)
 
 
 class TestGraphTensorsMatchesOracle:
@@ -447,11 +450,11 @@ class TestRejectionDrawsMatchIsin:
     against trainer_reference's np.isin membership test, for equal seeds."""
 
     @staticmethod
-    def check(edges, n, count, seed):
+    def check(keys, n, count, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):  # the second draw checks that both streams stayed in step
-            got = _draw_nulls(edges, n, None, count, rng)
-            want = ref.draw_nulls_isin(edges, n, count, ref_rng)
+            got = _draw_nulls(keys, n, None, count, rng)
+            want = ref.draw_nulls_isin(keys, n, count, ref_rng)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         return got
 
@@ -459,20 +462,20 @@ class TestRejectionDrawsMatchIsin:
     def test_draws_above_the_last_key(self, seed):
         # edges only among nodes 0-40 of 700: the last key is at most 39 * 700 + 40,
         # below about 89% of the pairs a draw can hit
-        g = sg.SignedGraph(700, random_signed_graph(np.random.default_rng(seed), 41).edges())
-        edges = _edge_rows(g)
-        assert _null_pool(edges, g.n) is None and edges[:, :2].max() <= 40
-        self.check(edges, g.n, len(edges), seed)
+        g = sg.SignedGraph(700, random_signed_graph(np.random.default_rng(seed), 41).edge_array())
+        keys = g.pair_keys()
+        assert _null_pool(keys, g.n) is None and g.edge_array()[:, :2].max() <= 40
+        self.check(keys, g.n, len(keys), seed)
 
     def test_no_edges(self):
-        edges = np.empty((0, 3), np.int64)
-        assert _null_pool(edges, 700) is None
-        assert self.check(edges, 700, 5, 0).shape == (5, 3)
+        keys = np.empty(0, np.int64)
+        assert _null_pool(keys, 700) is None
+        assert self.check(keys, 700, 5, 0).shape == (5, 3)
         assert math.isfinite(ref.gradient_check(sg.SignedGraph(700),
                                                sg.TrainConfig(embed_dim=4, feature_dim=3)))
 
     def test_pool_without_edges(self):
-        pool = _null_pool(np.empty((0, 3), np.int64), 5)
+        pool = _null_pool(np.empty(0, np.int64), 5)
         assert [tuple(p) for p in pool.tolist()] == ref._null_pool(sg.SignedGraph(5))
 
 
@@ -556,8 +559,8 @@ class TestLossMatchesPlainReference:
 
     def test_loss_grads(self, graph):
         rng = np.random.default_rng(1)
-        edges = _edge_rows(graph)
-        nulls = _draw_nulls(edges, graph.n, _null_pool(edges, graph.n), len(edges), rng)
+        edges, keys = _edge_rows(graph), graph.pair_keys()
+        nulls = _draw_nulls(keys, graph.n, _null_pool(keys, graph.n), len(edges), rng)
         rows = np.concatenate((edges, nulls))
         Z, theta = rng.normal(size=(graph.n, 64)), rng.uniform(-0.5, 0.5, size=(3, 128))
         weights = _class_weights(rows)
@@ -585,10 +588,10 @@ def test_rejection_sampling_refuses_a_nearly_complete_graph():
     n = 640
     u, v = np.triu_indices(n, k=1)
     free = np.random.default_rng(0).choice(len(u), size=11, replace=False)
-    edges = np.delete(np.column_stack((u, v)), free, axis=0).astype(np.int64)
-    assert _null_pool(edges, n) is None
+    keys = np.delete(u * n + v, free).astype(np.int64)
+    assert _null_pool(keys, n) is None
     with pytest.raises(ValueError, match=r"n=640, 204469 edges, free-pair share 5\.38e-05"):
-        _draw_nulls(edges, n, None, len(edges), np.random.default_rng(0))
+        _draw_nulls(keys, n, None, len(keys), np.random.default_rng(0))
 
 
 class TestLossMemory:
@@ -602,7 +605,7 @@ class TestLossMemory:
         g = _sparse_graph(0, n=1000, m=3200)
         edges = _edge_rows(g)
         rng = np.random.default_rng(0)
-        rows = np.concatenate((edges, _draw_nulls(edges, g.n, None, len(edges), rng)))
+        rows = np.concatenate((edges, _draw_nulls(g.pair_keys(), g.n, None, len(edges), rng)))
         Z, theta = rng.normal(size=(g.n, 64)), rng.uniform(-0.5, 0.5, size=(3, 128))
         weights = _class_weights(rows)
         assert sum(len(p) for p in _hinge_pairs(rows, g.n)) * 64 * 8 > 20e6

@@ -61,6 +61,8 @@ from sigaug.graph import NEG, POS
 from sigaug.sgnn import (_NULL, _NULL_DRAW_PASSES, _NULL_POOL_CUTOFF, CLASSES, ModelParams,
                          TrainConfig, init_params, synth_features)
 
+from graph_reference import reference_of
+
 logger = logging.getLogger(__name__)
 
 _CLS_INDEX = {c: i for i, c in enumerate(CLASSES)}
@@ -234,7 +236,8 @@ def _null_pool(g: SignedGraph):
     if total - g.num_edges == 0:
         return []
     if total <= _NULL_POOL_CUTOFF:
-        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.sign(u, v) == 0]
+        ref = reference_of(g)
+        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if ref.sign(u, v) == 0]
     return None
 
 
@@ -246,10 +249,11 @@ def _draw_nulls(g: SignedGraph, pool, count: int, rng):
         idx = rng.integers(0, len(pool), size=count)
         return [(pool[i][0], pool[i][1], "?") for i in idx]
     out = []
+    ref = reference_of(g)
     while len(out) < count:
         cand = rng.integers(0, g.n, size=(2 * count, 2))
         for u, v in cand:
-            if u == v or g.sign(int(u), int(v)) != 0:
+            if u == v or ref.sign(int(u), int(v)) != 0:
                 continue
             a, b = (int(u), int(v)) if u < v else (int(v), int(u))
             out.append((a, b, "?"))
@@ -263,7 +267,7 @@ def graph_tensors(g: SignedGraph) -> dict:
     keeps rpd and rnd, builds its layer-0 inputs with rp1 and rn1, and views the
     transposes."""
     ends = {POS: ([], []), NEG: ([], [])}
-    for u, v, s in g.edges():
+    for u, v, s in g.edge_array().tolist():
         rows, cols = ends[s]
         rows += [u, v]
         cols += [v, u]
@@ -286,9 +290,8 @@ def graph_tensors(g: SignedGraph) -> dict:
     return ops
 
 
-def draw_nulls_isin(edges: np.ndarray, n: int, count: int, rng) -> np.ndarray:
+def draw_nulls_isin(keys: np.ndarray, n: int, count: int, rng) -> np.ndarray:
     """sgnn._draw_nulls' rejection path with `np.isin` as its membership test."""
-    keys = edges[:, 0] * n + edges[:, 1]
     pairs = np.empty((0, 2), dtype=np.int64)
     for _ in range(_NULL_DRAW_PASSES):
         if len(pairs) == count:
@@ -316,8 +319,8 @@ def gradient_check(g: SignedGraph, cfg: TrainConfig, epsilon: float = 1e-5) -> f
     params = ModelParams(params.wpos, params.wneg,
                          rng.uniform(-0.5, 0.5, size=params.theta.shape))
     tensors = sgnn._GraphTensors(g, x)
-    edges = sgnn._edge_rows(g)
-    rows = np.concatenate((edges, sgnn._draw_nulls(edges, g.n, sgnn._null_pool(edges, g.n),
+    edges, keys = sgnn._edge_rows(g), g.pair_keys()
+    rows = np.concatenate((edges, sgnn._draw_nulls(keys, g.n, sgnn._null_pool(keys, g.n),
                                                    max(g.num_edges, 1), rng)))
     weights = sgnn._class_weights(rows)
 
@@ -365,6 +368,7 @@ def build_k_hop_ego_tree(g: SignedGraph, root: int, k: int) -> EgoTree:
         raise ValueError(f"root {root} out of range for n={g.n}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    ref = reference_of(g)
     sources = [root]
     edges = []
     frontier = [(0, root)]
@@ -372,7 +376,7 @@ def build_k_hop_ego_tree(g: SignedGraph, root: int, k: int) -> EgoTree:
         nxt = []
         for tree_id, src in frontier:
             children = sorted(
-                [(-1, w) for w in g.neg_neighbors(src)] + [(1, w) for w in g.pos_neighbors(src)]
+                [(-1, w) for w in ref.neg_neighbors(src)] + [(1, w) for w in ref.pos_neighbors(src)]
             )
             for s, w in children:
                 new_id = len(sources)
