@@ -15,7 +15,6 @@ from .graph import (
     graph_stats,
     load_edge_list,
     record_stats,
-    split_adjacency,
     split_edges,
 )
 from .balance import (

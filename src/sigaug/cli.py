@@ -130,20 +130,21 @@ def _coerce(typ, text: str):
 def parse_config_text(text: str, subcommand: str) -> dict:
     """Parse flat `key = value` lines, coercing by the subcommand's key table.
 
-    Lines end at line feeds only, as an edge list's do; a CRLF's CR is stripped."""
+    Lines end at line feeds only, as an edge list's do; lines, keys and values
+    lose ASCII whitespace only (a CRLF's CR too), not other Unicode spaces."""
     values = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(_SPACE)
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected `key = value`, got {line!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
+        key = key.strip(_SPACE)
         if key not in _KEYS[subcommand]:
             raise ValueError(f"config line {lineno}: unknown key {key!r} for {subcommand}")
         try:
-            values[key] = _coerce(_KEYS[subcommand][key][0], val.strip())
+            values[key] = _coerce(_KEYS[subcommand][key][0], val.strip(_SPACE))
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return values

@@ -2,9 +2,10 @@
 
 A `SignedGraph` is its edges in one form: a sorted read-only (m, 3) int64
 array of (u, v, sign) rows with u < v, beside the rows' ascending pair keys.
-`build_graph` and `split_edges` hand the constructor such arrays, a split's
-test edges are rows of its parent's array, and `split_adjacency` and
-`neighbor_sets` are built from the array for the readers that need them.
+`build_graph` and `split_edges` hand the constructor such arrays, and a split's
+test edges are rows of its parent's array. Every reader of a node's neighbors
+of one sign groups the array's endpoints by node through `_by_node`:
+`neighbor_sets` here, the trainer's operators and its hinge pairs in `sgnn`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import chain
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 POS = 1
 NEG = -1
@@ -123,6 +123,17 @@ class SignedGraph:
         return f"SignedGraph(n={self.n}, pos={self.num_pos}, neg={self.num_neg})"
 
 
+def _by_node(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that groups `ends`, node ids below n, by node, and the n + 1
+    offsets of the runs: node i's entries are ends[order[indptr[i]:indptr[i + 1]]].
+    The key is the narrowest unsigned integer that holds n - 1 (NumPy radix-sorts
+    8- and 16-bit keys); a stable sort's order does not depend on its width."""
+    order = np.argsort(ends.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return order, indptr
+
+
 def neighbor_sets(g: SignedGraph) -> tuple[list[set], list[set]]:
     """Each node's neighbors of each sign, as fresh (pos, neg) lists of sets
     indexed by node, built from g's edge array; the caller owns them."""
@@ -130,10 +141,9 @@ def neighbor_sets(g: SignedGraph) -> tuple[list[set], list[set]]:
     sets = []
     for sign in (POS, NEG):
         u, v, _ = edges[edges[:, 2] == sign].T
-        ends = np.concatenate((u, v))
-        others = np.concatenate((v, u))[np.argsort(ends, kind="stable")].tolist()
-        bounds = np.cumsum(np.bincount(ends, minlength=g.n)).tolist()
-        sets.append([set(others[a:b]) for a, b in zip([0] + bounds, bounds)])
+        order, indptr = _by_node(np.concatenate((u, v)), g.n)
+        others, bounds = np.concatenate((v, u))[order].tolist(), indptr.tolist()
+        sets.append([set(others[a:b]) for a, b in zip(bounds, bounds[1:])])
     return sets[0], sets[1]
 
 
@@ -287,18 +297,6 @@ def _as_edge_array(edges) -> np.ndarray:
                 what = "sign" if j == 2 else "node id"
                 raise ValueError(f"edge {row} has a non-integer {what} {x!r}")
     raise ValueError("edge entries must fit in int64")
-
-
-def split_adjacency(g: SignedGraph):
-    """Decompose into symmetric 0/1 csr matrices (Apos, Aneg) with disjoint supports."""
-    edges = g.edge_array()
-    mats = []
-    for sign in (POS, NEG):
-        u, v, _ = edges[edges[:, 2] == sign].T
-        ends = (np.concatenate((u, v)), np.concatenate((v, u)))
-        mats.append(sp.csr_matrix((np.ones(2 * len(u), dtype=np.int64), ends),
-                                  shape=(g.n, g.n)))
-    return tuple(mats)
 
 
 def graph_stats(g: SignedGraph) -> dict:

@@ -15,20 +15,19 @@ The loss works at node level: the classifier projects each node's embedding
 once, its logit gradients are scattered onto the nodes by bincount, and the
 hinge gradient reaches Z through one sparse node-by-node weight matrix, never
 through a per-row copy of the pair features; the rows' squared distances are
-taken in fixed row blocks. The loss sorts once per epoch: a stable sort
-groups the null rows' endpoints by node, on the narrowest integer key that
-holds a node id (NumPy radix-sorts it for up to 65536 nodes), and each hinge
-pair's null rows are found from per-node offsets into that order, without a
-search. A row's endpoints are ordered, and the logits' row max taken, by
-elementwise min/max rather than by a sort or a reduction along a short axis.
+taken in fixed row blocks. The loss sorts once per epoch: `graph._by_node`
+groups the null rows' endpoints by node, and each hinge pair's null rows are
+found from its per-node offsets, without a search. A row's endpoints are
+ordered, and the logits' row max taken, by elementwise min/max rather than by
+a sort or a reduction along a short axis.
 Each `train` and `forward` call builds one `_GraphTensors` from its graph and
 features: the layer-0 inputs [x || R+ x] and [x || R- x] and the two
 cross-branch operators, whose transposes are csc views of them that sum in the
-order a transposed copy would. `train` also builds the
-supervision's edge rows and the null pool once; an epoch draws only its "?"
-rows. The operators' csr arrays are written straight from the adjacency, and a
-rejection draw is looked up in the ascending edge keys after sorting only the
-draws.
+order a transposed copy would. The operators' csr arrays are written straight
+from each sign's edge rows, grouped by node by the same `_by_node`. `train`
+also builds the supervision's edge rows and the null pool once; an epoch draws
+only its "?" rows, and a rejection draw is looked up in the ascending edge
+keys after sorting only the draws.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _FLOAT, _INT, SignedGraph, split_adjacency
+from .graph import _FLOAT, _INT, NEG, POS, SignedGraph, _by_node
 
 logger = logging.getLogger(__name__)
 
@@ -203,34 +202,37 @@ class _GraphTensors:
     own-degree operators, and the deeper layers' operators rpd and rnd with
     their transposes rpd_t and rnd_t.
 
-    rpd and rnd are csr arrays written straight from the symmetric adjacency A,
-    in the entry order `sp.diags(1 / deg) @ A` would leave (each row's columns
-    descending), and their products sum in that order. rpd_t and rnd_t are their
-    csc views: a csc product adds into each output row in ascending column
-    order, the order of A's own columns, as a csr copy of the transpose would.
+    rpd and rnd are csr arrays written from each sign's edge rows grouped by node
+    in reverse row order (`graph._by_node`), so each row's columns descend, the
+    entry order `sp.diags(1 / deg) @ A` leaves, and their products sum in that
+    order. rpd_t and rnd_t are their csc views: a csc product adds into each
+    output row in ascending column order, as a csr copy of the transpose would.
     """
 
     def __init__(self, g: SignedGraph, x: np.ndarray):
-        apos, aneg = split_adjacency(g)
-        degp = np.diff(apos.indptr).astype(np.float64)
-        degn = np.diff(aneg.indptr).astype(np.float64)
+        edges = g.edge_array()[::-1]
+        adj = []
+        for sign in (POS, NEG):
+            u, v, _ = edges[edges[:, 2] == sign].T
+            order, indptr = _by_node(np.concatenate((u, v)), g.n)
+            adj.append((np.concatenate((v, u))[order], indptr))
+        degp, degn = (np.diff(indptr).astype(np.float64) for _, indptr in adj)
         degt = degp + degn
-        rp1, self.rpd = self._scaled(apos, degp, degt)
-        rn1, self.rnd = self._scaled(aneg, degn, degt)
+        rp1, self.rpd = self._scaled(*adj[0], degp, degt)
+        rn1, self.rnd = self._scaled(*adj[1], degn, degt)
         self.rpd_t, self.rnd_t = self.rpd.T, self.rnd.T
         self.x0 = np.hstack([x, rp1 @ x]), np.hstack([x, rn1 @ x])
 
     @staticmethod
-    def _scaled(adj, deg, degt):
-        """diag(1 / deg) adj and diag(1 / degt) adj, each row's columns descending."""
+    def _scaled(cols, indptr, deg, degt):
+        """diag(1 / deg) A and diag(1 / degt) A; A's row i is cols[indptr[i]:indptr[i + 1]]."""
         inv, invt = np.zeros_like(deg), np.zeros_like(degt)
         np.divide(1.0, deg, out=inv, where=deg > 0)
         np.divide(1.0, degt, out=invt, where=degt > 0)
-        row = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
-        # entry p of a row spanning [s, e) moves to s + e - 1 - p
-        desc = adj.indices[adj.indptr[row] + adj.indptr[row + 1] - 1 - np.arange(adj.nnz)]
-        return (sp.csr_matrix((inv[row], desc, adj.indptr), shape=adj.shape),
-                sp.csr_matrix((invt[row], desc, adj.indptr), shape=adj.shape))
+        row = np.repeat(np.arange(len(deg)), np.diff(indptr))
+        shape = (len(deg), len(deg))
+        return (sp.csr_matrix((inv[row], cols, indptr), shape=shape),
+                sp.csr_matrix((invt[row], cols, indptr), shape=shape))
 
 
 def _forward_cached(tensors: _GraphTensors, params: ModelParams):
@@ -306,23 +308,19 @@ def _hinge_pairs(rows: np.ndarray, n: int):
     whenever they share an endpoint, the anchor. Per edge row (u, v) in sample order
     come pairs anchored at u, then at v, nulls in order.
 
-    The null rows' incidences are grouped by anchor with one stable sort, and an
-    endpoint's run in that order is found from per-node offsets: it starts at the
-    count of incidences at smaller nodes and is as long as the count at the node,
-    so no lookup searches the sorted anchors."""
+    The null rows' incidences are grouped by anchor (`graph._by_node`), and an
+    endpoint's run in that order is found from the per-node offsets: it starts at
+    the count of incidences at smaller nodes and is as long as the count at the
+    node, so no lookup searches the sorted anchors."""
     null = np.flatnonzero(rows[:, 2] == _NULL)
     anchors = rows[null, :2].ravel()  # null row (u, v) is incidences at u and at v
-    # the stable sort keeps sample order within an anchor, so the permutation does
-    # not depend on the key's width; NumPy radix-sorts 8- and 16-bit keys
-    order = np.argsort(anchors.astype(np.min_scalar_type(n - 1)), kind="stable")
+    order, off = _by_node(anchors, n)  # the stable sort keeps sample order
     partners = null[order // 2]
-    cnt = np.bincount(anchors, minlength=n)
-    off = np.cumsum(cnt) - cnt
     out = []
     for cls in (0, 1):
         edge = np.flatnonzero(rows[:, 2] == cls)
         a = rows[edge, :2].ravel()
-        start, count = off[a], cnt[a]
+        start, count = off[a], off[a + 1] - off[a]
         first = np.cumsum(count) - count  # where each anchor's run starts in the output
         k = partners[np.arange(count.sum()) + np.repeat(start - first, count)]
         out.append(np.column_stack((np.repeat(np.repeat(edge, 2), count), k)))
@@ -581,10 +579,11 @@ def load_embeddings(path) -> EmbeddingPair:
         if not fields:
             continue
         texts = [f.decode(errors="replace") for f in fields]
-        try:
-            node = int(fields[0]) if _INT.fullmatch(texts[0]) else None
-        except ValueError:  # more digits than int() converts
-            node = None
+        # judged by its digits past the leading zeros, as a weight is: int() refuses
+        # more than 4300 digits, zeros too, and past 18 digits no id is dense
+        sign, magnitude = "-" if texts[0][:1] == "-" else "", texts[0].lstrip("+-").lstrip("0")
+        node = (int(sign + (magnitude or "0"))
+                if _INT.fullmatch(texts[0]) and len(magnitude) <= 18 else None)
         if node != len(rows):
             raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
                              f"integers, got {texts[0]!r}")

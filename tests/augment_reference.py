@@ -31,9 +31,9 @@ from sigaug.augment import (_RATIO_TOL, ADD, NOT_GATED, REMOVE, LogEntry,
                             PerturbationLog, _ratio_error, _ratio_ok, edge_probabilities,
                             epr_check, fuse)
 from sigaug.balance import DISCARD, ETA_DEFAULT, KEEP, check_eta, filter_edge
-from sigaug.graph import SignedGraph, split_adjacency
+from sigaug.graph import SignedGraph
 
-from graph_reference import reference_of
+from graph_reference import reference_of, split_adjacency
 
 # hard cap for the exhaustive enumeration oracle
 _ORACLE_MAX_NODES = 14

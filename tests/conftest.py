@@ -1,6 +1,7 @@
 import os
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -43,6 +44,21 @@ def random_signed_graph(rng, n, density=0.3, neg_frac=0.3):
             if rng.random() < density:
                 edges.append((u, v, -1 if rng.random() < neg_frac else 1))
     return sg.SignedGraph(n, edges)
+
+
+def graph_past_16_bit_ids(seed=0):
+    """A signed graph of both signs on 65 600 nodes whose edges join 16 ids on
+    both sides of the 8- and 16-bit limits, so that grouping its endpoints by
+    node needs a 32-bit sort key."""
+    ids = np.array([0, 1, 2, 254, 255, 256, 257, 40_000, 65_534, 65_535, 65_536,
+                    65_537, 65_538, 65_597, 65_598, 65_599])
+    rng = np.random.default_rng(seed)
+    small = random_signed_graph(rng, len(ids), 0.5, 0.4)
+    while small.num_pos == 0 or small.num_neg == 0:
+        small = random_signed_graph(rng, len(ids), 0.5, 0.4)
+    edges = small.edge_array().copy()
+    edges[:, :2] = ids[edges[:, :2]]
+    return sg.SignedGraph(65_600, edges)
 
 
 def parse_report(lines):

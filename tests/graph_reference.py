@@ -6,10 +6,17 @@ frozensets, and reports the first bad edge in input order. It is the oracle for
 the library's `SignedGraph`, which keeps one sorted (m, 3) array and checks all
 edges at once. `reference_split_edges` is `split_edges` over the tuple form: it
 is the oracle for the library's split, which masks the parent's array.
+`split_adjacency` is each sign's symmetric 0/1 adjacency assembled by scipy
+from coordinates, apart from the library's grouping of endpoints by node
+(`graph._by_node`): the trainer's operator oracle scales it, and the walk-count
+oracles multiply it.
 
 `reference_load_edge_list` is the edge-list format written out on bytes: lines
 part at b"\n", fields at commas or runs of ASCII whitespace, and each field is
 matched whole by a regular expression. It is the oracle for `load_edge_list`.
+`reference_load_embeddings` and `reference_parse_config` write out the other
+two input formats the same way: they are the oracles for `sgnn.load_embeddings`
+and `cli.parse_config_text`.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 import re
 
 import numpy as np
+import scipy.sparse as sp
 
 from sigaug.graph import NEG, POS
 
@@ -97,6 +105,19 @@ def reference_split_edges(g, test_fraction: float, seed: int):
     return train, test
 
 
+def split_adjacency(g):
+    """Decompose into symmetric 0/1 int64 csr matrices (Apos, Aneg) with disjoint
+    supports, assembled by scipy from each edge's two coordinates."""
+    edges = g.edge_array()
+    mats = []
+    for sign in (POS, NEG):
+        u, v, _ = edges[edges[:, 2] == sign].T
+        ends = (np.concatenate((u, v)), np.concatenate((v, u)))
+        mats.append(sp.csr_matrix((np.ones(2 * len(u), dtype=np.int64), ends),
+                                  shape=(g.n, g.n)))
+    return tuple(mats)
+
+
 _BOM = "\ufeff".encode("utf-8")
 _SPACE = b" \t\r\v\f"  # the ASCII whitespace that parts fields; \n ends lines
 _SPACES = re.compile(rb"[ \t\r\v\f]+")
@@ -106,8 +127,8 @@ _RANGE = {"rating": range(-10, 11), "signed": (1, -1)}
 
 
 class ReferenceParseError(ValueError):
-    """A refused edge list: the 1-based line and the kind of the fault, one of
-    "utf8", "fields", "label", "weight", "range" and "timestamp"."""
+    """A refused input: the 1-based line (None for a fault of the whole input)
+    and the kind of the fault, each reference parser naming its own kinds."""
 
     def __init__(self, lineno: int, kind: str):
         super().__init__(f"line {lineno}: {kind}")
@@ -154,3 +175,107 @@ def reference_load_edge_list(data: bytes, format: str) -> list[tuple[str, str, i
             raise ReferenceParseError(lineno, "timestamp")
         records.append((fields[0].decode(), fields[1].decode(), int(sign + digits)))
     return records
+
+
+_ID = re.compile(rb"([+-]?)0*([0-9]+)")
+_NUMBER = (r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+           r"|inf|infinity|nan)")
+_VALUE = re.compile(_NUMBER.encode(), re.IGNORECASE)
+
+
+def reference_load_embeddings(data: bytes) -> list[list[float]]:
+    """The rows of an embedding text matrix, or the first fault.
+
+    Lines part at b"\n" and fields at runs of ASCII whitespace; a line without
+    a field is skipped. A row's first field is its node id, the count of rows
+    before it: an optional sign (a minus only on zero) and ASCII digits, leading
+    zeros allowed. The rest are ASCII decimal or exponent numbers, all finite,
+    as many as in the first row. A line's faults, in order: "id", "empty" (no
+    value), "value", "nonfinite" and "width"; then "dimension" (line None) if
+    there is no row or the rows' width is odd."""
+    rows = []
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        fields = _SPACES.split(line.strip(_SPACE))
+        if fields == [b""]:
+            continue
+        node = _ID.fullmatch(fields[0])
+        if node is None or node[2] != str(len(rows)).encode() or (node[1] == b"-" and rows):
+            raise ReferenceParseError(lineno, "id")
+        if len(fields) == 1:
+            raise ReferenceParseError(lineno, "empty")
+        if not all(_VALUE.fullmatch(f) for f in fields[1:]):
+            raise ReferenceParseError(lineno, "value")
+        values = [float(f) for f in fields[1:]]
+        if not all(map(math.isfinite, values)):
+            raise ReferenceParseError(lineno, "nonfinite")
+        if rows and len(values) != len(rows[0]):
+            raise ReferenceParseError(lineno, "width")
+        rows.append(values)
+    if not rows or len(rows[0]) % 2:
+        raise ReferenceParseError(None, "dimension")
+    return rows
+
+
+_TEXT_SPACE = _SPACE.decode()  # a config's text is str: its ASCII whitespace
+_BLANK = r"[ \t\r\v\f]*"
+_CONFIG_INT = re.compile(r"[+-]?[0-9]+")
+_CONFIG_RATIO = re.compile(rf"{_BLANK}({_NUMBER}){_BLANK}(?:/{_BLANK}({_NUMBER}){_BLANK})?",
+                           re.ASCII | re.IGNORECASE)
+_CONFIG_BOOL = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_ratio(text: str) -> float:
+    """A number or a fraction a/b of two, each with ASCII blanks around it."""
+    match = _CONFIG_RATIO.fullmatch(text)
+    if match is None or match[2] is not None and float(match[2]) == 0:
+        raise ValueError(text)
+    value = float(match[1])
+    return value if match[2] is None else value / float(match[2])
+
+
+def _config_value(default, text: str):
+    """`text` as a value of the default's type, or ValueError."""
+    if isinstance(default, bool):
+        word = text.encode().lower().decode()  # ASCII letters only change case
+        if word not in _CONFIG_BOOL:
+            raise ValueError(text)
+        return _CONFIG_BOOL[word]
+    if isinstance(default, int):
+        if not _CONFIG_INT.fullmatch(text):
+            raise ValueError(text)
+        return int(text)  # past 4300 digits int() refuses, leading zeros too
+    if isinstance(default, float):
+        return _config_ratio(text)
+    if isinstance(default, tuple):
+        return tuple(_config_ratio(f) for f in text.split(",") if f.strip(_TEXT_SPACE))
+    return text
+
+
+def reference_parse_config(text: str, keys: dict) -> dict:
+    """The `key = value` settings of a config text, or the first fault, for a
+    subcommand whose keys and defaults are `keys`.
+
+    Lines part at "\n" and are stripped of ASCII whitespace; an empty line or one
+    starting with "#" is skipped. A line parts at its first "=" into a key and a
+    value, each stripped of ASCII whitespace. A value is read by its key's
+    default's type: an ASCII boolean word, an ASCII integer, a number or a/b
+    fraction of ASCII numbers (not over zero), a comma list of such with blank
+    items skipped, or the text itself. A later line sets a key again. Faults:
+    "syntax" (no "="), "key" (not in `keys`) and "value"."""
+    values = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip(_TEXT_SPACE)
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ReferenceParseError(lineno, "syntax")
+        key, _, value = line.partition("=")
+        key = key.strip(_TEXT_SPACE)
+        if key not in keys:
+            raise ReferenceParseError(lineno, "key")
+        try:
+            values[key] = _config_value(keys[key], value.strip(_TEXT_SPACE))
+        except ValueError:
+            raise ReferenceParseError(lineno, "value") from None
+    return values

@@ -21,7 +21,7 @@ from sigaug.graph import neighbor_sets
 from augment_reference import (count_cycles, edge_utility, expected_entropy_after_perturbation,
                                oracle_count_cycles)
 from conftest import CONGRESS, random_signed_graph
-from graph_reference import reference_of
+from graph_reference import reference_of, split_adjacency
 from trainer_reference import build_k_hop_ego_tree, gradient_check
 
 
@@ -80,7 +80,7 @@ def test_criterion_2_sum_identity():
     # the total is the unsigned walk count (A+ + A-)^(k-1), computed apart
     for g, eta in _acceptance_graphs():
         cb, cu = count_cycles(g, eta)
-        ap, an = sg.split_adjacency(g)
+        ap, an = split_adjacency(g)
         unsigned = (ap + an).toarray().astype(np.int64)
         for k in range(3, eta + 1):
             total = np.linalg.matrix_power(unsigned, k - 1)

@@ -19,7 +19,7 @@ from sigaug.graph import neighbor_sets
 from augment_reference import (reference_augment, reference_block_best,
                                reference_pair_utility)
 from conftest import random_signed_graph
-from graph_reference import reference_of
+from graph_reference import reference_of, split_adjacency
 
 # a value below every score, for the hand-built matrices' unread entries
 DIAG_SENTINEL = -1e30
@@ -179,9 +179,9 @@ class TestFuse:
         g = signed_graph_with_both(3)
         pair = trained_pair(g, epochs=5)
         probs = sg.edge_probabilities(pair)
-        apos, aneg = sg.split_adjacency(g)
+        apos, aneg = split_adjacency(g)
         fused = sg.fuse(apos, -aneg, probs)
-        fp, fn = sg.split_adjacency(fused)
+        fp, fn = split_adjacency(fused)
         assert sg.fuse(fp, -fn, probs) == fused
 
 

@@ -1,9 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.balance import KEEP
@@ -13,6 +16,7 @@ from sigaug.cli import (_KEYS, _TRAIN, EXIT_COMPONENT, EXIT_IO, EXIT_OK, EXIT_US
 
 from augment_reference import count_cycles, edge_utility
 from conftest import LINE_BREAKS, parse_report
+from graph_reference import ReferenceParseError, reference_parse_config
 
 
 def run_cli(*args, **kw):
@@ -521,6 +525,19 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match="^config line 1: mu: "):
             parse_config_text(f"mu = 0.5{brk}eta = 3\n", "balance")
 
+    @pytest.mark.parametrize("space", ["\u3000", "\xa0", "\x85", "\x1c", "\u2028"],
+                             ids=["u3000", "xa0", "x85", "x1c", "u2028"])
+    def test_config_strips_ascii_whitespace_only(self, space):
+        assert parse_config_text(" \t eta\x0b=\x0c4 \r\n \t\r\n", "balance") == {"eta": 4}
+        with pytest.raises(ValueError, match=re.escape(f"line 1: unknown key {space + 'eta'!r}")):
+            parse_config_text(f"{space}eta = 4", "balance")
+        with pytest.raises(ValueError, match="^config line 1: eta: invalid literal"):
+            parse_config_text(f"eta = 4{space}", "balance")
+        with pytest.raises(ValueError, match="^config line 2: expected `key = value`"):
+            parse_config_text(f"# a\n{space}\n", "balance")
+        assert parse_config_text(f"output = {space}out{space}", "balance") == \
+            {"output": f"{space}out{space}"}
+
     def test_config_file_line_ends(self, tmp_path, congress_path, capsys):
         conf = tmp_path / "run.conf"
         args = ["balance", "--dataset", str(congress_path), "--config", str(conf),
@@ -548,6 +565,85 @@ class TestConfigResolution:
         proc = run_cli(sub, "--dataset", str(congress_path), "--config", str(conf))
         assert proc.returncode == EXIT_IO and proc.stdout == ""
         assert f"config error: config line 1: unknown key 'seed' for {sub}" in proc.stderr
+
+
+# pieces of config lines. Valid ones: every key, values of every form a key's
+# type takes, ASCII blanks around keys, values and "=", comments. A line is
+# mutated now and then: Unicode digits and spaces, NaN/inf text, huge or
+# zero-padded integers, zero denominators, line breaks other than the line
+# feed, a missing "=", an unknown key.
+_ALL_KEYS = {key: default for table in _KEYS.values() for key, (_t, default) in table.items()}
+_CONFIG_VALUES = {
+    bool: ["true", "YES", "off", "0", "On", "1"],
+    int: ["3", "+4", "-2", "007", "0"],
+    float: ["0.5", "1/9", "1 / 9", "\t2/3", "-1e-3", ".5", "5.", "1e999", "inf", "NaN",
+            "inf/inf", "1e308/1e-308"],
+    tuple: ["0.5,0.7", "1/9, 0.2", "", ",", " , 0.5", "nan,inf", "1,2,3"],
+    str: ["data.txt", "a b", "", "x=y", "#x", "\u3000"],
+}
+_CONFIG_BAD_VALUES = {
+    bool: ["2", "ture", "", "t rue", "\u0131"],
+    int: ["0" * 4400 + "5", "9" * 5000, "1_0", "\u0664", "3.0", "", "x", "\uff13"],
+    float: ["1/0", "0/0.0", "1/-0", "1_0", "\u0660.5", "\u0661/9", "1/2/3", "/", "1/", "",
+            "x", "0x1", "1e"],
+    tuple: ["0.5,,x", "0.5;0.7", "1/0,2", "\u0660.5", "0.5 0.7"],
+    str: ["x"],  # any text is a str key's value
+}
+_CONFIG_BLANKS = ["", "", " ", "  ", "\t", "\x0b", "\x0c", "\r"]
+_CONFIG_BAD_BLANKS = ["\u3000", "\xa0", "\x85", "\x1c", "\u2028", "\ufeff"]
+_CONFIG_OTHER_LINES = ["", " \t", "# comment", "  # mu = x", "#", "no equals sign", "= 5",
+                       "mu_grid", "bogus = 1", "MU = 0.5"]
+
+
+@st.composite
+def config_text(draw):
+    """A subcommand and a config text of up to 6 lines for it, mostly settings
+    of its keys and mostly valid."""
+    sub, text = draw(st.sampled_from(sorted(_KEYS))), ""
+    for _ in range(draw(st.integers(0, 6))):
+        bad = draw(st.sampled_from([None] * 12 + ["blank", "break", "value", "key"]))
+        if draw(st.integers(0, 4)) == 0:
+            line = draw(st.sampled_from(_CONFIG_OTHER_LINES))
+        else:
+            key = draw(st.sampled_from(sorted(_ALL_KEYS if bad == "key" else _KEYS[sub])))
+            values = _CONFIG_BAD_VALUES if bad == "value" else _CONFIG_VALUES
+            value = draw(st.sampled_from(values[type(_ALL_KEYS[key])]))
+            blanks = _CONFIG_BAD_BLANKS if bad == "blank" else _CONFIG_BLANKS
+            parts = [draw(st.sampled_from(blanks)) for _ in range(4)]
+            line = f"{parts[0]}{key}{parts[1]}={parts[2]}{value}{parts[3]}"
+        if bad == "break":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(LINE_BREAKS)) + line[at:]
+        text += line + draw(st.sampled_from(["\n", "\n", "\r\n", "\n\n"]))
+    return sub, text
+
+
+def _config_parsed(parse, text, sub):
+    """("ok", repr of the values) or ("error", line, kind) from either parser;
+    the repr tells NaN, -0.0, True and 1 apart."""
+    try:
+        return "ok", repr(parse(text, sub))
+    except ReferenceParseError as exc:
+        return "error", exc.lineno, exc.kind
+    except ValueError as exc:
+        lineno, message = re.fullmatch(r"config line (\d+): (.*)", str(exc), re.S).groups()
+        kind = ("syntax" if message.startswith("expected `key = value`") else
+                "key" if message.startswith("unknown key") else "value")
+        return "error", int(lineno), kind
+
+
+def _reference_config(text, sub):
+    return reference_parse_config(text, {k: d for k, (_t, d) in _KEYS[sub].items()})
+
+
+@given(config=config_text())
+@settings(max_examples=400, deadline=None)
+def test_config_text_matches_reference(config):
+    """parse_config_text against the reference parser: the same verdict,
+    values, error line and error kind."""
+    sub, text = config
+    assert _config_parsed(parse_config_text, text, sub) == \
+        _config_parsed(_reference_config, text, sub)
 
 
 def test_cli_defaults_match_library_defaults():

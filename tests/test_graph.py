@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.graph import ParseError, neighbor_sets
+from sigaug.graph import _by_node as by_node
 
-from conftest import LINE_BREAKS, REPO, random_signed_graph
+from conftest import LINE_BREAKS, REPO, graph_past_16_bit_ids, random_signed_graph
 from graph_reference import (ReferenceGraph, ReferenceParseError, reference_load_edge_list,
-                             reference_of, reference_split_edges)
+                             reference_of, reference_split_edges, split_adjacency)
 
 
 class TestLoadEdgeList:
@@ -557,21 +558,24 @@ class TestSplitEdges:
 
 
 class TestSplitAdjacency:
+    """graph_reference's scipy-built adjacency, the oracle behind the trainer's
+    operators (trainer_reference.graph_tensors) and the walk counts."""
+
     def test_triangle(self):
         g = sg.SignedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)])
-        apos, aneg = sg.split_adjacency(g)
+        apos, aneg = split_adjacency(g)
         assert apos.nnz == 4 and aneg.nnz == 2
         assert (apos != apos.T).nnz == 0 and (aneg != aneg.T).nnz == 0
         assert apos.multiply(aneg).nnz == 0
 
     def test_empty(self):
-        apos, aneg = sg.split_adjacency(sg.SignedGraph(4))
+        apos, aneg = split_adjacency(sg.SignedGraph(4))
         assert apos.nnz == 0 and aneg.nnz == 0
 
     def test_refusing_reconstructs_signs(self):
         rng = np.random.default_rng(3)
         g = random_signed_graph(rng, 10, 0.4, 0.4)
-        apos, aneg = sg.split_adjacency(g)
+        apos, aneg = split_adjacency(g)
         a = (apos - aneg).toarray()
         ref = reference_of(g)
         for u in range(g.n):
@@ -579,8 +583,39 @@ class TestSplitAdjacency:
                 assert a[u, v] == ref.sign(u, v)
 
     def test_congress_nnz_identity(self, congress_graph):
-        apos, aneg = sg.split_adjacency(congress_graph)
+        apos, aneg = split_adjacency(congress_graph)
         assert apos.nnz // 2 + aneg.nnz // 2 == congress_graph.num_edges
+
+
+class TestByNode:
+    """graph._by_node against a dict of lists of each node's entries in input
+    order. The sizes cross the 8-, 16- and 32-bit sort keys: a key one width too
+    narrow for n would wrap node n - 1 onto a small id and reorder the runs."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65536, 65537])
+    def test_matches_dict_of_lists(self, n):
+        rng = np.random.default_rng(n)
+        inputs = [np.empty(0, np.int64)]
+        if n:  # long runs at both ends of the id range and in the middle
+            hubs = np.repeat([0, n // 2, n - 1], 30)
+            inputs.append(rng.permutation(np.concatenate((rng.integers(0, n, 200), hubs))))
+        for ends in inputs:
+            want = {}
+            for i, node in enumerate(ends.tolist()):
+                want.setdefault(node, []).append(i)
+            order, indptr = by_node(ends, n)
+            assert order.tolist() == [i for node in sorted(want) for i in want[node]]
+            counts = [len(want.get(node, ())) for node in range(n)]
+            assert indptr.dtype == np.int64
+            assert indptr.tolist() == np.concatenate(([0], np.cumsum(counts))).tolist()
+
+    def test_neighbor_sets_past_16_bit_ids(self):
+        g = graph_past_16_bit_ids()
+        ref = reference_of(g)
+        pos, neg = neighbor_sets(g)
+        assert pos == [ref.pos_neighbors(u) for u in range(g.n)]
+        assert neg == [ref.neg_neighbors(u) for u in range(g.n)]
+        assert pos[65_599] | neg[65_599] and pos[0] | neg[0]
 
 
 class TestStats:

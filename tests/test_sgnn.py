@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigaug as sg
 import trainer_reference as ref
@@ -13,7 +15,8 @@ from sigaug.sgnn import (_NULL, CLASSES, _draw_nulls, _edge_rows, _GraphTensors,
                          _class_weights, _grad_step, _hinge_pairs, _loss_grads, _null_pool,
                          init_params)
 
-from conftest import random_signed_graph
+from conftest import LINE_BREAKS, graph_past_16_bit_ids, random_signed_graph
+from graph_reference import ReferenceParseError, reference_load_embeddings
 
 UNBALANCED_TRI = [(0, 1, -1), (0, 2, 1), (1, 2, 1)]
 
@@ -414,6 +417,7 @@ class TestGraphTensorsMatchesOracle:
         "no_nodes": lambda: sg.SignedGraph(0),
         "no_edges": lambda: sg.SignedGraph(5),
         "benchmark_shaped_split": lambda: _sparse_graph(0, n=1000, m=3200),
+        "past_16_bit_ids": graph_past_16_bit_ids,
     }
 
     def check(self, g):
@@ -509,6 +513,16 @@ class TestHingePairsMatchesOracle:
         rows = self.rows(n, [0, 1], 40)
         assert (rows[:, :2] == n - 3).any()
         assert all(len(p) for p in self.check(rows, n))
+
+    def test_graph_past_16_bit_ids(self):
+        # the graph's edge rows and the non-adjacent pairs among its endpoints
+        g = graph_past_16_bit_ids()
+        keys, ids = set(g.pair_keys().tolist()), np.unique(g.edge_array()[:, :2])
+        nulls = [(u, v, _NULL) for u in ids.tolist() for v in ids.tolist()
+                 if u < v and u * g.n + v not in keys]
+        rows = np.concatenate((_edge_rows(g), np.array(nulls, dtype=np.int64)))
+        rows = rows[np.random.default_rng(0).permutation(len(rows))]
+        assert all(len(p) for p in self.check(rows, g.n))
 
     def test_no_null_rows(self):
         assert not any(len(p) for p in self.check(self.rows(300, [0, 1], 0), 300))
@@ -773,3 +787,108 @@ class TestSerialization:
         for value in ("nan", "-inf", "Infinity", "1e999"):
             with pytest.raises(ValueError, match="e\\.emb:2: non-finite embedding value"):
                 load(f"0 0.1 0.2\n1 0.3 {value}\n".encode())
+
+
+# pieces of embedding files. Valid ones: ids with signs and leading zeros, or
+# thousands of zeros; values in every ASCII number form, of thousands of
+# digits; ASCII separators and line ends. A line is mutated now and then:
+# a wrong id, Unicode digits and spaces, NaN/inf text, a line break other than
+# the line feed, missing or extra values.
+_EMB_IDS = ["{i}", "{i}", "0{i}", "+{i}", "0" * 4400 + "{i}"]
+_EMB_VALUES = ["0.1", "-2", "1e-3", "5.", ".5", "+1E+2", "-0", "1" * 300,
+               "0." + "0" * 5000 + "1"]
+_EMB_SEPARATORS = [" ", "\t", "  ", "\x0b", "\x0c", "\r", " \r "]
+_EMB_EDGES = ["", "", " ", "\t", "\r"]
+_EMB_ENDS = ["\n", "\n", "\r\n", "\n\n"]
+_EMB_OTHER_LINES = ["", "  ", "\t\r"]
+_EMB_BAD = {
+    "id": ["{j}", "-{j}", "-{i}", "{i}.0", "1_0", "\u0661", "\uff10", "x", "+-0", "0x0"],
+    "value": ["nan", "NaN", "inf", "-Infinity", "1e999", "1" + "0" * 400, "1_0", "\u0661",
+              "\uff11", "0x1", "1.2.3", "e5", ".", "--1", "1e"],
+    "separator": ["\u3000", "\xa0", "\x1c", "\u2028", "\x85", "\ufeff"],
+    "break": LINE_BREAKS,
+    "width": [-4, -1, 1],  # -4 leaves a row no value
+}
+
+
+@st.composite
+def embedding_bytes(draw):
+    """An embedding file of up to 6 lines, mostly rows and mostly valid, as bytes."""
+    width = draw(st.sampled_from((2, 4, 3)))
+    data, row = b"", 0
+    for _ in range(draw(st.integers(0, 6))):
+        # a width fault shows only past the first row, so it is drawn twice as often
+        bad = draw(st.sampled_from([None] * 6 + sorted(_EMB_BAD) + ["width"]))
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(st.sampled_from(_EMB_OTHER_LINES))
+        else:
+            fields = [draw(st.sampled_from(_EMB_IDS))]
+            count = width + draw(st.sampled_from(_EMB_BAD["width"])) if bad == "width" else width
+            fields += [draw(st.sampled_from(_EMB_VALUES)) for _ in range(count)]
+            if bad == "id":
+                fields[0] = draw(st.sampled_from(_EMB_BAD["id"]))
+            elif bad == "value" and count:
+                fields[draw(st.integers(1, count))] = draw(st.sampled_from(_EMB_BAD["value"]))
+            fields[0] = fields[0].format(i=row, j=row + 1)
+            seps = _EMB_BAD["separator"] if bad == "separator" else _EMB_SEPARATORS
+            line = fields[0]
+            for field in fields[1:]:
+                line += draw(st.sampled_from(seps)) + field
+            line = draw(st.sampled_from(_EMB_EDGES)) + line + draw(st.sampled_from(_EMB_EDGES))
+            row += 1
+        if bad == "break":
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(LINE_BREAKS)) + line[at:]
+        data += line.encode() + draw(st.sampled_from(_EMB_ENDS)).encode()
+    if data and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+_EMB_KINDS = {"node ids must be dense": "id", "has no embedding values": "empty",
+              "could not convert string to float": "value", "non-finite": "nonfinite",
+              "the first row has": "width", "expected an even embedding dimension": "dimension"}
+
+
+def _reference_embeddings(data):
+    """("ok", rows) or ("error", line, kind) from the reference parser."""
+    try:
+        return "ok", reference_load_embeddings(data)
+    except ReferenceParseError as exc:
+        return "error", exc.lineno, exc.kind
+
+
+def _loaded_embeddings(path, data):
+    """("ok", rows) or ("error", line, kind) from load_embeddings on `data`
+    written to `path`."""
+    path.write_bytes(data)
+    try:
+        return "ok", sg.concat(sg.load_embeddings(path)).tolist()
+    except ValueError as exc:
+        match = re.fullmatch(rf"{re.escape(str(path))}:(?:(\d+):)? (.*)", str(exc), re.S)
+        (kind,) = [k for part, k in _EMB_KINDS.items() if part in match[2]]
+        return "error", match[1] and int(match[1]), kind
+
+
+class TestLoadEmbeddingsMatchesReference:
+    """load_embeddings against the bytes-and-regex reference parser: the same
+    verdict, rows, error line and error kind."""
+
+    @given(data=embedding_bytes())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_files(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "generated.emb"
+        assert _loaded_embeddings(path, data) == _reference_embeddings(data)
+
+    @pytest.mark.parametrize("text,want", [
+        ("0" * 4400 + " 0.1 0.2\n", ("ok", [[0.1, 0.2]])),
+        ("-0 0.1 0.2\n+" + "0" * 4400 + "1 0.3 0.4\n", ("ok", [[0.1, 0.2], [0.3, 0.4]])),
+        ("0 0.1 0.2\n-" + "0" * 4400 + "1 0.3 0.4\n", ("error", 2, "id")),
+        ("0" * 4400 + "1 0.1 0.2\n", ("error", 1, "id")),
+        ("0 0.1 0.2\n1" + "0" * 4400 + " 0.3 0.4\n", ("error", 2, "id")),
+    ], ids=["zeros", "zeros_then_one", "minus_one", "one_first", "huge_id"])
+    def test_long_ids(self, tmp_path, text, want):
+        data = text.encode()
+        assert _reference_embeddings(data) == want
+        assert _loaded_embeddings(tmp_path / "ids.emb", data) == want

@@ -27,8 +27,9 @@ by binary search in the sorted anchors. It sums in the library's order, so
 the library's loss must equal it bit for bit.
 
 `graph_tensors` builds the trainer's six propagation operators as first
-written: adjacency from per-edge Python lists, each row scaled by a sparse
-diagonal product, the transposes by `.T.tocsr()`. The library writes the
+written: adjacency assembled by scipy from coordinates (graph_reference's
+`split_adjacency`), each row scaled by a sparse diagonal product, the
+transposes by `.T.tocsr()`. The library writes the
 csr arrays of rpd and rnd directly and must give the same data, indices (in
 entry order) and indptr; its layer-0 inputs must equal those built with rp1
 and rn1, and its csc views of rpd and rnd must give the transposes' products
@@ -57,11 +58,10 @@ import scipy.sparse as sp
 
 from sigaug import sgnn
 from sigaug.graph import SignedGraph
-from sigaug.graph import NEG, POS
 from sigaug.sgnn import (_NULL, _NULL_DRAW_PASSES, _NULL_POOL_CUTOFF, CLASSES, ModelParams,
                          TrainConfig, init_params, synth_features)
 
-from graph_reference import reference_of
+from graph_reference import reference_of, split_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -266,14 +266,7 @@ def graph_tensors(g: SignedGraph) -> dict:
     """The operators rp1, rn1, rpd, rnd, rpd_t and rnd_t, by name: sgnn._GraphTensors
     keeps rpd and rnd, builds its layer-0 inputs with rp1 and rn1, and views the
     transposes."""
-    ends = {POS: ([], []), NEG: ([], [])}
-    for u, v, s in g.edge_array().tolist():
-        rows, cols = ends[s]
-        rows += [u, v]
-        cols += [v, u]
-    apos, aneg = (sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
-                                shape=(g.n, g.n)).astype(np.float64)
-                  for rows, cols in (ends[POS], ends[NEG]))
+    apos, aneg = (a.astype(np.float64) for a in split_adjacency(g))
     degp = np.asarray(apos.sum(axis=1)).ravel()
     degn = np.asarray(aneg.sum(axis=1)).ravel()
 
