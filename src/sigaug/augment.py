@@ -292,20 +292,14 @@ def _block_best(vals: np.ndarray, n: int, r0: int, after, k: int):
     return keys[order], vals[order]
 
 
-def _first_chunk(vals: np.ndarray, n: int, r0: int):
-    """The best `_FIRST_CHUNK` pairs of the row block `vals` (`_block_best` from
-    the start of the pool, `after` None): what `_block_pairs` yields before its
-    first refill."""
-    return _block_best(vals, n, r0, None, _FIRST_CHUNK)
-
-
 def _block_pairs(block, n: int, r0: int, r1: int, first):
     """The upper-triangle pairs (key, value) of rows r0:r1 in pool order, ranked a
-    chunk at a time from the block's `_first_chunk`. The chunk doubles from
-    `_FIRST_CHUNK` up to max(n, `_FIRST_CHUNK`) pairs, so a block waiting between
-    refills holds at most that many; a refill multiplies the block again (full
-    width, the shape every reader cuts) and ranks the pairs after the last one
-    yielded from its columns r0 on, with its temporaries in `_block_best` only."""
+    chunk at a time from `first`, the block's best `_FIRST_CHUNK` pairs
+    (`_block_best` with `after` None). The chunk doubles from `_FIRST_CHUNK` up
+    to max(n, `_FIRST_CHUNK`) pairs, so a block waiting between refills holds
+    at most that many; a refill multiplies the block again (full width, the
+    shape every reader cuts) and ranks the pairs after the last one yielded
+    from its columns r0 on, with its temporaries in `_block_best` only."""
     keys, vals = first
     chunk = _FIRST_CHUNK
     while keys.size:
@@ -323,8 +317,9 @@ def _ranked_pairs(block, n: int, firsts):
     and the blocks are merged on (-value, key). Keys are unique, so that order
     is strict and the merge equals one stable sort of all pairs. No array of
     all n^2/2 pairs is built, however far the pool is walked. `firsts` holds
-    each block's `_first_chunk` in `_blocks` order, ranked by the caller from
-    the product it reads anyway. Values must not be NaN.
+    each block's first chunk (`_block_pairs`' `first`) in `_blocks` order,
+    ranked by the caller from the product it reads anyway. Values must not be
+    NaN.
     """
     return heapq.merge(*(_block_pairs(block, n, r0, r1, first)
                          for (r0, r1), first in zip(_blocks(n), firsts)),
@@ -378,7 +373,7 @@ class AugmentationState:
                 values = block(r0, r1)
                 lo, hi = np.searchsorted(u, (r0, r1))
                 vals[lo:hi] = values[u[lo:hi] - r0, v[lo:hi]]
-                firsts.append(_first_chunk(values, n, r0))
+                firsts.append(_block_best(values, n, r0, None, _FIRST_CHUNK))
             order = np.argsort(vals, kind="stable")
             self.pools[sign, ADD] = _ranked_pairs(block, n, firsts)
             self.pools[sign, REMOVE] = zip(edges[order].tolist(), vals[order].tolist())

@@ -44,10 +44,12 @@ _SPACE = " \t\n\r\v\f"  # the whitespace a number may carry around it
 
 
 def _int(text: str) -> int:
-    """Integer flag in ASCII digits (`graph._INT`)."""
-    if not graph._INT.fullmatch(text.strip(_SPACE)):
+    """Integer in ASCII digits (`graph._INT`), read by its digits past the
+    leading zeros (`graph._int_value`)."""
+    digits = text.strip(_SPACE)
+    if not graph._INT.fullmatch(digits):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
+    return graph._int_value(digits)
 
 
 def _float(text: str) -> float:
@@ -284,10 +286,7 @@ def cmd_augment(cfg: dict) -> int:
     emb_path = cfg["embeddings"]
     if not emb_path:
         raise FileNotFoundError("no --embeddings given")
-    try:
-        pair = sgnn.load_embeddings(emb_path)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    pair = _checked(sgnn.load_embeddings, emb_path)
     if pair.zpos.shape[0] != g.n:
         raise InputError(f"{emb_path}: {pair.zpos.shape[0]} embedding rows, "
                          f"the graph has {g.n} nodes")

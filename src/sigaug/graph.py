@@ -32,6 +32,17 @@ _FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
 _TIMESTAMP = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
 
+def _int_value(text: str, digits: int | None = None) -> int | None:
+    """The value of `text`, which matches `_INT`, judged by its digits past the
+    leading zeros: None when there are more than `digits` of them. int() alone
+    counts the zeros against its limit of sys.get_int_max_str_digits() digits;
+    past that many significant digits its ValueError stays."""
+    magnitude = text.lstrip("+-").lstrip("0") or "0"
+    if digits is not None and len(magnitude) > digits:
+        return None
+    return -int(magnitude) if text[0] == "-" else int(magnitude)
+
+
 class ParseError(ValueError):
     """Malformed edge-list input. Carries the 1-based line number."""
 
@@ -206,10 +217,7 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
         weight = fields[2]
         if not _INT.fullmatch(weight):
             raise ParseError(lineno, f"non-numeric weight {weight!r}")
-        # past two digits, leading zeros aside, a weight is out of either range;
-        # int() would refuse more than sys.get_int_max_str_digits() of them
-        sign, magnitude = "-" if weight[0] == "-" else "", weight.lstrip("+-").lstrip("0")
-        rating = int(sign + (magnitude or "0")) if len(magnitude) <= 2 else None
+        rating = _int_value(weight, 2)  # past two digits, out of either range
         if format == "rating" and (rating is None or not -10 <= rating <= 10):
             raise ParseError(lineno, f"rating {weight} outside [-10, 10]")
         if format == "signed" and rating not in (POS, NEG):

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _FLOAT, _INT, NEG, POS, SignedGraph, _by_node
+from .graph import _FLOAT, _INT, NEG, POS, SignedGraph, _by_node, _int_value
 
 logger = logging.getLogger(__name__)
 
@@ -579,11 +579,8 @@ def load_embeddings(path) -> EmbeddingPair:
         if not fields:
             continue
         texts = [f.decode(errors="replace") for f in fields]
-        # judged by its digits past the leading zeros, as a weight is: int() refuses
-        # more than 4300 digits, zeros too, and past 18 digits no id is dense
-        sign, magnitude = "-" if texts[0][:1] == "-" else "", texts[0].lstrip("+-").lstrip("0")
-        node = (int(sign + (magnitude or "0"))
-                if _INT.fullmatch(texts[0]) and len(magnitude) <= 18 else None)
+        # past 18 digits, leading zeros aside, no id is dense
+        node = _int_value(texts[0], 18) if _INT.fullmatch(texts[0]) else None
         if node != len(rows):
             raise ValueError(f"{path}:{lineno}: node ids must be dense and ordered "
                              f"integers, got {texts[0]!r}")

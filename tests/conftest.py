@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,18 @@ settings.load_profile("derandomized")
 # as pyproject's pytest pythonpath gives it to this process
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture
+def time_stages(monkeypatch):
+    """tools/time_stages.py loaded as a module; its sys.path entries and
+    bytecode do not outlive the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("time_stages", REPO / "tools" / "time_stages.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.fixture(scope="session")

@@ -218,7 +218,7 @@ def reference_load_embeddings(data: bytes) -> list[list[float]]:
 
 _TEXT_SPACE = _SPACE.decode()  # a config's text is str: its ASCII whitespace
 _BLANK = r"[ \t\r\v\f]*"
-_CONFIG_INT = re.compile(r"[+-]?[0-9]+")
+_CONFIG_INT = re.compile(r"([+-]?)0*([0-9]+)")
 _CONFIG_RATIO = re.compile(rf"{_BLANK}({_NUMBER}){_BLANK}(?:/{_BLANK}({_NUMBER}){_BLANK})?",
                            re.ASCII | re.IGNORECASE)
 _CONFIG_BOOL = {"1": True, "true": True, "yes": True, "on": True,
@@ -242,9 +242,11 @@ def _config_value(default, text: str):
             raise ValueError(text)
         return _CONFIG_BOOL[word]
     if isinstance(default, int):
-        if not _CONFIG_INT.fullmatch(text):
+        match = _CONFIG_INT.fullmatch(text)
+        if match is None:
             raise ValueError(text)
-        return int(text)  # past 4300 digits int() refuses, leading zeros too
+        # the digits past the leading zeros; int() refuses more than 4300 of them
+        return int(match[1] + match[2])
     if isinstance(default, float):
         return _config_ratio(text)
     if isinstance(default, tuple):
@@ -259,9 +261,10 @@ def reference_parse_config(text: str, keys: dict) -> dict:
     Lines part at "\n" and are stripped of ASCII whitespace; an empty line or one
     starting with "#" is skipped. A line parts at its first "=" into a key and a
     value, each stripped of ASCII whitespace. A value is read by its key's
-    default's type: an ASCII boolean word, an ASCII integer, a number or a/b
-    fraction of ASCII numbers (not over zero), a comma list of such with blank
-    items skipped, or the text itself. A later line sets a key again. Faults:
+    default's type: an ASCII boolean word, an ASCII integer of at most 4300
+    digits past its leading zeros, a number or a/b fraction of ASCII numbers
+    (not over zero), a comma list of such with blank items skipped, or the
+    text itself. A later line sets a key again. Faults:
     "syntax" (no "="), "key" (not in `keys`) and "value"."""
     values = {}
     for lineno, line in enumerate(text.split("\n"), start=1):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import sigaug as sg
 from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, NOT_GATED,
                             AugmentationState, LogEntry, PerturbationLog, _block_best,
-                            _blocks, _first_chunk, _propensity_rows, _ranked_pairs,
+                            _blocks, _propensity_rows, _ranked_pairs,
                             edge_probabilities)
 from sigaug.balance import DISCARD, KEEP
 from sigaug.graph import neighbor_sets
@@ -445,7 +445,8 @@ def stable_ranking(values):
 def ranked_pairs(block, n):
     """_ranked_pairs from each row block's first chunk, as AugmentationState
     ranks them from its one product per block."""
-    return _ranked_pairs(block, n, [_first_chunk(block(r0, r1), n, r0) for r0, r1 in _blocks(n)])
+    firsts = [_block_best(block(r0, r1), n, r0, None, _FIRST_CHUNK) for r0, r1 in _blocks(n)]
+    return _ranked_pairs(block, n, firsts)
 
 
 class TestRankedPairs:

@@ -123,6 +123,15 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == "" and f"argument {flag}: invalid" in err and repr(value) in err
 
+    def test_zero_padded_int_flag_read_by_value(self, capsys):
+        # int() alone refuses more than 4300 digits, leading zeros too
+        args = build_parser().parse_args(["train", "--epochs", "0" * 4400 + "5"])
+        assert args.epochs == 5
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["train", "--epochs", "9" * 5000])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --epochs: invalid" in capsys.readouterr().err
+
     def test_ascii_number_flags_accepted(self):
         parser = build_parser()
         args = parser.parse_args(["sweep", "--epochs", " 2", "--mu-grid", "0.5, 0.7,",
@@ -224,6 +233,18 @@ class TestTrainAugmentCmds:
         assert g.num_edges > 0
         log_lines = (tmp_path / "aug.log").read_text().splitlines()
         assert log_lines and len(log_lines[0].split()) == 7
+
+    def test_params_reproduce_the_written_embeddings(self, tmp_path, congress_path,
+                                                      congress_graph):
+        # what `.params` is kept for: forward over the trained graph and features
+        # gives the `.emb` that train wrote, bit for bit
+        out = tmp_path / "model"
+        assert main(["train", "--dataset", str(congress_path), "--epochs", "3", "--seed", "2",
+                     "--output", str(out), "--quiet"]) == EXIT_OK
+        params = sg.load_params(out.with_suffix(".params"))
+        x = sg.synth_features(congress_graph.n, params.feature_dim, 2)
+        got = sg.concat(sg.forward(congress_graph, params, x))
+        assert got.tobytes() == sg.concat(sg.load_embeddings(out.with_suffix(".emb"))).tobytes()
 
     def test_zero_delta_writes_an_empty_log(self, tmp_path, congress_path):
         with congress_path.open("rb") as fh:
@@ -483,6 +504,11 @@ class TestConfigResolution:
         cfg = resolve_config("evaluate", parse_config_text("theta = 1/9", "evaluate"), {})
         assert cfg.get("theta") == pytest.approx(1 / 9)
 
+    def test_zero_padded_config_int_read_by_value(self):
+        assert parse_config_text("epochs = " + "0" * 4400 + "5", "train") == {"epochs": 5}
+        with pytest.raises(ValueError, match=r"^config line 1: epochs: Exceeds the limit"):
+            parse_config_text("epochs = " + "9" * 5000, "train")
+
     def test_unknown_config_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("bogus = 1", "stats")
@@ -575,7 +601,7 @@ class TestConfigResolution:
 _ALL_KEYS = {key: default for table in _KEYS.values() for key, (_t, default) in table.items()}
 _CONFIG_VALUES = {
     bool: ["true", "YES", "off", "0", "On", "1"],
-    int: ["3", "+4", "-2", "007", "0"],
+    int: ["3", "+4", "-2", "007", "0", "0" * 4400 + "5"],
     float: ["0.5", "1/9", "1 / 9", "\t2/3", "-1e-3", ".5", "5.", "1e999", "inf", "NaN",
             "inf/inf", "1e308/1e-308"],
     tuple: ["0.5,0.7", "1/9, 0.2", "", ",", " , 0.5", "nan,inf", "1,2,3"],
@@ -583,7 +609,7 @@ _CONFIG_VALUES = {
 }
 _CONFIG_BAD_VALUES = {
     bool: ["2", "ture", "", "t rue", "\u0131"],
-    int: ["0" * 4400 + "5", "9" * 5000, "1_0", "\u0664", "3.0", "", "x", "\uff13"],
+    int: ["9" * 5000, "1_0", "\u0664", "3.0", "", "x", "\uff13"],
     float: ["1/0", "0/0.0", "1/-0", "1_0", "\u0660.5", "\u0661/9", "1/2/3", "/", "1/", "",
             "x", "0x1", "1e"],
     tuple: ["0.5,,x", "0.5;0.7", "1/0,2", "\u0660.5", "0.5 0.7"],
