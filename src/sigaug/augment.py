@@ -356,7 +356,6 @@ class AugmentationState:
         n = g.n
         self.n = n
         self.cfg = cfg
-        self.original_edge_count = g.num_edges
         self.pos_adj, self.neg_adj = neighbor_sets(g)
         self.log = PerturbationLog()
         # pairs as row-major flat keys u * n + v, u < v, ascending
@@ -481,7 +480,7 @@ def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGra
         raise ValueError("embeddings do not match the graph size")
     state = AugmentationState(g, _propensity_rows(pair), cfg)
     unmet = False
-    while not epr_check(state.log, cfg, state.original_edge_count):
+    while not epr_check(state.log, cfg, g.num_edges):
         if perturb_step(state) == 0:
             unmet = True
             break

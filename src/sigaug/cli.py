@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-_SPACE = " \t\n\r\v\f"  # the whitespace a number may carry around it
+_SPACE = graph._SPACE + "\n"  # the whitespace a value may carry, a line feed too
 
 
 def _int(text: str) -> int:

@@ -3,9 +3,9 @@
 A `SignedGraph` is its edges in one form: a sorted read-only (m, 3) int64
 array of (u, v, sign) rows with u < v, beside the rows' ascending pair keys.
 `build_graph` and `split_edges` hand the constructor such arrays, and a split's
-test edges are rows of its parent's array. Every reader of a node's neighbors
-of one sign groups the array's endpoints by node through `_by_node`:
-`neighbor_sets` here, the trainer's operators and its hinge pairs in `sgnn`.
+test edges are rows of its parent's array. `_neighbor_runs` lays out one
+sign's neighbors, grouped by node through `_by_node`, for `neighbor_sets` here
+and the trainer's operators in `sgnn`; its hinge pairs group by `_by_node` too.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ _INT = re.compile(r"[+-]?[0-9]+")
 _FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
                     r"|inf|infinity|nan)", re.ASCII | re.IGNORECASE)
 _TIMESTAMP = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+_SPACE = " \t\r\v\f"  # the ASCII whitespace fields part at; a line feed ends the line
 
 
 def _int_value(text: str, digits: int | None = None) -> int | None:
@@ -145,16 +146,21 @@ def _by_node(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, indptr
 
 
+def _neighbor_runs(edges: np.ndarray, sign: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(others, indptr): node i's neighbors over the `sign` rows of the edge array
+    are others[indptr[i]:indptr[i + 1]], as u's in row order, then as v's."""
+    u, v, _ = edges[edges[:, 2] == sign].T
+    order, indptr = _by_node(np.concatenate((u, v)), n)
+    return np.concatenate((v, u))[order], indptr
+
+
 def neighbor_sets(g: SignedGraph) -> tuple[list[set], list[set]]:
     """Each node's neighbors of each sign, as fresh (pos, neg) lists of sets
     indexed by node, built from g's edge array; the caller owns them."""
-    edges = g.edge_array()
     sets = []
     for sign in (POS, NEG):
-        u, v, _ = edges[edges[:, 2] == sign].T
-        order, indptr = _by_node(np.concatenate((u, v)), g.n)
-        others, bounds = np.concatenate((v, u))[order].tolist(), indptr.tolist()
-        sets.append([set(others[a:b]) for a, b in zip(bounds, bounds[1:])])
+        others, indptr = (a.tolist() for a in _neighbor_runs(g.edge_array(), sign, g.n))
+        sets.append([set(others[a:b]) for a, b in zip(indptr, indptr[1:])])
     return sets[0], sets[1]
 
 
@@ -169,13 +175,13 @@ class EdgeSplit:
 
 def _split_fields(line: str) -> list[str]:
     """A stripped line's fields: comma-separated, else parted by runs of ASCII
-    whitespace (space, \\t, \\r, \\v, \\f). Other characters that str.split()
-    takes as whitespace (\\x1c-\\x1f, \\x85, \\xa0, U+2028, ...) stay in labels."""
+    whitespace (`_SPACE`). Other characters that str.split() takes as
+    whitespace (\\x1c-\\x1f, \\x85, \\xa0, U+2028, ...) stay in labels."""
     if "," in line:
-        return [f.strip(" \t\r\v\f") for f in line.split(",")]
+        return [f.strip(_SPACE) for f in line.split(",")]
     if line.isascii() and line.isprintable():  # its only whitespace is the space
         return line.split()
-    return re.split(r"[ \t\r\v\f]+", line)
+    return re.split(f"[{_SPACE}]+", line)
 
 
 def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
@@ -205,7 +211,7 @@ def load_edge_list(source, format: str = "signed") -> list[RatingRecord]:
                              f"not UTF-8 text ({exc.reason})") from None
     records = []
     for lineno, raw in enumerate(data.removeprefix("\ufeff").split("\n"), start=1):
-        line = raw.strip(" \t\r\v\f")  # ASCII whitespace only, as _split_fields
+        line = raw.strip(_SPACE)  # ASCII whitespace only, as _split_fields
         if not line or line.startswith("#") or line.startswith("%"):
             continue
         fields = _split_fields(line)
@@ -238,13 +244,9 @@ def build_graph(records: list[RatingRecord]) -> SignedGraph:
     negative information is scarcer and more informative.
     """
     ids: dict[str, int] = {}
-    for rec in records:
-        for label in (rec.source, rec.target):
-            if label not in ids:
-                ids[label] = len(ids)
     pair_sign: dict[tuple[int, int], int] = {}
     for rec in records:
-        u, v = ids[rec.source], ids[rec.target]
+        u, v = ids.setdefault(rec.source, len(ids)), ids.setdefault(rec.target, len(ids))
         if u == v:
             continue
         key = (u, v) if u < v else (v, u)
@@ -307,15 +309,15 @@ def _as_edge_array(edges) -> np.ndarray:
     raise ValueError("edge entries must fit in int64")
 
 
+def _stats(n: int, pos: int, neg: int) -> dict:
+    """The stats of n nodes over pos positive and neg negative edges or records."""
+    ratio = neg / (pos + neg) if pos + neg else 0.0
+    return {"n": n, "pos_edges": pos, "neg_edges": neg, "neg_ratio": ratio}
+
+
 def graph_stats(g: SignedGraph) -> dict:
     """Node/edge counts and the negative-edge share of a built graph."""
-    m = g.num_edges
-    return {
-        "n": g.n,
-        "pos_edges": g.num_pos,
-        "neg_edges": g.num_neg,
-        "neg_ratio": g.num_neg / m if m else 0.0,
-    }
+    return _stats(g.n, g.num_pos, g.num_neg)
 
 
 def record_stats(records: list[RatingRecord]) -> dict:
@@ -327,11 +329,4 @@ def record_stats(records: list[RatingRecord]) -> dict:
         labels.add(rec.target)
         if rec.rating > 0:
             pos += 1
-    neg = len(records) - pos
-    total = len(records)
-    return {
-        "n": len(labels),
-        "pos_edges": pos,
-        "neg_edges": neg,
-        "neg_ratio": neg / total if total else 0.0,
-    }
+    return _stats(len(labels), pos, len(records) - pos)

@@ -24,7 +24,7 @@ Each `train` and `forward` call builds one `_GraphTensors` from its graph and
 features: the layer-0 inputs [x || R+ x] and [x || R- x] and the two
 cross-branch operators, whose transposes are csc views of them that sum in the
 order a transposed copy would. The operators' csr arrays are written straight
-from each sign's edge rows, grouped by node by the same `_by_node`. `train`
+from each sign's neighbor runs (`graph._neighbor_runs`). `train`
 also builds the supervision's edge rows and the null pool once; an epoch draws
 only its "?" rows, and a rejection draw is looked up in the ascending edge
 keys after sorting only the draws.
@@ -40,7 +40,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import _FLOAT, _INT, NEG, POS, SignedGraph, _by_node, _int_value
+from .graph import (_FLOAT, _INT, _SPACE, NEG, POS, SignedGraph, _by_node, _int_value,
+                    _neighbor_runs)
 
 logger = logging.getLogger(__name__)
 
@@ -202,20 +203,16 @@ class _GraphTensors:
     own-degree operators, and the deeper layers' operators rpd and rnd with
     their transposes rpd_t and rnd_t.
 
-    rpd and rnd are csr arrays written from each sign's edge rows grouped by node
-    in reverse row order (`graph._by_node`), so each row's columns descend, the
-    entry order `sp.diags(1 / deg) @ A` leaves, and their products sum in that
-    order. rpd_t and rnd_t are their csc views: a csc product adds into each
+    rpd and rnd are csr arrays written from each sign's neighbor runs over the
+    reversed edge rows (`graph._neighbor_runs`), so each row's columns descend,
+    the entry order `sp.diags(1 / deg) @ A` leaves, and their products sum in
+    that order. rpd_t and rnd_t are their csc views: a csc product adds into each
     output row in ascending column order, as a csr copy of the transpose would.
     """
 
     def __init__(self, g: SignedGraph, x: np.ndarray):
         edges = g.edge_array()[::-1]
-        adj = []
-        for sign in (POS, NEG):
-            u, v, _ = edges[edges[:, 2] == sign].T
-            order, indptr = _by_node(np.concatenate((u, v)), g.n)
-            adj.append((np.concatenate((v, u))[order], indptr))
+        adj = [_neighbor_runs(edges, sign, g.n) for sign in (POS, NEG)]
         degp, degn = (np.diff(indptr).astype(np.float64) for _, indptr in adj)
         degt = degp + degn
         rp1, self.rpd = self._scaled(*adj[0], degp, degt)
@@ -343,27 +340,25 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     diagonal of W's row plus column sums.
     """
     n, d = Z.shape
-    count = len(rows)
+    count = len(rows)  # never 0: the rows hold an edge of each sign (check_supervision)
     ii, jj = np.minimum(rows[:, 0], rows[:, 1]), np.maximum(rows[:, 0], rows[:, 1])
-    ce, dTheta, dZ = 0.0, np.zeros_like(theta), np.zeros_like(Z)
-    if count:
-        yy = rows[:, 2]
-        ww = weights[yy]
-        logits = (Z @ theta[:, :d].T).take(ii, axis=0) + (Z @ theta[:, d:].T).take(jj, axis=0)
-        logits -= np.maximum(np.maximum(logits[:, 0], logits[:, 1]), logits[:, 2])[:, None]
-        expl = np.exp(logits)
-        # the three-term sum in the order expl.sum(axis=1) adds them
-        probs = expl / ((expl[:, 0] + expl[:, 1]) + expl[:, 2])[:, None]
-        truth = 3 * np.arange(count) + yy  # each row's true class in the flat probs
-        picked = np.clip(probs.take(truth), 1e-300, None)
-        ce = float((ww * -np.log(picked)).sum() / count)
-        grad_logits = probs  # probs has no further reader
-        grad_logits.ravel()[truth] -= 1.0
-        grad_logits *= (ww / count)[:, None]
-        gi, gj = (np.column_stack([np.bincount(end, col, minlength=n) for col in grad_logits.T])
-                  for end in (ii, jj))
-        dTheta = np.hstack((gi.T @ Z, gj.T @ Z))
-        dZ = gi @ theta[:, :d] + gj @ theta[:, d:]
+    yy = rows[:, 2]
+    ww = weights[yy]
+    logits = (Z @ theta[:, :d].T).take(ii, axis=0) + (Z @ theta[:, d:].T).take(jj, axis=0)
+    logits -= np.maximum(np.maximum(logits[:, 0], logits[:, 1]), logits[:, 2])[:, None]
+    expl = np.exp(logits)
+    # the three-term sum in the order expl.sum(axis=1) adds them
+    probs = expl / ((expl[:, 0] + expl[:, 1]) + expl[:, 2])[:, None]
+    truth = 3 * np.arange(count) + yy  # each row's true class in the flat probs
+    picked = np.clip(probs.take(truth), 1e-300, None)
+    ce = float((ww * -np.log(picked)).sum() / count)
+    grad_logits = probs  # probs has no further reader
+    grad_logits.ravel()[truth] -= 1.0
+    grad_logits *= (ww / count)[:, None]
+    gi, gj = (np.column_stack([np.bincount(end, col, minlength=n) for col in grad_logits.T])
+              for end in (ii, jj))
+    dTheta = np.hstack((gi.T @ Z, gj.T @ Z))
+    dZ = gi @ theta[:, :d] + gj @ theta[:, d:]
     dist = np.empty(count)
     for b in range(0, count, _ROW_BLOCK):
         blk = slice(b, b + _ROW_BLOCK)
@@ -541,17 +536,29 @@ def save_params(params: ModelParams, path):
 
 
 def load_params(path) -> ModelParams:
-    """Read a parameter blob written by save_params; validates the magic."""
+    """Read a parameter blob written by save_params.
+
+    The magic, then `layers=` and a layer count of at least 1 in ASCII digits
+    (`graph._INT`), then exactly 2 * layers + 1 arrays; every refusal is a
+    ValueError that names the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(PARAMS_MAGIC))
         if magic != PARAMS_MAGIC:
             raise ValueError(f"{path}: not a parameter blob (bad magic {magic!r})")
-        header = fh.readline().decode("ascii").strip()
-        if not header.startswith("layers="):
+        header = fh.readline().decode("ascii", errors="replace").strip(_SPACE + "\n")
+        key, _, count = header.partition("=")
+        # past 18 digits, leading zeros aside, no blob holds that many arrays
+        layers = _int_value(count, 18) if key == "layers" and _INT.fullmatch(count) else None
+        if layers is None or layers < 1:
             raise ValueError(f"{path}: malformed parameter header {header!r}")
-        layers = int(header.split("=", 1)[1])
-        arrays = [np.lib.format.read_array(fh) for _ in range(2 * layers + 1)]
-    return ModelParams.from_arrays(arrays)
+        try:
+            params = ModelParams.from_arrays(
+                [np.lib.format.read_array(fh) for _ in range(2 * layers + 1)])
+        except ValueError as exc:  # a short or malformed array, or weights that do not chain
+            raise ValueError(f"{path}: {exc}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the last array")
+    return params
 
 
 def save_embeddings(pair: EmbeddingPair, path):

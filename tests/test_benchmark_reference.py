@@ -19,13 +19,10 @@ import sigaug as sg
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmark"
 WORKLOADS = ["congress-sweep", "synth1k-gate"]
 
-# every name worker.install_tracing replaces, each restored after the traced pass
-# (sigaug.augment is the function, so the modules are looked up by name)
-TRACED = [(importlib.import_module(module), name) for module, names in (
-    ("sigaug.evaluate", ("split_edges", "train", "augment", "predict_test_edges", "auc",
-                         "classification_metrics")),
-    ("sigaug.augment", ("edge_probabilities", "perturb_step", "pair_utility", "fuse")),
-) for name in names]
+# the modules whose names worker.install_tracing replaces; every attribute of
+# each is restored after the traced pass (sigaug.augment is the function, so
+# the modules are looked up by name)
+TRACED = [importlib.import_module(module) for module in ("sigaug.evaluate", "sigaug.augment")]
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +70,9 @@ def test_seed0_traced_pass_is_consistent(bench, workload, tmp_path, monkeypatch)
     _, run, spans, worker = bench
     spec = worker.WORKLOADS[workload]
     dataset, graph = _load(bench, spec, tmp_path)
-    for module, name in TRACED:
-        monkeypatch.setattr(module, name, getattr(module, name))
+    for module in TRACED:
+        for name, value in list(vars(module).items()):
+            monkeypatch.setattr(module, name, value)
     rec = spans.Recorder()
     worker.install_tracing(rec)
     with rec.span("bench.pass"):

@@ -257,6 +257,9 @@ class TestBuildGraph:
     def test_self_loops_dropped(self):
         g = sg.build_graph([sg.RatingRecord("a", "a", 3), sg.RatingRecord("a", "b", 3)])
         assert g.num_edges == 1
+        # a label seen only in a self-loop still gets its id, in first-appearance order
+        g = sg.build_graph([sg.RatingRecord("c", "c", 1), sg.RatingRecord("a", "b", 1)])
+        assert g.n == 3 and g.edge_array().tolist() == [[1, 2, 1]]
 
     def test_first_appearance_ids(self):
         recs = [sg.RatingRecord("z", "m", 1), sg.RatingRecord("a", "z", 1)]
@@ -644,8 +647,8 @@ class TestStats:
         assert text.encode() == congress_path.read_bytes()
 
     def test_empty_graph(self):
-        stats = sg.graph_stats(sg.SignedGraph(0))
-        assert stats == {"n": 0, "pos_edges": 0, "neg_edges": 0, "neg_ratio": 0.0}
+        for stats in (sg.graph_stats(sg.SignedGraph(0)), sg.record_stats([])):
+            assert stats == {"n": 0, "pos_edges": 0, "neg_edges": 0, "neg_ratio": 0.0}
 
     def test_single_negative_edge(self):
         stats = sg.graph_stats(sg.SignedGraph(2, [(0, 1, -1)]))

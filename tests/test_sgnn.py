@@ -728,6 +728,24 @@ class TestSerialization:
         loaded = sg.load_params(path)
         for a, b in zip(params.arrays(), loaded.arrays()):
             assert np.array_equal(a, b)
+        # the layer count is read by its value, leading zeros aside
+        path.write_bytes(path.read_bytes().replace(b"layers=2", b"layers=02", 1))
+        for a, b in zip(params.arrays(), sg.load_params(path).arrays()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("header, tail", [
+        (b"layers=1_0", b""), (b"layers=0", b""), (b"layers=-1", b""),
+        ("layers=\u0661".encode(), b""), (b"layers=1", b"\0")],
+        ids=["underscore", "zero", "negative", "arabic-indic-digit", "trailing-byte"])
+    def test_params_refused_naming_the_file(self, tmp_path, header, tail):
+        # the layer count is at least 1 in ASCII digits, and no byte follows the
+        # last array: int() would read 1_0 as 10, and 0 or -1 would leave the
+        # branches without a layer
+        path = tmp_path / "m.params"
+        sg.save_params(init_params(5, 6, 1, np.random.default_rng(3)), path)
+        path.write_bytes(path.read_bytes().replace(b"layers=1", header, 1) + tail)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            sg.load_params(path)
 
     def test_params_bad_magic(self, tmp_path):
         path = tmp_path / "junk.params"

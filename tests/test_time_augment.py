@@ -17,6 +17,9 @@ def test_time_augment_smoke(time_stages, tmp_path):
     augment = result["augment"]
     assert list(augment) == ["targets", "setup_s", "rounds_s", "final_s", "augment_s", "calls",
                              "log_entries", "kept"]
+    spec = time_stages.worker.WORKLOADS["synth1k-gate"]  # the benchmark workload's targets
+    assert augment["targets"] == {"theta_target": spec["theta"], "delta_target": spec["delta"],
+                                  "mu": spec["mu"], "eta": spec["eta"]}
     assert list(augment["setup_s"]) == ["products", "ranking", "other", "total"]
     assert list(augment["rounds_s"]) == ["products", "ranking", "gate", "other", "total"]
     assert list(augment["final_s"]) == ["checks", "graph", "total"]

@@ -11,10 +11,11 @@ Bitcoin-alpha shape), or a signed edge list given with --dataset. As
 run_experiment's sigaug run does, it is split with split_edges(graph,
 test_fraction, seed) at ExperimentConfig's default test_fraction, one
 `sigaug.train` (TrainConfig(epochs, seed)) runs on the train split, and one
-`sigaug.augment` on the train split with its embeddings, at the `synth1k-gate`
-benchmark workload's targets (theta 1/9, delta 0.12, mu 0.7, eta 4). Each call
-runs with the functions it looks up in its module at call time wrapped in
-timers, which are restored afterwards.
+`sigaug.augment` on the train split with its embeddings. The augment targets
+(theta, delta, mu, eta) and the default --epochs are those of the
+`synth1k-gate` benchmark workload, read from benchmark/worker.py's WORKLOADS.
+Each call runs with the functions it looks up in its module at call time
+wrapped in timers, which are restored afterwards.
 
 "train": `setup_s`, once per call, by function (`_GraphTensors`, the
 propagation operators and layer-0 inputs; `_edge_rows`, the supervision's edge
@@ -61,6 +62,7 @@ import scipy  # noqa: E402
 
 import gen_graph  # noqa: E402
 import sigaug as sg  # noqa: E402
+import worker  # noqa: E402
 from sigaug import sgnn  # noqa: E402
 
 aug = importlib.import_module("sigaug.augment")  # the module, not the function sigaug exports
@@ -68,7 +70,9 @@ aug = importlib.import_module("sigaug.augment")  # the module, not the function 
 SETUP = ("_GraphTensors", "_edge_rows", "_null_pool")
 STAGES = {"sampling": "_draw_nulls", "forward": "_forward_cached", "loss": "_loss_grads",
           "backward": "_backward"}
-TARGETS = {"theta_target": 1.0 / 9.0, "delta_target": 0.12, "mu": 0.7, "eta": 4}
+WORKLOAD = worker.WORKLOADS["synth1k-gate"]
+TARGETS = {"theta_target": WORKLOAD["theta"], "delta_target": WORKLOAD["delta"],
+           "mu": WORKLOAD["mu"], "eta": WORKLOAD["eta"]}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -171,7 +175,7 @@ def main(argv=None) -> None:
     ap.add_argument("--n", type=int, default=3783, help="generated graph's node count")
     ap.add_argument("--m", type=int, default=14124, help="generated graph's edge count")
     ap.add_argument("--seed", type=int, default=0, help="graph, split and trainer seed")
-    ap.add_argument("--epochs", type=int, default=5, help="the train's epochs")
+    ap.add_argument("--epochs", type=int, default=WORKLOAD["epochs"], help="the train's epochs")
     ap.add_argument("--out", type=pathlib.Path, help="JSON file to write")
     args = ap.parse_args(argv)
 
