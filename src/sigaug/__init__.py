@@ -43,11 +43,8 @@ from .augment import (
     EPRConfig,
     LogEntry,
     PerturbationLog,
-    ProbabilityMatrices,
     augment,
-    edge_probabilities,
     epr_check,
-    fuse,
     perturb_step,
 )
 from .evaluate import (

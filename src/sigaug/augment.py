@@ -27,14 +27,11 @@ noise negatives go). A regulator steers the running ratio of
 positive to negative perturbations toward theta_target and stops once the
 perturbed-edge share reaches delta_target.
 
-Finally the two perturbed adjacencies are fused back into one signed graph.
-`fuse` is the general rule, with a tie-break for pairs present in both; it reads
-the dense matrices of `edge_probabilities`. Within `augment` no pair ever is in
-both: additions of both signs take original non-edges, never the same pair
-twice, and removals only take original edges of their own sign, so the working
-sets stay disjoint and fusion is their union. That union is the original edge
-array less the removals performed plus the additions performed, which is how
-`augment` builds it, from the log.
+The result is the original graph less the removals performed plus the
+additions performed, read off the log. No pair is ever in both working sets:
+additions take original non-edges, never the same pair twice, and removals
+only original edges of their own sign. So the result is the union of the final
+working sets, and no tie between the signs is ever broken.
 """
 
 from __future__ import annotations
@@ -64,15 +61,6 @@ _RATIO_TOL = 1e-9
 # rows per propensity block, and pairs ranked by a row block's first refill
 _ROW_BLOCK = 128
 _FIRST_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class ProbabilityMatrices:
-    """Dense edge-propensity matrices per sign, for `fuse`; only pairs u < v are
-    ever read. `augment` reads the same values block by block instead."""
-
-    mpos: np.ndarray
-    mneg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ class PerturbationLog:
 
 @dataclass
 class AugmentedGraph:
-    """Fused result plus the full action log."""
+    """The augmented graph plus the full action log."""
 
     graph: SignedGraph
     log: PerturbationLog
@@ -202,29 +190,6 @@ def _propensity_rows(pair: EmbeddingPair):
         return block
 
     return rows
-
-
-def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
-    """Cosine scores per branch as dense matrices: mpos = Zp Zp^T, mneg = 1 / (Zn Zn^T).
-
-    The entries are those of `_propensity_rows`, bit for bit: each row block
-    fills its upper triangle, and the lower triangle is mirrored from it block
-    by block, so both matrices are exactly symmetric. A zero-norm row yields
-    zero similarity and falls under the reciprocal guard. The diagonals hold
-    each node's score with itself, which no pool reads: candidates are pairs
-    u < v.
-    """
-    rows = _propensity_rows(pair)
-    n = pair.zpos.shape[0]
-    mats = {1: np.empty((n, n)), -1: np.empty((n, n))}
-    for r0, r1 in _blocks(n):
-        lower = np.tril_indices(r1 - r0, -1)
-        for sign, m in mats.items():
-            m[r0:r1, r0:] = rows(sign, r0, r1)[:, r0:]
-            m[r0:r1, :r0] = m[:r0, r0:r1].T
-            square = m[r0:r1, r0:r1]
-            square[lower] = square.T[lower]
-    return ProbabilityMatrices(mpos=mats[1], mneg=mats[-1])
 
 
 def _ratio_error(pos: int, neg: int, theta: float) -> float:
@@ -439,6 +404,71 @@ def perturb_step(state: AugmentationState) -> int:
     return actions
 
 
+def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGraph:
+    """Drive perturbation rounds to the regulator's fixed point, then build the graph.
+
+    Deterministic for identical inputs. When the candidate pools run dry before
+    both regulator targets are met, the best-effort result is returned with
+    thresholds_unmet set. The result's graph is built from g's edge array: its
+    rows less the removals the log records as performed, plus the performed
+    additions, which equals the union of the final working sets.
+    """
+    if g.num_edges == 0:
+        raise ValueError("cannot augment a graph without edges")
+    if pair.zpos.shape[0] != g.n:
+        raise ValueError("embeddings do not match the graph size")
+    state = AugmentationState(g, _propensity_rows(pair), cfg)
+    unmet = False
+    while not epr_check(state.log, cfg, g.num_edges):
+        if perturb_step(state) == 0:
+            unmet = True
+            break
+    done = [e for e in state.log.entries if e.performed]
+    removed = np.isin(g.pair_keys(), [e.u * g.n + e.v for e in done if e.action == REMOVE])
+    added = np.array([(e.u, e.v, e.sign) for e in done if e.action == ADD],
+                     dtype=np.int64).reshape(-1, 3)
+    edges = np.concatenate((g.edge_array()[~removed], added))
+    return AugmentedGraph(graph=SignedGraph(g.n, edges), log=state.log,
+                          thresholds_unmet=unmet)
+
+
+# The dense oracle, which the program never runs: `ProbabilityMatrices`,
+# `edge_probabilities` and `fuse`. They stay here only because the benchmark's
+# traced mode looks them up in this module by name; the tests import them from
+# here as the dense oracles of `_propensity_rows` and of `augment`'s union.
+# ROADMAP item 5 moves them to tests/augment_reference.py.
+@dataclass(frozen=True)
+class ProbabilityMatrices:
+    """Dense edge-propensity matrices per sign, for `fuse`; only pairs u < v are
+    ever read. `augment` reads the same values block by block instead."""
+
+    mpos: np.ndarray
+    mneg: np.ndarray
+
+
+def edge_probabilities(pair: EmbeddingPair) -> ProbabilityMatrices:
+    """Cosine scores per branch as dense matrices: mpos = Zp Zp^T, mneg = 1 / (Zn Zn^T).
+
+    The entries are those of `_propensity_rows`, bit for bit: each row block
+    fills its upper triangle, and the lower triangle is mirrored from it block
+    by block, so both matrices are exactly symmetric. A zero-norm row yields
+    zero similarity and falls under the reciprocal guard. The diagonals hold
+    each node's score with itself, which no pool reads: candidates are pairs
+    u < v.
+    """
+    rows = _propensity_rows(pair)
+    n = pair.zpos.shape[0]
+    mats = {1: np.empty((n, n)), -1: np.empty((n, n))}
+    for r0, r1 in _blocks(n):
+        lower = np.tril_indices(r1 - r0, -1)
+        for sign, m in mats.items():
+            m[r0:r1, r0:] = rows(sign, r0, r1)[:, r0:]
+            m[r0:r1, :r0] = m[:r0, r0:r1].T
+            square = m[r0:r1, r0:r1]
+            square[lower] = square.T[lower]
+    return ProbabilityMatrices(mpos=mats[1], mneg=mats[-1])
+
+
 def fuse(apos_aug, aneg_aug, probs: ProbabilityMatrices) -> SignedGraph:
     """Merge the perturbed per-sign adjacencies into one signed graph.
 
@@ -463,33 +493,3 @@ def fuse(apos_aug, aneg_aug, probs: ProbabilityMatrices) -> SignedGraph:
             sign = 1 if (u, v) in pos else -1
         edges.append((u, v, sign))
     return SignedGraph(apos.shape[0], edges)
-
-
-def augment(g: SignedGraph, pair: EmbeddingPair, cfg: EPRConfig) -> AugmentedGraph:
-    """Drive perturbation rounds to the regulator's fixed point, then fuse.
-
-    Deterministic for identical inputs. When the candidate pools run dry before
-    both regulator targets are met, the best-effort result is returned with
-    thresholds_unmet set. The result's graph is built from g's edge array: its
-    rows less the removals the log records as performed, plus the performed
-    additions, which equals the union of the final working sets.
-    """
-    if g.num_edges == 0:
-        raise ValueError("cannot augment a graph without edges")
-    if pair.zpos.shape[0] != g.n:
-        raise ValueError("embeddings do not match the graph size")
-    state = AugmentationState(g, _propensity_rows(pair), cfg)
-    unmet = False
-    while not epr_check(state.log, cfg, g.num_edges):
-        if perturb_step(state) == 0:
-            unmet = True
-            break
-    # the working sets are disjoint (module docstring), so fusion is their union:
-    # the original edges less the removals performed, plus the additions performed
-    done = [e for e in state.log.entries if e.performed]
-    removed = np.isin(g.pair_keys(), [e.u * g.n + e.v for e in done if e.action == REMOVE])
-    added = np.array([(e.u, e.v, e.sign) for e in done if e.action == ADD],
-                     dtype=np.int64).reshape(-1, 3)
-    edges = np.concatenate((g.edge_array()[~removed], added))
-    return AugmentedGraph(graph=SignedGraph(g.n, edges), log=state.log,
-                          thresholds_unmet=unmet)

@@ -7,8 +7,9 @@ the same format). The defaults are read from a default
 `evaluate.ExperimentConfig` and its `TrainConfig`; only the keys the library
 has no field for (dataset, output, quiet, embeddings, log) have their own.
 `sweep` always runs sigaug. Exit codes: 0 success (also when the reader of
-standard output closes it early), 2 unreadable/invalid input files or a
-configuration value out of range, 3 component failure, 64 usage errors.
+standard output closes it early), 2 unreadable/invalid input files, a
+configuration value out of range or a file to write that is a directory or
+lies in no directory, 3 component failure, 64 usage errors.
 A config file is read as UTF-8, with or without a leading byte-order mark, and
 its lines end at line feeds only, as an edge list's do.
 """
@@ -212,6 +213,17 @@ def _checked(build, *args, **kwargs):
         raise InputError(str(exc)) from exc
 
 
+def _writable(*paths):
+    """Refuse a file to write that is a directory or whose directory does not
+    exist; an empty path is standard output. Subcommands check their outputs
+    this way before loading data, so a run is not lost at its end."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"cannot write {path}: no directory {os.path.dirname(path)}")
+
+
 def _dataset(cfg: dict) -> str:
     if not cfg["dataset"]:
         raise FileNotFoundError("no --dataset given")
@@ -229,6 +241,7 @@ def _stats_lines(prefix: str, stats: dict) -> list:
 
 
 def cmd_stats(cfg: dict) -> int:
+    _writable(cfg["output"])
     records, g = _load_graph(cfg)
     lines = _stats_lines("", graph.record_stats(records))
     lines += _stats_lines("built_", graph.graph_stats(g))
@@ -239,6 +252,7 @@ def cmd_stats(cfg: dict) -> int:
 def cmd_balance(cfg: dict) -> int:
     _checked(balance.check_eta, cfg["eta"])
     _checked(balance.check_mu, cfg["mu"])
+    _writable(cfg["output"])
     _records, g = _load_graph(cfg)
     scores = balance.compute_utilities(g, eta=cfg["eta"])
     lines = []
@@ -267,10 +281,11 @@ def _train_config(cfg: dict) -> sgnn.TrainConfig:
 
 def cmd_train(cfg: dict) -> int:
     train_cfg = _checked(_train_config, cfg)
+    output = cfg["output"] or "model"
+    _writable(output + ".emb", output + ".params")
     _records, g = _load_graph(cfg)
     _checked(sgnn.check_supervision, g)  # a graph the trainer cannot use is bad input
     result = sgnn.train(g, train_cfg)
-    output = cfg["output"] or "model"
     sgnn.save_embeddings(result.embeddings, output + ".emb")
     sgnn.save_params(result.params, output + ".params")
     if not cfg["quiet"]:
@@ -282,6 +297,8 @@ def cmd_train(cfg: dict) -> int:
 def cmd_augment(cfg: dict) -> int:
     epr = _checked(EPRConfig, theta_target=cfg["theta"], delta_target=cfg["delta"],
                    mu=cfg["mu"], eta=cfg["eta"])
+    log_path = cfg["log"] or ((cfg["output"] or "augment") + ".log")
+    _writable(cfg["output"], log_path)
     _records, g = _load_graph(cfg)
     emb_path = cfg["embeddings"]
     if not emb_path:
@@ -293,7 +310,6 @@ def cmd_augment(cfg: dict) -> int:
     # augment's own ValueError is a graph without edges: input it cannot use
     result = _checked(run_augment, g, pair, epr)
     _emit([f"{u} {v} {s}" for u, v, s in result.graph.edge_array().tolist()], cfg["output"])
-    log_path = cfg["log"] or ((cfg["output"] or "augment") + ".log")
     _emit(result.log.to_lines(), log_path)
     if not cfg["quiet"]:
         print(f"thresholds_unmet={result.thresholds_unmet}", file=sys.stderr)
@@ -305,7 +321,9 @@ def _experiment_config(cfg: dict, **fixed) -> evaluate.ExperimentConfig:
     # sweep has no mu/theta/delta keys (it sets them per grid cell)
     exp = evaluate.ExperimentConfig(train=_train_config(cfg),
                                     **_fields(cfg, _EXPERIMENT_FIELDS), **fixed)
-    _dataset(cfg)  # after the values, as the other subcommands check them
+    # after the values, as the other subcommands check them
+    _writable(cfg["output"])
+    _dataset(cfg)
     return exp
 
 

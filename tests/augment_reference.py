@@ -11,6 +11,11 @@ recursion, and `oracle_count_cycles`, its enumeration oracle. `edge_utility`
 reads a pair's share off either one's counts; it is the oracle for the
 library's one walk counter, `pair_utility`, and for `compute_utilities`.
 
+`observed_augment` runs the library's `augment` and hands back the working
+state it ends with. `working_set_union` is that state's working sets as one
+graph, checked disjoint, and `adjacency_matrix` one sign's working sets as the
+adjacency `fuse` reads: the oracles of the graph `augment` builds from its log.
+
 `reference_block_best` ranks one row block's add-pool pairs by masking and
 gathering the whole block: the oracle for the library's `_block_best`, which
 reads only the block's columns from r0 on. The start of a pool is
@@ -22,9 +27,11 @@ analysis, the subject of the entropy inequality check.
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from sigaug.augment import (_RATIO_TOL, ADD, NOT_GATED, REMOVE, LogEntry,
@@ -204,19 +211,57 @@ class ReferenceState:
             _ratio_error(p2, m2, theta) < _ratio_error(p, m, theta) - _RATIO_TOL)
 
     def apos_matrix(self):
-        return self._matrix(self.pos_adj, 1)
+        return adjacency_matrix(self.pos_adj, 1)
 
     def aneg_matrix(self):
-        return self._matrix(self.neg_adj, -1)
+        return adjacency_matrix(self.neg_adj, -1)
 
-    def _matrix(self, adj, value):
-        rows, cols = [], []
-        for u in range(self.n):
-            for v in adj[u]:
-                rows.append(u)
-                cols.append(v)
-        data = np.full(len(rows), value, dtype=np.int64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+
+def adjacency_matrix(adj, value: int):
+    """Working sets (a set of neighbors per node) as an int64 csr adjacency
+    holding `value` at every neighbor pair: the input `fuse` reads."""
+    n = len(adj)
+    rows, cols = [], []
+    for u in range(n):
+        for v in adj[u]:
+            rows.append(u)
+            cols.append(v)
+    data = np.full(len(rows), value, dtype=np.int64)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def observed_augment(g, pair, cfg):
+    """The library's `augment` run with its state in view: (result, the
+    AugmentationState as the run leaves it, the number of add-pool refills,
+    that is `_block_best` calls past a block's first chunk)."""
+    module = importlib.import_module("sigaug.augment")
+    state_class, block_best = module.AugmentationState, module._block_best
+    states, calls = [], []
+
+    def capture(*args):
+        states.append(state_class(*args))
+        return states[-1]
+
+    def counted(vals, n, r0, after, k):
+        calls.append(after is not None)  # None ranks a block's first chunk
+        return block_best(vals, n, r0, after, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "AugmentationState", capture)
+        mp.setattr(module, "_block_best", counted)
+        out = module.augment(g, pair, cfg)
+    (state,) = states
+    return out, state, sum(calls)
+
+
+def working_set_union(state):
+    """The state's working sets as one graph, after checking that no pair is in
+    both: how augment built its result before it read the log instead."""
+    pos = {(u, v) for u in range(state.n) for v in state.pos_adj[u] if u < v}
+    neg = {(u, v) for u in range(state.n) for v in state.neg_adj[u] if u < v}
+    assert not pos & neg
+    return SignedGraph(state.n, sorted([(u, v, 1) for u, v in pos]
+                                       + [(u, v, -1) for u, v in neg]))
 
 
 def argbest(matrix, mask, maximize):

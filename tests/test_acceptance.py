@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import sigaug as sg
+from sigaug.augment import ADD, REMOVE, ProbabilityMatrices, edge_probabilities, fuse
 from sigaug.evaluate import ExperimentConfig, run_experiment
 from sigaug.graph import neighbor_sets
 
-from augment_reference import (count_cycles, edge_utility, expected_entropy_after_perturbation,
-                               oracle_count_cycles)
+from augment_reference import (adjacency_matrix, count_cycles, edge_utility,
+                               expected_entropy_after_perturbation, observed_augment,
+                               oracle_count_cycles, working_set_union)
 from conftest import CONGRESS, random_signed_graph
 from graph_reference import reference_of, split_adjacency
 from trainer_reference import build_k_hop_ego_tree, gradient_check
@@ -115,8 +117,33 @@ def test_criterion_4_ego_tree_embeddings():
         assert float(np.max(np.abs(z0 - z1))) < 1e-9
 
 
-@gate(5, "fusion decides every adjacency/probability case exactly as specified")
+@gate(5, "augment's graph is the fusion of its final working sets, which stay disjoint, on "
+         "60 random runs; fusion decides every adjacency/probability case as specified")
 def test_criterion_5_fusion_table():
+    # the program: augment builds its graph from the log, and the oracle fuse of
+    # the working adjacencies its run ends with must give the same graph
+    rng = np.random.default_rng(5)
+    not_performed, refills = set(), 0
+    for _ in range(60):
+        n = int(rng.integers(3, 41))
+        g = random_signed_graph(rng, n, float(rng.uniform(0.05, 0.5)),
+                                float(rng.uniform(0.1, 0.6)))
+        if g.num_edges == 0:
+            continue
+        # rounded embeddings tie many values, and deltas near 1 refill the add pools
+        pair = sg.EmbeddingPair(*np.round(rng.normal(size=(2, n, 4)), 1))
+        cfg = sg.EPRConfig(float(rng.choice([1 / 9, 1.0, 4.0])), float(rng.uniform(0.8, 1.0)),
+                           float(rng.uniform(0.0, 0.9)), int(rng.integers(3, 6)))
+        out, state, run_refills = observed_augment(g, pair, cfg)
+        refills += run_refills
+        fused = fuse(adjacency_matrix(state.pos_adj, 1), adjacency_matrix(state.neg_adj, -1),
+                     edge_probabilities(pair))
+        assert out.graph == fused == working_set_union(state)  # the union checks disjointness
+        not_performed.update(e.action for e in out.log.entries if not e.performed)
+    # the runs hold gated-away additions, vetoed removals and add-pool refills
+    assert not_performed == {ADD, REMOVE} and refills > 0
+
+    # the oracle's rule, case by case
     for ap in (0, 1):
         for an in (0, -1):
             for mp, mn in ((0.9, 0.2), (0.2, 0.9), (0.5, 0.5)):
@@ -124,8 +151,8 @@ def test_criterion_5_fusion_table():
                 aneg = np.zeros((2, 2), dtype=np.int64)
                 apos[0, 1] = apos[1, 0] = ap
                 aneg[0, 1] = aneg[1, 0] = an
-                probs = sg.ProbabilityMatrices(np.full((2, 2), mp), np.full((2, 2), mn))
-                got = reference_of(sg.fuse(apos, aneg, probs)).sign(0, 1)
+                probs = ProbabilityMatrices(np.full((2, 2), mp), np.full((2, 2), mn))
+                got = reference_of(fuse(apos, aneg, probs)).sign(0, 1)
                 if ap == 0 and an == 0:
                     expected = 0
                 elif ap == 1 and an == 0:

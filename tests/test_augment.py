@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 import sigaug as sg
 from sigaug.augment import (_FIRST_CHUNK, _ROW_BLOCK, _SLOTS, ADD, NOT_GATED,
-                            AugmentationState, LogEntry, PerturbationLog, _block_best,
-                            _blocks, _propensity_rows, _ranked_pairs,
-                            edge_probabilities)
+                            AugmentationState, LogEntry, PerturbationLog,
+                            ProbabilityMatrices, _block_best, _blocks, _propensity_rows,
+                            _ranked_pairs, edge_probabilities, fuse)
 from sigaug.balance import DISCARD, KEEP
 from sigaug.graph import neighbor_sets
 
-from augment_reference import (reference_augment, reference_block_best,
-                               reference_pair_utility)
+from augment_reference import (observed_augment, reference_augment, reference_block_best,
+                               reference_pair_utility, working_set_union)
 from conftest import random_signed_graph
 from graph_reference import reference_of, split_adjacency
 
@@ -47,19 +47,19 @@ class TestEdgeProbabilities:
     def test_identical_negative_rows(self):
         zneg = np.tile(np.array([1.0, 2.0]), (3, 1))
         pair = sg.EmbeddingPair(np.eye(3, 2), zneg)
-        probs = sg.edge_probabilities(pair)
+        probs = edge_probabilities(pair)
         assert probs.mneg[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_positive_rows(self):
         zpos = np.array([[1.0, 0.0], [0.0, 1.0]])
         pair = sg.EmbeddingPair(zpos, np.ones((2, 2)))
-        probs = sg.edge_probabilities(pair)
+        probs = edge_probabilities(pair)
         assert probs.mpos[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_antiparallel_negative_rows(self):
         zneg = np.array([[1.0, 0.0], [-1.0, 0.0]])
         pair = sg.EmbeddingPair(np.ones((2, 2)), zneg)
-        probs = sg.edge_probabilities(pair)
+        probs = edge_probabilities(pair)
         # the reciprocal keeps the sign: ranked below small positive values,
         # which is the documented anomaly of the formula
         assert probs.mneg[0, 1] == pytest.approx(-1.0)
@@ -67,7 +67,7 @@ class TestEdgeProbabilities:
     def test_symmetric_and_finite(self):
         rng = np.random.default_rng(1)
         pair = sg.EmbeddingPair(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
-        probs = sg.edge_probabilities(pair)
+        probs = edge_probabilities(pair)
         assert np.array_equal(probs.mpos, probs.mpos.T)
         assert np.array_equal(probs.mneg, probs.mneg.T)
         assert np.all(np.isfinite(probs.mpos)) and np.all(np.isfinite(probs.mneg))
@@ -76,7 +76,7 @@ class TestEdgeProbabilities:
         zneg = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         pair = sg.EmbeddingPair(np.ones((3, 2)), zneg)
         with caplog.at_level("WARNING"):
-            probs = sg.edge_probabilities(pair)
+            probs = edge_probabilities(pair)
         assert "zero-norm" in caplog.text
         assert np.all(np.isfinite(probs.mneg))
         # guarded reciprocal of a zero similarity
@@ -84,7 +84,7 @@ class TestEdgeProbabilities:
 
     def test_tiny_similarities_clamped_with_their_sign(self):
         zneg = np.array([[1.0, 0.0], [0.0, -1.0], [-1e-9, 1.0], [1e-9, 1.0]])
-        probs = sg.edge_probabilities(sg.EmbeddingPair(np.ones((4, 2)), zneg))
+        probs = edge_probabilities(sg.EmbeddingPair(np.ones((4, 2)), zneg))
         assert probs.mneg[0, 1] == 1e8
         assert probs.mneg[0, 2] == -1e8
         assert probs.mneg[0, 3] == 1e8
@@ -164,25 +164,25 @@ class TestFuse:
         apos[0, 1] = apos[1, 0] = ap
         aneg[0, 1] = aneg[1, 0] = an
         mp = {"gt": 0.9, "lt": 0.2, "eq": 0.5}[rel]
-        probs = sg.ProbabilityMatrices(np.full((2, 2), mp), np.full((2, 2), 0.5))
-        fused = sg.fuse(apos, aneg, probs)
+        probs = ProbabilityMatrices(np.full((2, 2), mp), np.full((2, 2), 0.5))
+        fused = fuse(apos, aneg, probs)
         assert reference_of(fused).sign(0, 1) == expected
 
     def test_asymmetric_rejected(self):
         apos = np.zeros((2, 2), dtype=np.int64)
         apos[0, 1] = 1
-        probs = sg.ProbabilityMatrices(np.zeros((2, 2)), np.zeros((2, 2)))
+        probs = ProbabilityMatrices(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="symmetric"):
-            sg.fuse(apos, np.zeros((2, 2), dtype=np.int64), probs)
+            fuse(apos, np.zeros((2, 2), dtype=np.int64), probs)
 
     def test_idempotent_on_disjoint_fused_output(self):
         g = signed_graph_with_both(3)
         pair = trained_pair(g, epochs=5)
-        probs = sg.edge_probabilities(pair)
+        probs = edge_probabilities(pair)
         apos, aneg = split_adjacency(g)
-        fused = sg.fuse(apos, -aneg, probs)
+        fused = fuse(apos, -aneg, probs)
         fp, fn = split_adjacency(fused)
-        assert sg.fuse(fp, -fn, probs) == fused
+        assert fuse(fp, -fn, probs) == fused
 
 
 class TestEprCheck:
@@ -238,7 +238,7 @@ class TestPerturbStep:
         mneg = np.full((6, 6), DIAG_SENTINEL)
         mpos[2, 5] = mpos[5, 2] = 0.95  # non-edge pair with the global max
         np.fill_diagonal(mpos, DIAG_SENTINEL)
-        probs = sg.ProbabilityMatrices(mpos, mneg)
+        probs = ProbabilityMatrices(mpos, mneg)
         state = AugmentationState(g, matrix_rows(probs), sg.EPRConfig(theta_target=9.0,
                                                                       delta_target=1.0, mu=0.7))
         sg.perturb_step(state)
@@ -257,7 +257,7 @@ class TestPerturbStep:
         mneg[0, 1] = mneg[1, 0] = 5.0
         np.fill_diagonal(mpos, DIAG_SENTINEL)
         np.fill_diagonal(mneg, DIAG_SENTINEL)
-        probs = sg.ProbabilityMatrices(mpos, mneg)
+        probs = ProbabilityMatrices(mpos, mneg)
         state = AugmentationState(g, matrix_rows(probs), sg.EPRConfig(theta_target=1 / 9,
                                                                       delta_target=1.0, mu=0.7))
         sg.perturb_step(state)
@@ -273,7 +273,7 @@ class TestPerturbStep:
             mneg = mpos[::-1] + mpos[::-1].T
             np.fill_diagonal(mpos, DIAG_SENTINEL)
             np.fill_diagonal(mneg, DIAG_SENTINEL)
-            state = AugmentationState(g, matrix_rows(sg.ProbabilityMatrices(mpos, mneg)),
+            state = AugmentationState(g, matrix_rows(ProbabilityMatrices(mpos, mneg)),
                                       sg.EPRConfig(theta_target=theta, delta_target=1.0,
                                                    mu=0.7))
             counts = []
@@ -663,16 +663,6 @@ class TestGateOnAugmentCalls:
         assert got == expected
 
 
-def working_set_union(state):
-    """The state's working sets as one graph, after checking that no pair is in
-    both: how augment built its result before it read the log instead."""
-    pos = {(u, v) for u in range(state.n) for v in state.pos_adj[u] if u < v}
-    neg = {(u, v) for u in range(state.n) for v in state.neg_adj[u] if u < v}
-    assert not pos & neg
-    return sg.SignedGraph(state.n, sorted([(u, v, 1) for u, v in pos]
-                                          + [(u, v, -1) for u, v in neg]))
-
-
 class TestAugmentGraphFromLog:
     """augment's graph is the original edges less the removals performed, plus
     the additions performed, read off the log; the union of its working sets
@@ -684,23 +674,7 @@ class TestAugmentGraphFromLog:
         graph against a copy taken before, and return its number of add-pool
         refills."""
         before = (g.edge_array().copy(), g.pair_keys().copy(), sg.compute_utilities(g, cfg.eta))
-        module = importlib.import_module("sigaug.augment")
-        state_class, block_best = module.AugmentationState, module._block_best
-        states, calls = [], []
-
-        def capture(*args):
-            states.append(state_class(*args))
-            return states[-1]
-
-        def counted(vals, n, r0, after, k):
-            calls.append(after is not None)  # None ranks a block's first chunk
-            return block_best(vals, n, r0, after, k)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, "AugmentationState", capture)
-            mp.setattr(module, "_block_best", counted)
-            out = sg.augment(g, pair, cfg)
-        (state,) = states
+        out, state, refills = observed_augment(g, pair, cfg)
         assert out.graph == working_set_union(state)
         assert out.graph.num_edges == g.num_edges + sum(
             (1 if e.action == ADD else -1) for e in out.log.entries if e.performed)
@@ -708,7 +682,7 @@ class TestAugmentGraphFromLog:
         assert np.array_equal(g.edge_array(), before[0])
         assert np.array_equal(g.pair_keys(), before[1])
         assert sg.compute_utilities(g, cfg.eta) == before[2]
-        return sum(calls)
+        return refills
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
            density=st.floats(0.05, 0.5), neg=st.floats(0.1, 0.6), eta=st.integers(3, 5),

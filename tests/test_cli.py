@@ -388,6 +388,34 @@ class TestExitCodes:
         assert proc.returncode == EXIT_IO and proc.stdout == ""
         assert proc.stderr == "sigaug: input error: no --dataset given\n"
 
+    # each case also names a dataset that does not exist, so the file to write
+    # must be refused before any dataset work; "dir" exists and "nodir" does not
+    @pytest.mark.parametrize("args,path,reason", [
+        (["stats", "--output", "dir"], "dir", "it is a directory"),
+        (["balance", "--output", "nodir/b.txt"], "nodir/b.txt", "no directory nodir"),
+        (["train", "--output", "nodir/m"], "nodir/m.emb", "no directory nodir"),
+        (["train", "--output", "dir/m"], "dir/m.params", "it is a directory"),
+        (["augment", "--embeddings", "m.emb", "--output", "nodir/a.txt"], "nodir/a.txt",
+         "no directory nodir"),
+        (["augment", "--embeddings", "m.emb", "--log", "dir"], "dir", "it is a directory"),
+        (["augment", "--embeddings", "m.emb", "--output", "dir/a"], "dir/a.log",
+         "it is a directory"),
+        (["evaluate", "--output", "dir"], "dir", "it is a directory"),
+        (["sweep", "--output", "nodir/s.csv"], "nodir/s.csv", "no directory nodir"),
+    ], ids=["stats", "balance", "train", "train_params", "augment", "augment_log",
+            "augment_default_log", "evaluate", "sweep"])
+    def test_unwritable_output_refused_first(self, tmp_path, monkeypatch, capsys, args, path,
+                                             reason):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "m.params").mkdir()
+        (tmp_path / "dir" / "a.log").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code = main([*args, "--dataset", "missing.txt", "--quiet"])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"sigaug: input error: cannot write {path}: {reason}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("sub", ["stats", "evaluate"])
     def test_non_utf8_dataset(self, tmp_path, sub):
         path = tmp_path / "bad.txt"
