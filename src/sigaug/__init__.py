@@ -4,6 +4,9 @@ Pipeline: load a signed edge list, train a compact two-branch signed GNN,
 derive per-sign edge propensities from the embeddings, selectively perturb the
 graph under an edge-utility filter and a perturbation regulator, retrain on the
 augmented graph, and evaluate link sign prediction.
+
+`sigaug.augment` is the function: the export binds the name over its
+submodule, which `importlib.import_module("sigaug.augment")` returns.
 """
 
 from .graph import (

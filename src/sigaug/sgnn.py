@@ -299,11 +299,11 @@ def _class_weights(rows: np.ndarray) -> np.ndarray:
 
 
 def _hinge_pairs(rows: np.ndarray, n: int):
-    """Hinge terms as (edge row, null row) index pairs into `rows`, whose endpoints
-    are below n: one (T, 2) int64 array for the "+" rows, one for the "-" rows; a
-    term compares its rows' squared distances. An edge row and a "?" row pair up
-    whenever they share an endpoint, the anchor. Per edge row (u, v) in sample order
-    come pairs anchored at u, then at v, nulls in order.
+    """Hinge terms as aligned (edge_rows, null_rows) int64 index arrays into
+    `rows`, whose endpoints are below n: one pair of arrays for the "+" rows, one
+    for the "-" rows; a term compares its rows' squared distances. An edge row and
+    a "?" row pair up whenever they share an endpoint, the anchor. Per edge row
+    (u, v) in sample order come pairs anchored at u, then at v, nulls in order.
 
     The null rows' incidences are grouped by anchor (`graph._by_node`), and an
     endpoint's run in that order is found from the per-node offsets: it starts at
@@ -320,7 +320,7 @@ def _hinge_pairs(rows: np.ndarray, n: int):
         start, count = off[a], off[a + 1] - off[a]
         first = np.cumsum(count) - count  # where each anchor's run starts in the output
         k = partners[np.arange(count.sum()) + np.repeat(start - first, count)]
-        out.append(np.column_stack((np.repeat(np.repeat(edge, 2), count), k)))
+        out.append((np.repeat(np.repeat(edge, 2), count), k))
     return out
 
 
@@ -328,7 +328,7 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
     """Classifier + hinge values with gradients w.r.t. Z and theta.
 
     Returns (ce, hinge, dZ, dTheta); `hinge` already carries the lam factor.
-    Regularization is handled by the callers. A row's pair feature is
+    The L2 term is `_grad_step`'s. A row's pair feature is
     [Z_i || Z_j] with i < j, so its logits are P[i] + Q[j] for the node
     projections P = Z theta_1^T and Q = Z theta_2^T. The logit gradients are
     scattered onto the nodes as G_i and G_j, one (n x 3) bincount per endpoint
@@ -367,33 +367,20 @@ def _loss_grads(Z, rows, theta, lam, weights, warn_missing=True):
         diff *= diff
         diff.sum(axis=1, out=dist[blk])
     hinge, coef = 0.0, np.zeros(count)  # coef: d hinge / d dist per row
-    for pairs, flip, name in zip(_hinge_pairs(rows, n), (1.0, -1.0), ("(+,?)", "(-,?)")):
-        if not len(pairs):
+    for (e, k), flip, name in zip(_hinge_pairs(rows, n), (1.0, -1.0), ("(+,?)", "(-,?)")):
+        if not len(e):
             if warn_missing:
                 logger.warning("no %s hinge pairs in sample set; term contributes 0", name)
             continue
-        e, k = pairs.T
         margin = flip * (dist[e] - dist[k])
         hinge += lam * float(np.maximum(margin, 0.0).mean())
-        c = (lam / len(pairs)) * flip * (margin > 0.0)
+        c = (lam / len(e)) * flip * (margin > 0.0)
         coef += np.bincount(e, c, minlength=count) - np.bincount(k, c, minlength=count)
     w = 2.0 * coef  # d hinge / d Z_i = w (Z_i - Z_j) on row (i, j), and its negative on j
     W = sp.csr_matrix((w, (ii, jj)), shape=(n, n))
     deg = np.bincount(ii, w, minlength=n) + np.bincount(jj, w, minlength=n)
     dZ += deg[:, None] * Z - W @ Z - W.T @ Z
     return ce, hinge, dZ, dTheta
-
-
-def _reg(params: ModelParams, weight_decay: float) -> float:
-    """L2 regularization value, summed over params.arrays() in order.
-
-    A diverging run overflows it to inf silently: `train` reports that itself.
-    """
-    reg = 0.0
-    with np.errstate(over="ignore"):
-        for a in params.arrays():
-            reg += weight_decay * float((a * a).sum())
-    return reg
 
 
 def _null_pool(keys: np.ndarray, n: int):
@@ -453,10 +440,12 @@ def _grad_step(tensors, params, rows, weights, cfg, warn_missing=True):
                                         warn_missing=warn_missing)
     h = params.half_dim
     grads = _backward(tensors, params, cache, dZ[:, :h], dZ[:, h:]) + [dTheta]
-    wd = cfg.weight_decay
+    wd, reg = cfg.weight_decay, 0.0  # reg: the L2 value, summed beside its gradient
     for a, ga in zip(params.arrays(), grads):
         ga += 2.0 * wd * a
-    return ce + hinge + _reg(params, wd), grads
+        with np.errstate(over="ignore"):  # a diverging run's inf: `train` reports it
+            reg += wd * float((a * a).sum())
+    return ce + hinge + reg, grads
 
 
 def check_supervision(g: SignedGraph) -> None:

@@ -27,16 +27,21 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
 
 
+def load_tool(name):
+    """tools/<name>.py loaded as a module, so its `main` does not run."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 @pytest.fixture
 def time_stages(monkeypatch):
     """tools/time_stages.py loaded as a module; its sys.path entries and
     bytecode do not outlive the test."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("time_stages", REPO / "tools" / "time_stages.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+    return load_tool("time_stages")
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import sigaug as sg
 from sigaug.graph import ParseError, neighbor_sets
 from sigaug.graph import _by_node as by_node
 
-from conftest import LINE_BREAKS, REPO, graph_past_16_bit_ids, random_signed_graph
+from conftest import LINE_BREAKS, REPO, graph_past_16_bit_ids, load_tool, random_signed_graph
 from graph_reference import (ReferenceGraph, ReferenceParseError, reference_load_edge_list,
                              reference_of, reference_split_edges, split_adjacency)
 
@@ -639,10 +639,7 @@ class TestStats:
 
     def test_congress_fixture_regenerates_byte_for_byte(self, congress_path):
         # renders in memory; nothing is written under data/
-        path = congress_path.parent.parent / "tools" / "gen_congress_fixture.py"
-        spec = importlib.util.spec_from_file_location("gen_congress_fixture", path)
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
+        gen = load_tool("gen_congress_fixture")
         text = gen.render(gen.generate(np.random.default_rng(gen.SEED)))
         assert text.encode() == congress_path.read_bytes()
 

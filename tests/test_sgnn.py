@@ -327,7 +327,8 @@ def _tuples(rows):
 def _triples(rows, pairs):
     """Each (edge row, null row) pair as its (anchor, edge partner, null partner) triple."""
     out = []
-    for e, k in pairs.tolist():
+    edge_rows, null_rows = pairs
+    for e, k in zip(edge_rows.tolist(), null_rows.tolist()):
         (u, v, _), null = rows[e].tolist(), rows[k, :2].tolist()
         a, j = (u, v) if u in null else (v, u)
         out.append((a, j, null[1] if null[0] == a else null[0]))
@@ -503,16 +504,16 @@ class TestHingePairsMatchesOracle:
     def check(self, rows, n):
         got, want = _hinge_pairs(rows, n), ref.hinge_pairs(rows)
         assert len(got) == len(want) == 2
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype == np.int64
-            assert np.array_equal(g, w)
+        for (e, k), w in zip(got, want):
+            assert e.dtype == k.dtype == w.dtype == np.int64
+            assert np.array_equal(np.column_stack((e, k)), w)
         return got
 
     @pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
     def test_key_widths(self, n):
         rows = self.rows(n, [0, 1], 40)
         assert (rows[:, :2] == n - 3).any()
-        assert all(len(p) for p in self.check(rows, n))
+        assert all(len(e) for e, _ in self.check(rows, n))
 
     def test_graph_past_16_bit_ids(self):
         # the graph's edge rows and the non-adjacent pairs among its endpoints
@@ -522,14 +523,14 @@ class TestHingePairsMatchesOracle:
                  if u < v and u * g.n + v not in keys]
         rows = np.concatenate((_edge_rows(g), np.array(nulls, dtype=np.int64)))
         rows = rows[np.random.default_rng(0).permutation(len(rows))]
-        assert all(len(p) for p in self.check(rows, g.n))
+        assert all(len(e) for e, _ in self.check(rows, g.n))
 
     def test_no_null_rows(self):
-        assert not any(len(p) for p in self.check(self.rows(300, [0, 1], 0), 300))
+        assert not any(len(e) for e, _ in self.check(self.rows(300, [0, 1], 0), 300))
 
     def test_no_negative_rows(self):
-        got = self.check(self.rows(300, [0], 40), 300)
-        assert len(got[0]) and not len(got[1])
+        (pos, _), (neg, _) = self.check(self.rows(300, [0], 40), 300)
+        assert len(pos) and not len(neg)
 
 
 class TestTrainMatchesReference:
@@ -622,7 +623,7 @@ class TestLossMemory:
         rows = np.concatenate((edges, _draw_nulls(g.pair_keys(), g.n, None, len(edges), rng)))
         Z, theta = rng.normal(size=(g.n, 64)), rng.uniform(-0.5, 0.5, size=(3, 128))
         weights = _class_weights(rows)
-        assert sum(len(p) for p in _hinge_pairs(rows, g.n)) * 64 * 8 > 20e6
+        assert sum(len(e) for e, _ in _hinge_pairs(rows, g.n)) * 64 * 8 > 20e6
         tracemalloc.start()
         try:
             _loss_grads(Z, rows, theta, 5.0, weights)

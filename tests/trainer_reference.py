@@ -227,7 +227,11 @@ def loss(Z, samples, params, cfg) -> float:
     rows = np.array([(u, v, _CLS_INDEX[c]) for u, v, c in samples], np.int64).reshape(-1, 3)
     ce, hinge, _, _ = sgnn._loss_grads(np.asarray(Z, dtype=np.float64), rows, params.theta,
                                        cfg.lam, sgnn._class_weights(rows))
-    return ce + hinge + sgnn._reg(params, cfg.weight_decay)
+    reg = 0.0
+    with np.errstate(over="ignore"):  # a diverging run overflows it to inf silently
+        for a in params.arrays():
+            reg += cfg.weight_decay * float((a * a).sum())
+    return ce + hinge + reg
 
 
 def _null_pool(g: SignedGraph):
